@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -191,6 +192,15 @@ class Trajectory:
     def centers(self) -> np.ndarray:
         """(F, 3) array of camera centers."""
         return np.stack([p.translation for p, _ in self.frames])
+
+    @cached_property
+    def pose_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only rotations (F, 3, 3) and centers (F, 3), stacked on first use."""
+        rotations = np.stack([p.rotation for p, _ in self.frames])
+        centers = self.centers()
+        rotations.setflags(write=False)
+        centers.setflags(write=False)
+        return rotations, centers
 
     def slice_frames(self, start: int, stop: int) -> "Trajectory":
         if not (0 <= start < stop <= len(self.frames)):

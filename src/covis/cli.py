@@ -37,7 +37,7 @@ from .config import (
     save_config,
 )
 from .errors import ConfigError, DomainError
-from .memory import MemoryBank, pad_context, retrieve_top_k
+from .memory import MemoryBank, RetrievalResult, pad_context, retrieve_top_k
 from .metrics import pose_error_report, sync_report
 from .report import top_down_svg
 from .scene import FrameSequence, load_frames, make_scene, render, save_frames
@@ -94,16 +94,23 @@ def cmd_gen_benchmark(config: EngineConfig, base_path: str | None) -> int:
     return 0
 
 
-def cmd_retrieve(config: EngineConfig, bank_dir: str, target_path: str, k: int | None, chunk: int) -> int:
-    bank = MemoryBank.open(bank_dir)
-    target = load_trajectory(target_path)
-    result = retrieve_top_k(
-        bank, target, k or config.retrieval.k, chunk,
+def _retrieve(
+    config: EngineConfig, bank: MemoryBank, target: Trajectory, k: int, chunk: int
+) -> RetrievalResult:
+    """retrieve_top_k with the sampler, frustum and retrieval settings of config."""
+    return retrieve_top_k(
+        bank, target, k, chunk,
         cfg=config.sampler, params=config.frustum,
         include_source=config.retrieval.include_source,
         cross_chunk=config.retrieval.cross_chunk,
         tie_rule=config.retrieval.tie_rule,
     )
+
+
+def cmd_retrieve(config: EngineConfig, bank_dir: str, target_path: str, k: int | None, chunk: int) -> int:
+    bank = MemoryBank.open(bank_dir)
+    target = load_trajectory(target_path)
+    result = _retrieve(config, bank, target, k or config.retrieval.k, chunk)
     print(f"retrieved {len(result.ranked)} of {len(bank)} entries for chunk {chunk}")
     for rank, (idx, score) in enumerate(result.ranked, start=1):
         e = bank.entries[idx]
@@ -121,13 +128,7 @@ def cmd_plan(
 ) -> int:
     bank = MemoryBank.open(bank_dir)
     target = load_trajectory(target_path)
-    result = retrieve_top_k(
-        bank, target, l or config.retrieval.k, chunk,
-        cfg=config.sampler, params=config.frustum,
-        include_source=config.retrieval.include_source,
-        cross_chunk=config.retrieval.cross_chunk,
-        tie_rule=config.retrieval.tie_rule,
-    )
+    result = _retrieve(config, bank, target, l or config.retrieval.k, chunk)
     items = [(bank.entries[i], s) for i, s in reversed(result.ranked)]
     plan = plan_divide_conquer(items, k or config.scheduler.k, target, bank.source_entry(chunk))
     print(plan.format())
@@ -206,17 +207,14 @@ def cmd_simulate(
     for v, m in generation_order(len(suite), len(schedule.chunks)):
         chunk = schedule.chunks[m - 1]
         target = suite[v - 1].slice_frames(chunk.start, chunk.end)
-        result = retrieve_top_k(
-            bank, target, config.retrieval.k, m,
-            cfg=config.sampler, params=config.frustum,
-            include_source=config.retrieval.include_source,
-            cross_chunk=config.retrieval.cross_chunk,
-            tie_rule=config.retrieval.tie_rule,
-        )
-        events.append({
+        result = _retrieve(config, bank, target, config.retrieval.k, m)
+        retrieved = {
             "event": "retrieve", "view": v, "chunk": m, "shot": target.label,
             "scores": [[i, s] for i, s in result.ranked],
-        })
+        }
+        if result.skipped:
+            retrieved["skipped"] = result.skipped
+        events.append(retrieved)
         if len(result.ranked) > model_k:
             items = [(bank.entries[i], s) for i, s in reversed(result.ranked)]
             plan = plan_divide_conquer(items, model_k, target, bank.source_entry(m))
@@ -232,10 +230,12 @@ def cmd_simulate(
             })
             final_seq: FrameSequence | None = None
             for step in plan.steps:
+                if not (step.is_final or config.output.bank_intermediates):
+                    continue  # render is pure, so an unbanked intermediate is never drawn
                 step_seq = render(scene, step.target)
                 if step.is_final:
                     final_seq = step_seq
-                elif config.output.bank_intermediates:
+                else:
                     iref = (
                         f"{_VIDEO_DIR}/s{v:02d}_{target.label}_c{m:02d}_"
                         f"{step.produces.replace(':', '')}"

@@ -101,11 +101,17 @@ def contains_points(fr: Frustum, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise DomainError(f"expected points of shape (N, 3), got {points.shape}")
-    local = (points - fr.apex) @ fr.orientation
-    depth = local[:, 2]
-    ok = (depth >= fr.near) & (depth <= fr.far)
-    ok &= np.abs(local[:, 0]) <= depth * math.tan(fr.fov_h / 2.0)
-    ok &= np.abs(local[:, 1]) <= depth * math.tan(fr.fov_v / 2.0)
+    return _inside_local((points - fr.apex) @ fr.orientation, fr.fov_h, fr.fov_v, fr.near, fr.far)
+
+
+def _inside_local(
+    local: np.ndarray, fov_h: float, fov_v: float, near: float, far: float
+) -> np.ndarray:
+    """Containment mask of points (..., 3) already in a frustum's local frame."""
+    depth = local[..., 2]
+    ok = (depth >= near) & (depth <= far)
+    ok &= np.abs(local[..., 0]) <= depth * math.tan(fov_h / 2.0)
+    ok &= np.abs(local[..., 1]) <= depth * math.tan(fov_v / 2.0)
     return ok
 
 
@@ -196,3 +202,54 @@ def frame_covisibility(a: Frustum, b: Frustum, cfg: SamplerConfig | None = None)
     in_b = int(contains_points(b, sample_points(a, cfg)).sum())
     in_a = int(contains_points(a, sample_points(b, cfg)).sum())
     return (in_b + in_a) / (2.0 * cfg.point_count)
+
+
+# Samples per kernel block. 12,288 (32 frames of the default 384-point
+# lattice) keep each (frames, P, 3) temporary near 300 KB, so a block stays in
+# a core's L2 cache; one 93-frame block ran about 2x slower per frame.
+_BLOCK_SAMPLES = 12288
+
+
+def _samples_in_view(
+    lattice: np.ndarray, rot_s: np.ndarray, cen_s: np.ndarray,
+    rot_v: np.ndarray, cen_v: np.ndarray,
+) -> np.ndarray:
+    """Lattice samples of frustum stack s in the local frames of stack v, (F, P, 3).
+
+    Frame f equals (sample_points(s_f) - v_f.apex) @ v_f.orientation bit for
+    bit: the same (P, 3) @ (3, 3) matmuls and the same scalar additions.
+    """
+    pts = lattice @ np.ascontiguousarray(rot_s.transpose(0, 2, 1))
+    # One coordinate at a time: an (F, P) column plus a per-frame scalar runs
+    # about 3x faster than a broadcast over the length-3 last axis.
+    for k in range(3):
+        col = pts[..., k]
+        col += cen_s[:, k, None]
+        col -= cen_v[:, k, None]
+    return np.matmul(pts, rot_v)
+
+
+def stacked_covisibility(
+    rot_a: np.ndarray, cen_a: np.ndarray, rot_b: np.ndarray, cen_b: np.ndarray,
+    cfg: SamplerConfig | None = None, params: FrustumParams | None = None,
+) -> np.ndarray:
+    """Per-frame co-visibility of two equal-length frustum stacks, shape (F,).
+
+    Frame f is scored between the frustums with rotation rot_*[f] (F, 3, 3)
+    and apex cen_*[f] (F, 3), both shaped by params. Each element equals
+    frame_covisibility of that frame's pair bit for bit (see
+    _samples_in_view). Frames are scored in blocks, and no sample tensor
+    outlives its block.
+    """
+    cfg = cfg or SamplerConfig()
+    params = params or FrustumParams()
+    shape = (params.fov_h, params.fov_v, params.near, params.far)
+    lattice = _local_lattice(cfg.grid_w, cfg.grid_h, cfg.depth_slices, cfg.jitter_seed, *shape)
+    counts = np.empty(len(rot_a), dtype=np.int64)
+    step = max(1, _BLOCK_SAMPLES // cfg.point_count)
+    for f in range(0, len(rot_a), step):
+        ra, ca, rb, cb = (x[f:f + step] for x in (rot_a, cen_a, rot_b, cen_b))
+        in_b = _inside_local(_samples_in_view(lattice, ra, ca, rb, cb), *shape).sum(axis=1)
+        in_a = _inside_local(_samples_in_view(lattice, rb, cb, ra, ca), *shape).sum(axis=1)
+        counts[f:f + step] = in_b + in_a
+    return counts / (2.0 * cfg.point_count)

@@ -3,8 +3,17 @@
 The bank is an append-only list of (trajectory, video reference) entries,
 each tagged with the 1-based chunk index it belongs to. Exactly one entry
 per chunk is the designated source. Retrieval scores a target trajectory
-against every entry of the same chunk by mean per-frame frustum
-co-visibility and returns the top k, most recent first on ties.
+against every entry of the same chunk (or of every chunk, cross_chunk) by
+mean per-frame frustum co-visibility and returns the top k, most recent
+first on ties. Entries whose frame count differs from the target's are
+skipped and counted.
+
+Scoring one pair is a single numpy pass over all F frames
+(frustum.stacked_covisibility) on the pose stacks that each Trajectory
+caches on first use: read-only rotations (F, 3, 3) and centers (F, 3),
+about 9 KB per 93-frame entry. The per-frame scores are then summed in
+frame order, so every score equals a Python loop over frame_covisibility
+bit for bit and run logs do not depend on the kernel.
 
 Appends are serialized by a lock (single-writer contract); scoring reads an
 immutable snapshot of the entries, so it may run concurrently with other
@@ -20,11 +29,21 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .camera import Trajectory, load_trajectory, save_trajectory
 from .errors import DomainError
-from .frustum import FrustumParams, SamplerConfig, frame_covisibility
+from .frustum import FrustumParams, SamplerConfig, stacked_covisibility
+# Unused here since scoring went to stacked_covisibility; perfbench/tracer.py
+# still wraps covis.memory.frame_covisibility by name.
+from .frustum import frame_covisibility  # noqa: F401
 
 _MANIFEST_NAME = "manifest.json"
+
+# Every manifest record field and its JSON type.
+_RECORD_FIELDS = {
+    "trajectory": str, "video_ref": str, "chunk_index": int, "insert_seq": int, "is_source": bool,
+}
 
 
 @dataclass(frozen=True)
@@ -57,19 +76,22 @@ def trajectory_similarity(
     """Mean per-frame frustum co-visibility of two equal-length trajectories."""
     if len(a) != len(b):
         raise DomainError(f"frame counts differ: {len(a)} vs {len(b)}")
-    cfg = cfg or SamplerConfig()
-    params = params or FrustumParams()
-    total = 0.0
-    for (pa, _), (pb, _) in zip(a.frames, b.frames):
-        total += frame_covisibility(params.build(pa), params.build(pb), cfg)
-    return total / len(a)
+    scores = stacked_covisibility(*a.pose_stack, *b.pose_stack, cfg, params)
+    # cumsum adds in frame order like a Python loop; sum() adds pairwise and
+    # may differ in the last bit.
+    return float(np.cumsum(scores)[-1]) / len(a)
 
 
 @dataclass(frozen=True)
 class RetrievalResult:
-    """Ranked retrieval outcome: (bank entry index, similarity score) pairs, best first."""
+    """Ranked retrieval outcome: (bank entry index, similarity score) pairs, best first.
+
+    skipped counts pool entries left out because their frame count differs
+    from the target's.
+    """
 
     ranked: tuple[tuple[int, float], ...]
+    skipped: int = 0
 
     def __post_init__(self) -> None:
         scores = [s for _, s in self.ranked]
@@ -185,24 +207,48 @@ class MemoryBank:
             manifest = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise DomainError(f"{path}: invalid bank manifest ({e})") from e
+        records = manifest.get("entries", []) if isinstance(manifest, dict) else None
+        if not isinstance(records, list):
+            raise DomainError(f"{path}: bank manifest needs an 'entries' list")
+        root = self.directory.resolve()
         prev_seq = 0
-        for rec in manifest.get("entries", []):
-            seq = int(rec["insert_seq"])
+        for n, rec in enumerate(records):
+            _check_record(path, n, rec)
+            seq = rec["insert_seq"]
             if seq <= prev_seq:
                 raise DomainError(f"{path}: insert_seq not strictly increasing at {seq}")
             prev_seq = seq
+            traj_path = (root / rec["trajectory"]).resolve()
+            if not traj_path.is_relative_to(root):
+                raise DomainError(
+                    f"{path}: entry {n} trajectory {rec['trajectory']!r} lies outside the bank"
+                )
             entry = MemoryEntry(
-                trajectory=load_trajectory(self.directory / str(rec["trajectory"])),
-                video_ref=str(rec["video_ref"]),
-                chunk_index=int(rec["chunk_index"]),
+                trajectory=load_trajectory(traj_path),
+                video_ref=rec["video_ref"],
+                chunk_index=rec["chunk_index"],
                 insert_seq=seq,
-                is_source=bool(rec["is_source"]),
+                is_source=rec["is_source"],
             )
             if entry.is_source:
                 if entry.chunk_index in self._source_idx:
                     raise DomainError(f"{path}: chunk {entry.chunk_index} has two source entries")
                 self._source_idx[entry.chunk_index] = len(self._entries)
             self._entries.append(entry)
+
+
+def _check_record(path: Path, n: int, rec: object) -> None:
+    """Raise DomainError unless manifest record n has every field with its JSON type."""
+    if not isinstance(rec, dict):
+        raise DomainError(f"{path}: entry {n} is not an object")
+    for key, kind in _RECORD_FIELDS.items():
+        if key not in rec:
+            raise DomainError(f"{path}: entry {n} lacks {key!r}")
+        value = rec[key]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise DomainError(
+                f"{path}: entry {n} {key!r} must be a {kind.__name__}, got {value!r}"
+            )
 
 
 def retrieve_top_k(
@@ -223,6 +269,7 @@ def retrieve_top_k(
     cross_chunk); the source entry participates unless include_source is
     False. Equal scores are broken by recency (higher insert_seq first) under
     the default tie rule, or by insertion order with tie_rule="oldest_first".
+    Entries whose frame count differs from the target's are skipped.
     Returns min(k, pool size) entries. workers > 1 scores the pool in a
     thread pool; results are identical either way.
     """
@@ -230,13 +277,16 @@ def retrieve_top_k(
         raise DomainError(f"k must be >= 1, got {k}")
     if tie_rule not in ("recent_first", "oldest_first"):
         raise DomainError(f"unknown tie rule {tie_rule!r}")
-    pool = [
+    candidates = [
         (i, e)
         for i, e in enumerate(bank.entries)
         if (cross_chunk or e.chunk_index == chunk_index) and (include_source or not e.is_source)
     ]
+    pool = [(i, e) for i, e in candidates if len(e.trajectory) == len(target)]
+    skipped = len(candidates) - len(pool)
     if not pool:
-        raise DomainError(f"no retrievable entries for chunk {chunk_index}")
+        why = f" ({skipped} skipped for frame count != {len(target)})" if skipped else ""
+        raise DomainError(f"no retrievable entries for chunk {chunk_index}{why}")
 
     def score(item: tuple[int, MemoryEntry]) -> float:
         return trajectory_similarity(target, item[1].trajectory, cfg, params)
@@ -251,7 +301,7 @@ def retrieve_top_k(
         range(len(pool)), key=lambda j: (-scores[j], seq_sign * pool[j][1].insert_seq)
     )
     ranked = tuple((pool[j][0], scores[j]) for j in order[: min(k, len(pool))])
-    return RetrievalResult(ranked=ranked)
+    return RetrievalResult(ranked=ranked, skipped=skipped)
 
 
 def pad_context(

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covis import (
     CameraIntrinsics,
@@ -18,6 +21,7 @@ from covis import (
     save_trajectory,
     sync_pairs,
 )
+import covis.cli
 from covis.cli import main
 from covis.config import apply_overrides, default_config
 from helpers import aimed_trajectory
@@ -282,3 +286,105 @@ def test_exit_codes(tmp_path, capsys):
                  "--shots", "13"]) == 2
     assert main(["retrieve", "--bank", str(tmp_path / "nobank"),
                  "--target", str(missing)]) == 2
+
+
+def test_cross_chunk_with_short_tail_chunk(tmp_path):
+    # 200 frames end in a 56-frame chunk; cross-chunk pools skip entries of
+    # the other length instead of failing on them
+    d = tmp_path / "run"
+    assert main(["simulate", "--out", str(d), "--frames", "200", "--shots", "1,2",
+                 "--set", "scene.point_count=40", "--set", "retrieval.cross_chunk=true"]) == 0
+    events = json.loads((d / "run_log.json").read_text(encoding="utf-8"))["events"]
+    retrieves = [e for e in events if e["event"] == "retrieve"]
+    assert len(retrieves) == 6
+    assert [e.get("skipped", 0) for e in retrieves] == [1, 1, 1, 1, 6, 6]
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_simulate_renders_only_kept_videos(tmp_path, monkeypatch, keep):
+    rendered = []
+
+    def counting_render(scene, traj):
+        rendered.append(traj)
+        return render(scene, traj)
+
+    render = covis.cli.render
+    monkeypatch.setattr(covis.cli, "render", counting_render)
+    d = tmp_path / "run"
+    keep_flag = f"output.bank_intermediates={str(keep).lower()}"
+    assert main(["simulate", "--out", str(d), "--frames", "5", "--shots", "1,2,3,4,5",
+                 "--set", "scene.point_count=40", "--set", "retrieval.k=4",
+                 "--set", "scheduler.k=2", "--set", keep_flag]) == 0
+    events = json.loads((d / "run_log.json").read_text(encoding="utf-8"))["events"]
+    assert any(e["event"] == "plan" for e in events)
+    # every rendered video is saved and banked; none is thrown away
+    assert len(rendered) == sum(e["event"] == "banked" for e in events)
+    assert len(rendered) == (11 if keep else 6)
+
+
+def _write_bank(root: Path) -> tuple[Path, Path]:
+    rng = np.random.default_rng(53)
+    bank = MemoryBank(root / "bank")
+    bank.append(aimed_trajectory(rng, 2, label="src"), "v0", 1, is_source=True)
+    bank.append(aimed_trajectory(rng, 2, label="e1"), "v1", 1)
+    target = root / "target.json"
+    save_trajectory(aimed_trajectory(rng, 2, label="tgt"), target)
+    return root / "bank", target
+
+
+def test_retrieve_rejects_trajectory_outside_bank(tmp_path, capsys):
+    bank_dir, target = _write_bank(tmp_path)
+    manifest_path = bank_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    # a valid trajectory file, but outside the bank directory
+    manifest["entries"][1]["trajectory"] = "../target.json"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["retrieve", "--bank", str(bank_dir), "--target", str(target)]) == 2
+    assert "outside the bank" in capsys.readouterr().err
+
+
+_MANIFEST_KEYS = ["trajectory", "video_ref", "chunk_index", "insert_seq", "is_source"]
+_DELETE = object()
+_not_str = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.lists(
+    st.integers(), max_size=2)
+_not_int = st.none() | st.booleans() | st.text(max_size=4) | st.floats(allow_nan=False) | st.lists(
+    st.integers(), max_size=2) | st.integers(max_value=0)
+_not_bool = st.none() | st.integers() | st.text(max_size=4) | st.lists(st.integers(), max_size=2)
+_BAD_VALUES = {
+    "trajectory": _not_str | st.sampled_from(["../target.json", "/", "..", "missing.json"]),
+    "video_ref": _not_str,
+    "chunk_index": _not_int,
+    "insert_seq": _not_int,
+    "is_source": _not_bool,
+}
+manifest_damage = st.lists(
+    st.tuples(st.integers(0, 1), st.sampled_from(_MANIFEST_KEYS)).flatmap(
+        lambda where: st.tuples(
+            st.just(where), st.just(_DELETE) | _BAD_VALUES[where[1]]
+        )
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(manifest_damage)
+def test_retrieve_on_damaged_manifest_exits_2_or_3(damage):
+    with tempfile.TemporaryDirectory() as tmp:
+        bank_dir, target = _write_bank(Path(tmp))
+        manifest_path = bank_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        for (n, key), value in damage:
+            if value is _DELETE:
+                manifest["entries"][n].pop(key, None)
+            else:
+                manifest["entries"][n][key] = value
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["retrieve", "--bank", str(bank_dir), "--target", str(target)]) in (2, 3)
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '{"entries": {}}', '{"entries": [1]}'])
+def test_retrieve_on_malformed_manifest_exits_2(tmp_path, text):
+    bank_dir, target = _write_bank(tmp_path)
+    (bank_dir / "manifest.json").write_text(text, encoding="utf-8")
+    assert main(["retrieve", "--bank", str(bank_dir), "--target", str(target)]) == 2

@@ -21,6 +21,7 @@ from covis import (
     frame_covisibility,
     sample_points,
 )
+from covis.frustum import _local_lattice, _samples_in_view
 
 from helpers import random_pose, random_rotation
 
@@ -224,3 +225,26 @@ def test_covisibility_monotone_under_far_shrink():
     assert scores[0] > 0.0
     assert all(s0 >= s1 for s0, s1 in zip(scores, scores[1:]))
     assert scores[-1] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(1, 40), st.none() | st.integers(0, 2**32 - 1), st.booleans())
+def test_stacked_samples_match_per_frame_bits(seed, frames, jitter, default_params):
+    # counts hide last-bit differences, so compare the local coordinates themselves
+    rng = np.random.default_rng(seed)
+    params = FrustumParams() if default_params else FrustumParams(1.1, 0.7, 0.5, 6.0)
+    cfg = SamplerConfig(grid_w=3, grid_h=2, depth_slices=5, jitter_seed=jitter)
+    poses_s = [random_pose(rng) for _ in range(frames)]
+    poses_v = [random_pose(rng) for _ in range(frames)]
+
+    def stack(poses):
+        return np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses])
+
+    lattice = _local_lattice(
+        cfg.grid_w, cfg.grid_h, cfg.depth_slices, cfg.jitter_seed,
+        params.fov_h, params.fov_v, params.near, params.far,
+    )
+    local = _samples_in_view(lattice, *stack(poses_s), *stack(poses_v))
+    for f, (ps, pv) in enumerate(zip(poses_s, poses_v)):
+        fs, fv = params.build(ps), params.build(pv)
+        assert np.array_equal(local[f], (sample_points(fs, cfg) - fv.apex) @ fv.orientation)

@@ -11,14 +11,18 @@ from covis import (
     CameraIntrinsics,
     CameraPose,
     DomainError,
+    FrustumParams,
     MemoryBank,
     MemoryEntry,
     RetrievalResult,
+    SamplerConfig,
     Trajectory,
+    frame_covisibility,
     pad_context,
     retrieve_top_k,
     trajectory_similarity,
 )
+from covis.frustum import stacked_covisibility
 
 from helpers import (
     aimed_trajectory,
@@ -77,6 +81,70 @@ def test_similarity_symmetric(seed):
     a = random_trajectory(rng, frame_count=2)
     b = random_trajectory(rng, frame_count=2)
     assert trajectory_similarity(a, b) == trajectory_similarity(b, a)
+
+
+def loop_similarity(a, b, cfg, params):
+    """Reference: frame_covisibility frame by frame, summed in frame order."""
+    total = 0.0
+    for (pa, _), (pb, _) in zip(a.frames, b.frames):
+        total += frame_covisibility(params.build(pa), params.build(pb), cfg)
+    return total / len(a)
+
+
+def paired_trajectory(rng, a: Trajectory, layout: str) -> Trajectory:
+    """A partner for a: the same poses, far-off poses, fresh random poses, or a per-frame mix."""
+    poses = []
+    for p in a.poses:
+        kind = rng.choice(["identical", "disjoint", "random"]) if layout == "mixed" else layout
+        if kind == "identical":
+            poses.append(p)
+        elif kind == "disjoint":
+            poses.append(CameraPose(rotation=p.rotation, translation=p.translation + 1000.0))
+        else:
+            poses.append(random_pose(rng))
+    return Trajectory.from_poses(poses, a.frames[0][1])
+
+
+frustum_params = st.builds(
+    lambda fov_h, fov_v, near, depth: FrustumParams(fov_h, fov_v, near, near + depth),
+    st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.sampled_from([0.0, 0.25, 1.5]),
+    st.floats(0.5, 12.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds, st.integers(1, 12),
+    st.sampled_from(["random", "identical", "disjoint", "mixed"]),
+    st.none() | st.integers(0, 2**32 - 1),
+    st.none() | frustum_params,
+)
+def test_similarity_equals_frame_loop_exactly(seed, frames, layout, jitter, params):
+    rng = np.random.default_rng(seed)
+    a = random_trajectory(rng, frame_count=frames)
+    b = paired_trajectory(rng, a, layout)
+    cfg = SamplerConfig(grid_w=5, grid_h=4, depth_slices=6, jitter_seed=jitter)
+    ref_params = params or FrustumParams()
+    per_frame = stacked_covisibility(*a.pose_stack, *b.pose_stack, cfg, params)
+    assert per_frame.tolist() == [
+        frame_covisibility(ref_params.build(pa), ref_params.build(pb), cfg)
+        for pa, pb in zip(a.poses, b.poses)
+    ]
+    assert trajectory_similarity(a, b, cfg, params) == loop_similarity(a, b, cfg, ref_params)
+    if layout == "identical":
+        assert trajectory_similarity(a, b, cfg, params) == 1.0
+    if layout == "disjoint":
+        assert trajectory_similarity(a, b, cfg, params) == 0.0
+
+
+def test_pose_stack_is_cached_and_read_only():
+    traj = random_trajectory(np.random.default_rng(43), frame_count=4)
+    rotations, centers = traj.pose_stack
+    assert traj.pose_stack[0] is rotations
+    assert rotations.shape == (4, 3, 3) and centers.shape == (4, 3)
+    assert np.array_equal(centers, traj.centers())
+    with pytest.raises(ValueError):
+        rotations[0, 0, 0] = 2.0
 
 
 def test_entry_validation():
@@ -144,6 +212,21 @@ def test_retrieve_pool_scoping_and_errors():
     # excluding the source empties this pool
     with pytest.raises(DomainError):
         retrieve_top_k(bank, target, 4, chunk_index=1, include_source=False)
+
+
+def test_retrieve_skips_other_frame_counts():
+    rng = np.random.default_rng(47)
+    bank = MemoryBank()
+    bank.append(random_trajectory(rng, 3), "v1", 1, is_source=True)
+    bank.append(random_trajectory(rng, 2), "v2", 2, is_source=True)
+    bank.append(random_trajectory(rng, 3), "v3", 2)
+    target = random_trajectory(rng, 3)
+    result = retrieve_top_k(bank, target, 4, chunk_index=2, cross_chunk=True)
+    assert sorted(result.indices) == [0, 2]
+    assert result.skipped == 1
+    assert retrieve_top_k(bank, target, 4, chunk_index=1).skipped == 0
+    with pytest.raises(DomainError, match="1 skipped"):
+        retrieve_top_k(bank, random_trajectory(rng, 2), 4, chunk_index=1)
 
 
 def test_retrieve_tie_breaks_by_recency():

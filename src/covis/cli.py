@@ -37,8 +37,8 @@ from .config import (
     save_config,
 )
 from .errors import ConfigError, DomainError
-from .memory import MemoryBank, RetrievalResult, pad_context, retrieve_top_k
-from .metrics import pose_error_report, sync_report
+from .memory import MemoryBank, MemoryEntry, RetrievalResult, pad_context, retrieve_top_k
+from .metrics import SyncReport, SyncRow, pose_error_report, sync_report
 from .report import top_down_svg
 from .scene import FrameSequence, load_frames, make_scene, render, save_frames
 from .scheduler import chunk_schedule, generation_order, overlap_condition_mask, plan_divide_conquer
@@ -285,64 +285,119 @@ def _chunk_overlaps(run_dir: Path, config: EngineConfig) -> dict[int, int]:
     return {}
 
 
-def _stitch_trajectory(parts: list, overlaps: dict[int, int], config: EngineConfig, label: str) -> Trajectory:
-    traj_frames = list(parts[0].trajectory.frames)
-    for e in parts[1:]:
-        ov = overlaps.get(e.chunk_index, config.scheduler.overlap_frames)
-        traj_frames.extend(e.trajectory.frames[ov:])
+def _chunk_drops(
+    parts: list[MemoryEntry], overlaps: dict[int, int], config: EngineConfig
+) -> list[int]:
+    """Leading frames each chunk loses when stitched: none for the first, its overlap after."""
+    return [0] + [overlaps.get(e.chunk_index, config.scheduler.overlap_frames) for e in parts[1:]]
+
+
+def _stitch_trajectory(
+    parts: list[MemoryEntry], overlaps: dict[int, int], config: EngineConfig, label: str
+) -> Trajectory:
+    traj_frames = []
+    for e, drop in zip(parts, _chunk_drops(parts, overlaps, config)):
+        traj_frames.extend(e.trajectory.frames[drop:])
     return Trajectory(frames=tuple(traj_frames), label=label)
 
 
-def _stitch_videos(
-    run_dir: Path, bank: MemoryBank, label: str,
-    overlaps: dict[int, int], config: EngineConfig,
-) -> tuple[FrameSequence, Trajectory]:
-    """Concatenate a label's per-chunk videos, dropping each chunk's overlap frames."""
+def _shot_parts(run_dir: Path, bank: MemoryBank, label: str) -> list[MemoryEntry]:
+    """A shot's generated bank entries in chunk order; each video must lie inside run_dir."""
     parts = sorted(
         (e for e in bank.entries if e.trajectory.label == label and not e.is_source),
         key=lambda e: e.chunk_index,
     )
-    if not parts:
-        raise DomainError(f"bank has no entries labelled {label!r}")
-    seqs = [load_frames(run_dir / e.video_ref) for e in parts]
-    frames = [seqs[0].frames]
-    ids = [seqs[0].id_map]
-    for e, s in zip(parts[1:], seqs[1:]):
-        ov = overlaps.get(e.chunk_index, config.scheduler.overlap_frames)
-        frames.append(s.frames[ov:])
-        ids.append(s.id_map[ov:])
-    traj = _stitch_trajectory(parts, overlaps, config, label)
-    keys = {s.scene_key for s in seqs}
-    seq = FrameSequence(
-        frames=np.concatenate(frames), id_map=np.concatenate(ids),
-        trajectory=traj, scene_key=keys.pop() if len(keys) == 1 else None,
+    root = run_dir.resolve()
+    for e in parts:
+        if not (root / e.video_ref).resolve().is_relative_to(root):
+            raise DomainError(
+                f"chunk {e.chunk_index} of {label!r}: video_ref {e.video_ref!r} "
+                "lies outside the run directory"
+            )
+    return parts
+
+
+def _stitch_videos(
+    run_dir: Path, parts: list[MemoryEntry], traj: Trajectory,
+    overlaps: dict[int, int], config: EngineConfig,
+) -> FrameSequence:
+    """A shot's per-chunk videos joined along its stitched trajectory traj.
+
+    Each chunk is loaded once, copied minus its overlap frames into buffers
+    sized from traj, and released before the next chunk is loaded.
+    """
+    w, h = traj.image_size
+    frames = np.empty((len(traj), h, w, 3), dtype=np.uint8)
+    ids = np.empty((len(traj), h, w), dtype=np.int32)
+    keys = set()
+    pos = 0
+    for e, drop in zip(parts, _chunk_drops(parts, overlaps, config)):
+        seq = load_frames(run_dir / e.video_ref)
+        cw, ch = e.trajectory.image_size
+        if seq.frames.shape[:3] != (len(e.trajectory), ch, cw):
+            f, vh, vw = seq.frames.shape[:3]
+            raise DomainError(
+                f"{e.video_ref}: {f} frames of {vw}x{vh}, but its bank trajectory has "
+                f"{len(e.trajectory)} frames of {cw}x{ch}"
+            )
+        n = len(seq.frames[drop:])
+        frames[pos:pos + n] = seq.frames[drop:]
+        ids[pos:pos + n] = seq.id_map[drop:]
+        pos += n
+        keys.add(seq.scene_key)
+        del seq
+    return FrameSequence(
+        frames=frames, id_map=ids, trajectory=traj,
+        scene_key=keys.pop() if len(keys) == 1 else None,
     )
-    return seq, traj
+
+
+def _stream_sync(
+    run_dir: Path, parts: dict[ShotKind, list[MemoryEntry]],
+    generated: dict[ShotKind, Trajectory], pairs: list[tuple[ShotKind, ShotKind]],
+    overlaps: dict[int, int], config: EngineConfig,
+) -> SyncReport:
+    """sync_report over pairs, holding a shot's video only from its first pair to its last.
+
+    With the sync_pairs order no more than two stitched videos are alive at once.
+    """
+    last_use = {kind: i for i, pair in enumerate(pairs) for kind in pair}
+    videos: dict[ShotKind, FrameSequence] = {}
+    rows: list[SyncRow] = []
+    for i, pair in enumerate(pairs):
+        for kind in pair:
+            if kind not in videos:
+                videos[kind] = _stitch_videos(run_dir, parts[kind], generated[kind], overlaps, config)
+        rows.extend(sync_report(videos, [pair]).rows)
+        for kind in pair:
+            if last_use[kind] == i:
+                del videos[kind]
+    return SyncReport(rows=tuple(rows))
 
 
 def cmd_eval(config: EngineConfig, run_dir_text: str | None, n_shots: int) -> int:
     run_dir = Path(run_dir_text or config.output.directory)
     bank = MemoryBank.open(run_dir / _BANK_DIR)
     kinds = [ShotKind(i) for i in range(1, n_shots + 1)]
-    missing = [k.slug for k in kinds
-               if not any(e.trajectory.label == k.slug and not e.is_source for e in bank.entries)]
+    pairs = sync_pairs(n_shots)
+    # a pair may name a shot past n_shots: sync_pairs(9) pairs tilt_down with shot 10
+    shots = sorted(set(kinds).union(*pairs))
+    parts = {kind: _shot_parts(run_dir, bank, kind.slug) for kind in shots}
+    missing = [kind.slug for kind in shots if not parts[kind]]
     if missing:
         raise DomainError(f"run is missing generated shots: {', '.join(missing)}")
 
     overlaps = _chunk_overlaps(run_dir, config)
-    videos: dict[ShotKind, FrameSequence] = {}
-    generated: dict[ShotKind, Trajectory] = {}
-    for kind in kinds:
-        seq, traj = _stitch_videos(run_dir, bank, kind.slug, overlaps, config)
-        videos[kind] = seq
-        generated[kind] = traj
-    total_frames = len(next(iter(generated.values())))
+    generated = {
+        kind: _stitch_trajectory(parts[kind], overlaps, config, kind.slug) for kind in shots
+    }
+    total_frames = len(generated[kinds[0]])
     base = bank.source_entry(1).trajectory
     requested = benchmark_suite(
         base, total_frames, config.shots.magnitudes(), config.shots.lookat_depth
     )
 
-    sync = sync_report(videos, sync_pairs(n_shots))
+    sync = _stream_sync(run_dir, parts, generated, pairs, overlaps, config)
     pose_rows = []
     for kind in kinds:
         rep = pose_error_report(requested[int(kind) - 1], generated[kind], align=True)

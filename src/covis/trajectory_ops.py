@@ -59,13 +59,6 @@ class ShotKind(enum.IntEnum):
             raise DomainError(f"unknown shot {slug!r}") from None
 
 
-_ANGULAR = {
-    ShotKind.ROTATION_LEFT, ShotKind.ROTATION_RIGHT,
-    ShotKind.ARC_RIGHT_WITH_ROT, ShotKind.ARC_LEFT_WITH_ROT,
-    ShotKind.AZIMUTH_RIGHT, ShotKind.AZIMUTH_LEFT,
-    ShotKind.TILT_UP, ShotKind.TILT_DOWN, ShotKind.ELEVATION_UP,
-}
-
 DEFAULT_MAGNITUDES: dict[ShotKind, float] = {
     ShotKind.ROTATION_LEFT: math.pi / 4,
     ShotKind.ARC_RIGHT_WITH_ROT: math.pi / 4,

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +22,13 @@ from covis import (
     save_config,
     save_trajectory,
     sync_pairs,
+    sync_report,
 )
 import covis.cli
 from covis.cli import main
 from covis.config import apply_overrides, default_config
+from covis.scene import FrameSequence, load_frames
+from covis.trajectory_ops import ShotKind
 from helpers import aimed_trajectory
 
 SHOT_FILES = [
@@ -193,6 +198,147 @@ def test_eval_missing_shots(run_dir, capsys):
 def test_eval_without_run(tmp_path, capsys):
     assert main(["eval", "--run", str(tmp_path / "nope")]) == 2
     assert "no bank manifest" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory) -> Path:
+    """All twelve shots over three chunks that overlap by 3: [0, 6), [3, 9) and [6, 10)."""
+    d = tmp_path_factory.mktemp("full")
+    assert main(["simulate", "--out", str(d), "--seed", "3", "--frames", "10",
+                 "--set", "scene.point_count=40", "--set", "scheduler.chunk_frames=6",
+                 "--set", "scheduler.overlap_latent=2",
+                 "--set", "scheduler.temporal_compression=2"]) == 0
+    return d
+
+
+def _generated_refs(run: Path, shots) -> dict[str, list[str]]:
+    """Each shot's generated video refs, in chunk order."""
+    entries = sorted(MemoryBank.open(run / "bank").entries, key=lambda e: e.chunk_index)
+    return {k.slug: [e.video_ref for e in entries
+                     if e.trajectory.label == k.slug and not e.is_source] for k in shots}
+
+
+def _stitched_at_once(run: Path, shots) -> dict:
+    """Every shot's video, joined by concatenating whole chunk videos minus their overlap."""
+    # the first chunk's overlap_with_prev is 0, so it keeps every frame
+    events = json.loads((run / "run_log.json").read_text(encoding="utf-8"))["events"]
+    overlaps = [c["overlap_with_prev"] for c in events[0]["chunks"]]
+    videos = {}
+    for kind, refs in _generated_refs(run, shots).items():
+        seqs = [load_frames(run / ref) for ref in refs]
+        videos[ShotKind.from_slug(kind)] = FrameSequence(
+            frames=np.concatenate([s.frames[ov:] for s, ov in zip(seqs, overlaps)]),
+            id_map=np.concatenate([s.id_map[ov:] for s, ov in zip(seqs, overlaps)]),
+            trajectory=Trajectory(
+                frames=sum((s.trajectory.frames[ov:] for s, ov in zip(seqs, overlaps)), ()),
+                label=kind),
+            scene_key=seqs[0].scene_key,
+        )
+    return videos
+
+
+def test_eval_n_shots_9_scores_a_pair_past_shot_9(full_run, capsys):
+    # sync_pairs(9) pairs tilt_down with translate_up_with_rot, shot 10
+    assert main(["eval", "--run", str(full_run), "--n-shots", "9"]) == 0
+    doc = json.loads((full_run / "report.json").read_text(encoding="utf-8"))
+    assert len(doc["sync"]) == 6
+    assert ["tilt_down", "translate_up_with_rot"] in [r["pair"] for r in doc["sync"]]
+    assert [p["shot"] for p in doc["poses"]] == [ShotKind(i).slug for i in range(1, 10)]
+    assert all(r["frames"] == 10 for r in doc["sync"])
+
+
+@pytest.mark.parametrize("n_shots", [3, 6, 9, 12])
+def test_eval_streams_at_most_two_videos(full_run, monkeypatch, n_shots):
+    pairs = sync_pairs(n_shots)
+    shots = sorted({k for pair in pairs for k in pair})
+    refs = _generated_refs(full_run, shots)
+    assert all(len(chunk_refs) == 3 for chunk_refs in refs.values())
+    at_once = _stitched_at_once(full_run, shots)
+    loads, live_before_stitch, stitched, same_as_at_once = [], [], [], []
+    load, stitch = covis.cli.load_frames, covis.cli._stitch_videos
+
+    def counting_load(directory):
+        loads.append(Path(directory).relative_to(full_run).as_posix())
+        return load(directory)
+
+    def tracking_stitch(*args, **kwargs):
+        gc.collect()
+        live_before_stitch.append(sum(ref() is not None for ref in stitched))
+        seq = stitch(*args, **kwargs)
+        stitched.append(weakref.ref(seq))
+        ref = at_once[ShotKind.from_slug(seq.trajectory.label)]
+        same_as_at_once.append(
+            np.array_equal(seq.frames, ref.frames) and np.array_equal(seq.id_map, ref.id_map)
+            and seq.scene_key == ref.scene_key
+        )
+        return seq
+
+    monkeypatch.setattr(covis.cli, "load_frames", counting_load)
+    monkeypatch.setattr(covis.cli, "_stitch_videos", tracking_stitch)
+    assert main(["eval", "--run", str(full_run), "--n-shots", str(n_shots)]) == 0
+
+    assert sorted(loads) == sorted(r for chunk_refs in refs.values() for r in chunk_refs)
+    assert len(stitched) == len(shots)
+    assert max(live_before_stitch) <= 1
+    assert all(same_as_at_once)
+
+    expected = sync_report(at_once, pairs)
+    doc = json.loads((full_run / "report.json").read_text(encoding="utf-8"))
+    assert doc["sync"] == [
+        {"pair": [p.slug, q.slug], "frames": row.frames,
+         "mean_matched_pixels": row.mean_matched_pixels,
+         "mean_matched_kpx": row.mean_matched_kpx}
+        for (p, q), row in zip(pairs, expected.rows)
+    ]
+    assert doc["mean_matched_pixels"] == expected.mean_matched_pixels
+    assert len(doc["poses"]) == n_shots
+
+
+def test_eval_rejects_video_outside_run(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run), "--seed", "5", *SIM_ARGS]) == 0
+    manifest_path = run / "bank" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    entry = next(e for e in manifest["entries"] if not e["is_source"])
+    (tmp_path / "outside").mkdir()
+    video = run / entry["video_ref"]
+    video.rename(tmp_path / "outside" / video.name)
+    entry["video_ref"] = f"../outside/{video.name}"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
+    assert "outside the run directory" in capsys.readouterr().err
+    assert not (run / "report.json").exists()
+
+
+def test_eval_rejects_chunk_video_of_wrong_length(run_dir, monkeypatch, capsys):
+    load = covis.cli.load_frames
+
+    def short_load(directory):
+        seq = load(directory)
+        return FrameSequence(
+            frames=seq.frames[1:], id_map=seq.id_map[1:],
+            trajectory=seq.trajectory.slice_frames(1, seq.frame_count),
+            scene_key=seq.scene_key,
+        )
+
+    monkeypatch.setattr(covis.cli, "load_frames", short_load)
+    assert main(["eval", "--run", str(run_dir), "--n-shots", "3"]) == 2
+    assert "but its bank trajectory has 5 frames" in capsys.readouterr().err
+
+
+def test_eval_rejects_chunks_of_different_scenes(full_run, monkeypatch, capsys):
+    load = covis.cli.load_frames
+
+    def relabelled_load(directory):
+        seq = load(directory)
+        if not str(directory).endswith("_c02"):
+            return seq
+        return FrameSequence(frames=seq.frames, id_map=seq.id_map,
+                             trajectory=seq.trajectory, scene_key="another scene")
+
+    monkeypatch.setattr(covis.cli, "load_frames", relabelled_load)
+    assert main(["eval", "--run", str(full_run), "--n-shots", "3"]) == 2
+    assert "different scenes (None vs None)" in capsys.readouterr().err
 
 
 def test_report_outputs(run_dir, capsys):

@@ -346,6 +346,8 @@ def _stitch_videos(
         pos += n
         keys.add(seq.scene_key)
         del seq
+    frames.setflags(write=False)
+    ids.setflags(write=False)
     return FrameSequence(
         frames=frames, id_map=ids, trajectory=traj,
         scene_key=keys.pop() if len(keys) == 1 else None,
@@ -461,6 +463,45 @@ def cmd_eval(config: EngineConfig, run_dir_text: str | None, n_shots: int) -> in
     return 0
 
 
+def _is_number(x: object) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# per report section, the fields of each record that cmd_report reads
+_REPORT_FIELDS = {
+    "poses": {
+        "shot": lambda x: isinstance(x, str), "trans_err": _is_number, "rot_err": _is_number,
+    },
+    "sync": {
+        "pair": lambda x: isinstance(x, list) and all(isinstance(slug, str) for slug in x),
+        "mean_matched_pixels": _is_number,
+    },
+}
+
+
+def _read_report(path: Path) -> dict:
+    """An eval report, with each field cmd_report reads present and of its JSON type."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise DomainError(f"{path}: invalid report JSON ({e})") from e
+    if not isinstance(doc, dict):
+        raise DomainError(f"{path}: report is not an object")
+    for section, checks in _REPORT_FIELDS.items():
+        records = doc.get(section, [])
+        if not isinstance(records, list):
+            raise DomainError(f"{path}: {section!r} must be a list")
+        for n, rec in enumerate(records):
+            if not isinstance(rec, dict):
+                raise DomainError(f"{path}: {section} record {n} is not an object")
+            for key, valid in checks.items():
+                if not valid(rec.get(key)):
+                    raise DomainError(
+                        f"{path}: {section} record {n} has no valid {key!r} ({rec.get(key)!r})"
+                    )
+    return doc
+
+
 def cmd_report(config: EngineConfig, run_dir_text: str | None) -> int:
     run_dir = Path(run_dir_text or config.output.directory)
     warnings_list: list[str] = []
@@ -468,7 +509,7 @@ def cmd_report(config: EngineConfig, run_dir_text: str | None) -> int:
     report_doc = None
     report_path = run_dir / _REPORT_JSON
     if report_path.exists():
-        report_doc = json.loads(report_path.read_text(encoding="utf-8"))
+        report_doc = _read_report(report_path)
     else:
         warnings_list.append(f"no evaluation report at {report_path}; run eval first")
 

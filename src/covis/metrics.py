@@ -11,16 +11,17 @@ arccos((trace(R_gt R_pred^T) - 1) / 2) with the cosine clamped to [-1, 1].
 
 Synchronization between two generated videos of one scene is measured by an
 oracle matcher on rendered id maps: a pixel of video a matches (confidence
-1.0) iff its point id is visible anywhere in the paired frame of video b.
-Matched pixels are those with confidence >= the threshold (inclusive,
-default 0.5).
+1.0) iff its non-background point id is visible anywhere in the paired
+frame of video b. Matched pixels are those with confidence >= the threshold
+(inclusive, default 0.5); since oracle confidences are 0 or 1, sync_report
+counts the match mask of each frame pair directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -148,6 +149,22 @@ def matched_pixels(m: MatchMap) -> int:
     return int((m.confidences >= m.threshold).sum())
 
 
+def _match_mask(ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
+    """Pixels of id map ids_a whose point id appears anywhere in id map ids_b.
+
+    Background pixels of ids_a never match, so background in ids_b needs no
+    filtering.
+    """
+    return np.isin(ids_a, ids_b) & (ids_a != BACKGROUND_ID)
+
+
+def _check_same_scene(a: FrameSequence, b: FrameSequence) -> None:
+    if a.scene_key is None or b.scene_key is None or a.scene_key != b.scene_key:
+        raise DomainError(
+            f"sequences come from different scenes ({a.scene_key!r} vs {b.scene_key!r})"
+        )
+
+
 def oracle_match(
     a: FrameSequence,
     b: FrameSequence,
@@ -161,10 +178,7 @@ def oracle_match(
     unseen ids get 0.0. Both sequences must come from the same scene. The
     default pairing is frame i of a with frame i of b.
     """
-    if a.scene_key is None or b.scene_key is None or a.scene_key != b.scene_key:
-        raise DomainError(
-            f"sequences come from different scenes ({a.scene_key!r} vs {b.scene_key!r})"
-        )
+    _check_same_scene(a, b)
     if frame_pairing is None:
         if a.frame_count != b.frame_count:
             raise DomainError(
@@ -176,10 +190,7 @@ def oracle_match(
     for ia, ib in frame_pairing:
         if not (0 <= ia < a.frame_count and 0 <= ib < b.frame_count):
             raise DomainError(f"frame pair ({ia}, {ib}) out of range")
-        ids_a = a.id_map[ia]
-        visible_b = np.unique(b.id_map[ib])
-        visible_b = visible_b[visible_b != BACKGROUND_ID]
-        conf = ((ids_a != BACKGROUND_ID) & np.isin(ids_a, visible_b)).astype(np.float64)
+        conf = _match_mask(a.id_map[ia], b.id_map[ib]).astype(np.float64)
         out.append(MatchMap(confidences=conf, threshold=threshold))
     return out
 
@@ -215,9 +226,14 @@ class SyncReport:
 def sync_report(
     videos: Mapping[ShotKind, FrameSequence],
     pairs: Sequence[tuple[ShotKind, ShotKind]],
-    matcher: Callable[[FrameSequence, FrameSequence], list[MatchMap]] = oracle_match,
 ) -> SyncReport:
-    """Mean matched pixels per shot pair over same-index frames."""
+    """Mean matched pixels per shot pair over same-index frames.
+
+    Each frame pair counts the pixels oracle_match would give confidence 1.0:
+    non-background pixels of the first video whose id appears in the paired
+    frame of the second. The count equals matched_pixels over oracle_match's
+    maps at any threshold in (0, 1], without building those maps.
+    """
     missing = sorted({k.slug for p in pairs for k in p if k not in videos})
     if missing:
         raise DomainError(f"missing videos for shots: {', '.join(missing)}")
@@ -229,8 +245,11 @@ def sync_report(
                 f"pair ({p.slug}, {q.slug}) has unequal frame counts "
                 f"({a.frame_count} vs {b.frame_count})"
             )
-        maps = matcher(a, b)
-        counts = [matched_pixels(m) for m in maps]
+        _check_same_scene(a, b)
+        counts = [
+            int(np.count_nonzero(_match_mask(ids_a, ids_b)))
+            for ids_a, ids_b in zip(a.id_map, b.id_map)
+        ]
         rows.append(SyncRow(
             pair=(p, q), frames=a.frame_count,
             mean_matched_pixels=float(np.mean(counts)),

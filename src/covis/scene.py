@@ -114,9 +114,22 @@ def make_scene(
     )
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr itself if it is read-only and owns its memory, else a read-only copy of it."""
+    if arr.flags.writeable or arr.base is not None:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class FrameSequence:
-    """Rendered video: RGB frames (F, H, W, 3) uint8 and id maps (F, H, W) int32."""
+    """Rendered video: RGB frames (F, H, W, 3) uint8 and id maps (F, H, W) int32.
+
+    Both arrays are read-only. An array that is already read-only and owns
+    its memory is adopted as it is; a writable array or a view is copied, so
+    later writes through the caller's array never reach the sequence.
+    """
 
     frames: np.ndarray
     id_map: np.ndarray
@@ -132,12 +145,8 @@ class FrameSequence:
             raise DomainError(f"frames shape {frames.shape} != {(f, h, w, 3)} from trajectory")
         if ids.shape != (f, h, w):
             raise DomainError(f"id map shape {ids.shape} != {(f, h, w)} from trajectory")
-        frames = frames.copy()
-        ids = ids.copy()
-        frames.setflags(write=False)
-        ids.setflags(write=False)
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "id_map", ids)
+        object.__setattr__(self, "frames", _read_only(frames))
+        object.__setattr__(self, "id_map", _read_only(ids))
 
     @property
     def frame_count(self) -> int:
@@ -189,6 +198,8 @@ def render(scene: SceneModel, traj: Trajectory) -> FrameSequence:
         winners = cand[order[first]]
         id_map[f].reshape(-1)[pix_sorted[first]] = scene.ids[winners]
         frames[f].reshape(-1, 3)[pix_sorted[first]] = scene.colors[winners]
+    frames.setflags(write=False)
+    id_map.setflags(write=False)
     return FrameSequence(frames=frames, id_map=id_map, trajectory=traj, scene_key=scene.scene_key)
 
 
@@ -258,23 +269,57 @@ def save_frames(seq: FrameSequence, directory: str | Path) -> None:
         )
 
 
-def load_frames(directory: str | Path) -> FrameSequence:
-    """Load a FrameSequence written by save_frames; exact round trip."""
-    directory = Path(directory)
+def _read_manifest(directory: Path) -> dict:
+    """The manifest of a saved sequence, with every field it needs of the right JSON type."""
+    path = directory / _MANIFEST_NAME
     try:
-        manifest = json.loads((directory / _MANIFEST_NAME).read_text(encoding="utf-8"))
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise DomainError(f"{directory}: invalid frame-sequence manifest ({e})") from e
-    w, h, n = int(manifest["width"]), int(manifest["height"]), int(manifest["frame_count"])
-    traj = load_trajectory(directory / str(manifest["trajectory"]))
+    if not isinstance(manifest, dict):
+        raise DomainError(f"{path}: frame-sequence manifest is not an object")
+    for key in ("width", "height", "frame_count"):
+        value = manifest.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise DomainError(f"{path}: {key!r} must be a positive int, got {value!r}")
+    if not isinstance(manifest.get("trajectory"), str):
+        raise DomainError(f"{path}: 'trajectory' must be a str, got {manifest.get('trajectory')!r}")
+    if not isinstance(manifest.get("scene_key"), (str, type(None))):
+        raise DomainError(f"{path}: 'scene_key' must be a str, got {manifest['scene_key']!r}")
+    return manifest
+
+
+def _fill(path: Path, out: np.ndarray) -> bool:
+    """Read file path into the contiguous array out; True iff its size is exactly out.nbytes."""
+    with open(path, "rb") as f:
+        return f.readinto(memoryview(out).cast("B")) == out.nbytes and not f.read(1)
+
+
+def load_frames(directory: str | Path) -> FrameSequence:
+    """Load a FrameSequence written by save_frames; exact round trip.
+
+    Each frame file is read straight into its slot of the returned arrays.
+    The manifest's trajectory path must stay inside directory.
+    """
+    directory = Path(directory)
+    manifest = _read_manifest(directory)
+    w, h, n = manifest["width"], manifest["height"], manifest["frame_count"]
+    root = directory.resolve()
+    traj_path = (root / manifest["trajectory"]).resolve()
+    if not traj_path.is_relative_to(root):
+        raise DomainError(
+            f"{directory / _MANIFEST_NAME}: trajectory {manifest['trajectory']!r} "
+            "lies outside its directory"
+        )
+    traj = load_trajectory(traj_path)
     frames = np.empty((n, h, w, 3), dtype=np.uint8)
-    ids = np.empty((n, h, w), dtype=np.int32)
+    ids = np.empty((n, h, w), dtype="<i4")
     for i in range(n):
-        rgb = (directory / f"frame_{i:04d}.rgb").read_bytes()
-        raw = (directory / f"frame_{i:04d}.ids").read_bytes()
-        if len(rgb) != h * w * 3 or len(raw) != h * w * 4:
+        if not (_fill(directory / f"frame_{i:04d}.rgb", frames[i])
+                and _fill(directory / f"frame_{i:04d}.ids", ids[i])):
             raise DomainError(f"{directory}: frame {i} has unexpected byte length")
-        frames[i] = np.frombuffer(rgb, dtype=np.uint8).reshape(h, w, 3)
-        ids[i] = np.frombuffer(raw, dtype="<i4").reshape(h, w).astype(np.int32)
-    key = manifest.get("scene_key")
-    return FrameSequence(frames=frames, id_map=ids, trajectory=traj, scene_key=key)
+    frames.setflags(write=False)
+    ids.setflags(write=False)
+    return FrameSequence(
+        frames=frames, id_map=ids, trajectory=traj, scene_key=manifest.get("scene_key")
+    )

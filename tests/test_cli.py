@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import shutil
 import tempfile
 import weakref
 from pathlib import Path
@@ -339,6 +340,78 @@ def test_eval_rejects_chunks_of_different_scenes(full_run, monkeypatch, capsys):
     monkeypatch.setattr(covis.cli, "load_frames", relabelled_load)
     assert main(["eval", "--run", str(full_run), "--n-shots", "3"]) == 2
     assert "different scenes (None vs None)" in capsys.readouterr().err
+
+
+def _copied_video(run_dir: Path, tmp_path: Path) -> tuple[Path, Path]:
+    """A copy of run_dir and the directory of one generated video inside it."""
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    (run / "report.json").unlink()
+    ref = _generated_refs(run, [ShotKind.ROTATION_LEFT])["rotation_left"][0]
+    return run, run / ref
+
+
+def test_eval_rejects_malformed_video_manifest(run_dir, tmp_path, capsys):
+    run, video = _copied_video(run_dir, tmp_path)
+    manifest = json.loads((video / "manifest.json").read_text(encoding="utf-8"))
+    del manifest["width"]
+    (video / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
+    assert "'width' must be a positive int" in capsys.readouterr().err
+    assert not (run / "report.json").exists()
+
+
+def test_eval_rejects_video_trajectory_outside_its_directory(run_dir, tmp_path, capsys):
+    run, video = _copied_video(run_dir, tmp_path)
+    (video / "trajectory.json").rename(tmp_path / "outside_traj.json")
+    manifest = json.loads((video / "manifest.json").read_text(encoding="utf-8"))
+    manifest["trajectory"] = "../../../outside_traj.json"
+    (video / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert (video / manifest["trajectory"]).resolve() == tmp_path / "outside_traj.json"
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
+    assert "lies outside its directory" in capsys.readouterr().err
+    assert not (run / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["frame_0002.rgb", "frame_0002.ids"])
+@pytest.mark.parametrize("change", [-1, 1])
+def test_eval_rejects_frame_file_one_byte_off(run_dir, tmp_path, capsys, name, change):
+    run, video = _copied_video(run_dir, tmp_path)
+    path = video / name
+    data = path.read_bytes()
+    path.write_bytes(data[:-1] if change < 0 else data + b"\x00")
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
+    assert "frame 2 has unexpected byte length" in capsys.readouterr().err
+    assert not (run / "report.json").exists()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda doc: doc["sync"][0].pop("pair"),
+    lambda doc: doc["sync"][0].update(pair="rotation_left"),
+    lambda doc: doc["sync"][0].update(mean_matched_pixels="12"),
+    lambda doc: doc["sync"].append(None),
+    lambda doc: doc["poses"][1].pop("shot"),
+    lambda doc: doc["poses"][1].update(rot_err=None),
+    lambda doc: doc.update(poses={}),
+], ids=["no_pair", "pair_str", "mean_str", "sync_null", "no_shot", "rot_err_null", "poses_obj"])
+def test_report_rejects_malformed_report_json(run_dir, tmp_path, capsys, damage):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    path = run / "report.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    damage(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report", "--run", str(run)]) == 2
+    assert f"{path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{oops", "[]", "null"])
+def test_report_rejects_report_json_that_is_no_object(run_dir, tmp_path, capsys, text):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    (run / "report.json").write_text(text, encoding="utf-8")
+    assert main(["report", "--run", str(run)]) == 2
+    assert f"{run / 'report.json'}: " in capsys.readouterr().err
 
 
 def test_report_outputs(run_dir, capsys):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from covis import (
@@ -27,6 +29,7 @@ from covis import (
     trans_err,
 )
 from covis.metrics import SyncReport, SyncRow
+from covis.scene import BACKGROUND_ID
 from helpers import random_pose, random_rotation, random_trajectory
 
 INTR = CameraIntrinsics(fx=4.0, fy=4.0, cx=4.0, cy=3.0, width=8, height=6)
@@ -238,16 +241,71 @@ def test_sync_report_unequal_frame_counts():
         sync_report(videos, [(ShotKind.ROTATION_LEFT, ShotKind.ROTATION_RIGHT)])
 
 
-def test_sync_report_custom_matcher_and_empty_mean():
-    a = seq_from_ids(np.ones((1, 2, 2)))
+def test_sync_report_scene_guard_after_frame_counts():
+    a = seq_from_ids(np.ones((1, 2, 2)), key="scene-a")
+    videos = {
+        ShotKind.ROTATION_LEFT: a,
+        ShotKind.ROTATION_RIGHT: seq_from_ids(np.ones((2, 2, 2)), key="scene-b"),
+        ShotKind.TILT_UP: seq_from_ids(np.ones((1, 2, 2)), key="scene-b"),
+    }
+    with pytest.raises(DomainError, match="unequal frame counts"):
+        sync_report(videos, [(ShotKind.ROTATION_LEFT, ShotKind.ROTATION_RIGHT)])
+    with pytest.raises(DomainError, match="different scenes .'scene-a' vs 'scene-b'."):
+        sync_report(videos, [(ShotKind.ROTATION_LEFT, ShotKind.TILT_UP)])
 
-    def fake_matcher(x, y):
-        return [MatchMap(np.full((2, 2), 0.75))]
 
-    rep = sync_report({ShotKind.ZOOM_OUT: a}, [(ShotKind.ZOOM_OUT, ShotKind.ZOOM_OUT)],
-                      matcher=fake_matcher)
-    assert rep.rows[0].mean_matched_pixels == 4.0
+def test_sync_report_empty_mean():
+    assert sync_report({}, []).rows == ()
     assert SyncReport(rows=()).mean_matched_pixels == 0.0
+
+
+def reference_counts(a: FrameSequence, b: FrameSequence) -> list[int]:
+    """Reference per-frame counts: b's unique non-background ids, isin, then a MatchMap."""
+    counts = []
+    for ids_a, ids_b in zip(a.id_map, b.id_map):
+        visible_b = np.unique(ids_b)
+        visible_b = visible_b[visible_b != BACKGROUND_ID]
+        conf = ((ids_a != BACKGROUND_ID) & np.isin(ids_a, visible_b)).astype(np.float64)
+        counts.append(matched_pixels(MatchMap(confidences=conf)))
+    return counts
+
+
+# small ids take numpy's lookup-table isin; ids near 2**31 - 1 make the
+# table too large for these frames, so isin sorts instead. 2**30 + i shares
+# its low 16 bits with i, so a narrowing cast would merge the two ids.
+ID_VALUES = st.one_of(
+    st.integers(0, 9),
+    st.integers(2**31 - 6, 2**31 - 1),
+    st.integers(1, 9).map(lambda i: 2**30 + i),
+)
+
+
+@st.composite
+def id_video_pair(draw) -> tuple[np.ndarray, np.ndarray]:
+    f, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    ids_a = np.array(draw(st.lists(ID_VALUES, min_size=f * h * w, max_size=f * h * w)),
+                     dtype=np.int32).reshape(f, h, w)
+    relation = draw(st.sampled_from(["independent", "identical", "disjoint"]))
+    if relation == "identical":
+        return ids_a, ids_a.copy()
+    ids_b = np.array(draw(st.lists(ID_VALUES, min_size=f * h * w, max_size=f * h * w)),
+                     dtype=np.int32).reshape(f, h, w)
+    if relation == "disjoint":  # keep b's background, give its points ids that a lacks
+        ids_b = np.where(ids_b == BACKGROUND_ID, BACKGROUND_ID, ids_b % 7 + 10)
+    return ids_a, ids_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(id_video_pair())
+def test_sync_report_counts_equal_reference_loop(pair):
+    a, b = seq_from_ids(pair[0]), seq_from_ids(pair[1])
+    want = reference_counts(a, b)
+    assert [matched_pixels(m) for m in oracle_match(a, b)] == want
+    rep = sync_report({ShotKind.TILT_UP: a, ShotKind.TILT_DOWN: b},
+                      [(ShotKind.TILT_UP, ShotKind.TILT_DOWN)])
+    assert rep.rows[0].mean_matched_pixels == float(np.mean(want))
+    if np.array_equal(pair[0], pair[1]):
+        assert want == [int((ids != BACKGROUND_ID).sum()) for ids in pair[0]]
 
 
 def test_pose_error_report_fields():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -287,3 +288,76 @@ def test_load_frames_rejects_corrupt_data(tmp_path):
     (tmp_path / "seq" / "manifest.json").write_text("{broken", encoding="utf-8")
     with pytest.raises(DomainError):
         load_frames(tmp_path / "seq")
+
+
+def test_frame_sequence_copies_writable_input():
+    frames = np.zeros((1, 12, 16, 3), np.uint8)
+    ids = np.zeros((1, 12, 16), np.int32)
+    seq = FrameSequence(frames=frames, id_map=ids, trajectory=IDENTITY_TRAJ)
+    frames[0, 0, 0] = 7
+    ids[0, 0, 0] = 7
+    assert not seq.frames.any() and not seq.id_map.any()
+    for arr in (seq.frames, seq.id_map):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1
+
+
+def test_frame_sequence_copies_a_read_only_view():
+    frames = np.zeros((2, 12, 16, 3), np.uint8)
+    ids = np.zeros((2, 12, 16), np.int32)
+    view_f, view_i = frames[1:], ids[1:]
+    view_f.setflags(write=False)
+    view_i.setflags(write=False)
+    seq = FrameSequence(frames=view_f, id_map=view_i, trajectory=IDENTITY_TRAJ)
+    frames[1] = 7
+    ids[1] = 7
+    assert not seq.frames.any() and not seq.id_map.any()
+
+
+def test_frame_sequence_adopts_read_only_owned_arrays():
+    frames = np.zeros((1, 12, 16, 3), np.uint8)
+    ids = np.zeros((1, 12, 16), np.int32)
+    frames.setflags(write=False)
+    ids.setflags(write=False)
+    seq = FrameSequence(frames=frames, id_map=ids, trajectory=IDENTITY_TRAJ)
+    assert seq.frames is frames and seq.id_map is ids
+
+
+def test_render_and_load_frames_are_read_only(tmp_path):
+    seq = render(make_scene(9, point_count=150), IDENTITY_TRAJ)
+    save_frames(seq, tmp_path / "seq")
+    for s in (seq, load_frames(tmp_path / "seq")):
+        for arr in (s.frames, s.id_map):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 1
+
+
+@pytest.mark.parametrize("damage", [
+    lambda m: {k: v for k, v in m.items() if k != "width"},
+    lambda m: {**m, "height": "12"},
+    lambda m: {**m, "frame_count": True},
+    lambda m: {**m, "frame_count": 0},
+    lambda m: {**m, "trajectory": None},
+    lambda m: {**m, "scene_key": 3},
+    lambda m: [m],
+], ids=["no_width", "height_str", "count_bool", "count_0", "traj_null", "key_int", "list"])
+def test_load_frames_rejects_malformed_manifest(tmp_path, damage):
+    save_frames(render(manual_scene([[0.0, 0.0, 5.0]]), IDENTITY_TRAJ), tmp_path / "seq")
+    path = tmp_path / "seq" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(damage(manifest)), encoding="utf-8")
+    with pytest.raises(DomainError, match="manifest.json: "):
+        load_frames(tmp_path / "seq")
+
+
+def test_load_frames_rejects_trajectory_outside_directory(tmp_path):
+    save_frames(render(manual_scene([[0.0, 0.0, 5.0]]), IDENTITY_TRAJ), tmp_path / "a" / "seq")
+    (tmp_path / "a" / "seq" / "trajectory.json").rename(tmp_path / "outside_traj.json")
+    path = tmp_path / "a" / "seq" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    for ref in ("../../outside_traj.json", str(tmp_path / "outside_traj.json")):
+        manifest["trajectory"] = ref
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(DomainError, match="lies outside its directory"):
+            load_frames(tmp_path / "a" / "seq")

@@ -27,6 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .records import read_json
 
 # Per-entry tolerance for R^T R = I and det R = 1 checks.
 ORTHONORMAL_TOL = 1e-9
@@ -328,10 +329,7 @@ def save_trajectory(traj: Trajectory, path: str | Path) -> None:
 def load_trajectory(path: str | Path) -> Trajectory:
     """Read a trajectory file written by save_trajectory."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise DomainError(f"{path}: not valid trajectory JSON ({e})") from e
+    doc = read_json(path, "trajectory JSON")
     if not isinstance(doc, dict) or doc.get("convention") != "camera_to_world":
         raise DomainError(f"{path}: missing or unsupported pose convention")
     frames = []

@@ -39,6 +39,7 @@ from .config import (
 from .errors import ConfigError, DomainError
 from .memory import MemoryBank, MemoryEntry, RetrievalResult, pad_context, retrieve_top_k
 from .metrics import SyncReport, SyncRow, pose_error_report, sync_report
+from .records import MANIFEST, check_fields, inside, read_json, str_list, write_json
 from .report import top_down_svg
 from .scene import FrameSequence, load_frames, make_scene, render, save_frames
 from .scheduler import chunk_schedule, generation_order, overlap_condition_mask, plan_divide_conquer
@@ -82,12 +83,9 @@ def cmd_gen_benchmark(config: EngineConfig, base_path: str | None) -> int:
     )
     for kind, traj in zip(ShotKind, suite):
         save_trajectory(traj, out_dir / _shot_file_name(kind))
-    manifest = {
+    write_json(out_dir / "sync_pairs.json", {
         str(n): [[p.slug, q.slug] for p, q in sync_pairs(n)] for n in (3, 6, 9, 12)
-    }
-    (out_dir / "sync_pairs.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    })
     for kind in ShotKind:
         print(f"wrote {out_dir / _shot_file_name(kind)}")
     print(f"wrote {out_dir / 'sync_pairs.json'}")
@@ -110,7 +108,7 @@ def _retrieve(
 def cmd_retrieve(config: EngineConfig, bank_dir: str, target_path: str, k: int | None, chunk: int) -> int:
     bank = MemoryBank.open(bank_dir)
     target = load_trajectory(target_path)
-    result = _retrieve(config, bank, target, k or config.retrieval.k, chunk)
+    result = _retrieve(config, bank, target, config.retrieval.k if k is None else k, chunk)
     print(f"retrieved {len(result.ranked)} of {len(bank)} entries for chunk {chunk}")
     for rank, (idx, score) in enumerate(result.ranked, start=1):
         e = bank.entries[idx]
@@ -128,15 +126,16 @@ def cmd_plan(
 ) -> int:
     bank = MemoryBank.open(bank_dir)
     target = load_trajectory(target_path)
-    result = _retrieve(config, bank, target, l or config.retrieval.k, chunk)
+    result = _retrieve(config, bank, target, config.retrieval.k if l is None else l, chunk)
     items = [(bank.entries[i], s) for i, s in reversed(result.ranked)]
-    plan = plan_divide_conquer(items, k or config.scheduler.k, target, bank.source_entry(chunk))
+    k = config.scheduler.k if k is None else k
+    plan = plan_divide_conquer(items, k, target, bank.source_entry(chunk))
     print(plan.format())
     return 0
 
 
 def _parse_shot_list(text: str | None) -> list[ShotKind]:
-    if not text:
+    if text is None:
         return list(ShotKind)
     kinds = set()
     for token in text.split(","):
@@ -161,11 +160,13 @@ def cmd_simulate(
 ) -> int:
     out_dir = Path(config.output.directory)
     bank_path = out_dir / _BANK_DIR
-    if (bank_path / "manifest.json").exists():
+    if (bank_path / MANIFEST).exists():
         raise DomainError(f"{bank_path} already holds a bank; choose a fresh --out directory")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    source = _load_base(config, source_path, frame_count or config.shots.frame_count)
+    if frame_count is None:
+        frame_count = config.shots.frame_count
+    source = _load_base(config, source_path, frame_count)
     if len(source) < 2:
         raise DomainError("source trajectory needs at least 2 frames")
     kinds = _parse_shot_list(shots_text)
@@ -257,9 +258,7 @@ def cmd_simulate(
         bank.append(target, ref, m, video_frame_count=final_seq.frame_count)
         events.append({"event": "banked", "ref": ref, "chunk": m, "source": False})
 
-    (out_dir / _RUN_LOG).write_text(
-        json.dumps({"events": events}, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / _RUN_LOG, {"events": events})
     save_config(config, out_dir / _RESOLVED_CONFIG)
     print(
         f"simulated {len(suite)} views over {len(schedule.chunks)} chunks "
@@ -273,14 +272,14 @@ def _chunk_overlaps(run_dir: Path, config: EngineConfig) -> dict[int, int]:
     """Per-chunk overlap with the previous chunk, from the run log when present."""
     log_path = run_dir / _RUN_LOG
     if log_path.exists():
+        doc = read_json(log_path, "run log")
         try:
-            doc = json.loads(log_path.read_text(encoding="utf-8"))
             for event in doc.get("events", []):
                 if event.get("event") == "schedule":
                     return {
                         int(c["index"]): int(c["overlap_with_prev"]) for c in event["chunks"]
                     }
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        except (AttributeError, KeyError, TypeError) as e:
             raise DomainError(f"{log_path}: unreadable run log ({e})") from e
     return {}
 
@@ -307,13 +306,9 @@ def _shot_parts(run_dir: Path, bank: MemoryBank, label: str) -> list[MemoryEntry
         (e for e in bank.entries if e.trajectory.label == label and not e.is_source),
         key=lambda e: e.chunk_index,
     )
-    root = run_dir.resolve()
     for e in parts:
-        if not (root / e.video_ref).resolve().is_relative_to(root):
-            raise DomainError(
-                f"chunk {e.chunk_index} of {label!r}: video_ref {e.video_ref!r} "
-                "lies outside the run directory"
-            )
+        inside(run_dir, e.video_ref, f"chunk {e.chunk_index} of {label!r}: video_ref",
+               "the run directory")
     return parts
 
 
@@ -441,9 +436,7 @@ def cmd_eval(config: EngineConfig, run_dir_text: str | None, n_shots: int) -> in
             for kind, rep in pose_rows
         ],
     }
-    (run_dir / _REPORT_JSON).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(run_dir / _REPORT_JSON, doc)
 
     print(f"sync pairs (n_shots={n_shots}):")
     for row in sync.rows:
@@ -463,42 +456,20 @@ def cmd_eval(config: EngineConfig, run_dir_text: str | None, n_shots: int) -> in
     return 0
 
 
-def _is_number(x: object) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 # per report section, the fields of each record that cmd_report reads
 _REPORT_FIELDS = {
-    "poses": {
-        "shot": lambda x: isinstance(x, str), "trans_err": _is_number, "rot_err": _is_number,
-    },
-    "sync": {
-        "pair": lambda x: isinstance(x, list) and all(isinstance(slug, str) for slug in x),
-        "mean_matched_pixels": _is_number,
-    },
+    "poses": {"shot": str, "trans_err": float, "rot_err": float},
+    "sync": {"pair": str_list, "mean_matched_pixels": float},
 }
 
 
 def _read_report(path: Path) -> dict:
     """An eval report, with each field cmd_report reads present and of its JSON type."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise DomainError(f"{path}: invalid report JSON ({e})") from e
-    if not isinstance(doc, dict):
-        raise DomainError(f"{path}: report is not an object")
-    for section, checks in _REPORT_FIELDS.items():
-        records = doc.get(section, [])
-        if not isinstance(records, list):
-            raise DomainError(f"{path}: {section!r} must be a list")
-        for n, rec in enumerate(records):
-            if not isinstance(rec, dict):
-                raise DomainError(f"{path}: {section} record {n} is not an object")
-            for key, valid in checks.items():
-                if not valid(rec.get(key)):
-                    raise DomainError(
-                        f"{path}: {section} record {n} has no valid {key!r} ({rec.get(key)!r})"
-                    )
+    doc = read_json(path, "report JSON")
+    check_fields(str(path), doc, dict.fromkeys(_REPORT_FIELDS, list), partial=True)
+    for section, fields in _REPORT_FIELDS.items():
+        for n, rec in enumerate(doc.get(section, [])):
+            check_fields(f"{path}: {section} record {n}", rec, fields)
     return doc
 
 
@@ -514,7 +485,7 @@ def cmd_report(config: EngineConfig, run_dir_text: str | None) -> int:
         warnings_list.append(f"no evaluation report at {report_path}; run eval first")
 
     bank = None
-    if (run_dir / _BANK_DIR / "manifest.json").exists():
+    if (run_dir / _BANK_DIR / MANIFEST).exists():
         bank = MemoryBank.open(run_dir / _BANK_DIR)
     else:
         warnings_list.append(f"no bank at {run_dir / _BANK_DIR}; run simulate first")

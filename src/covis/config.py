@@ -2,22 +2,23 @@
 
 The configuration is a tree of frozen dataclasses. Every run resolves its
 full configuration (defaults, file, then --set overrides) and writes it next
-to its outputs, so runs are self-describing.
+to its outputs, so runs are self-describing. Each value must fit the type
+its dataclass field declares. A --set value is read as that type, so a str
+field keeps the text as given: "output.directory=2024" names "2024".
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
 from .errors import ConfigError, DomainError
 from .frustum import FrustumParams, SamplerConfig
+from .records import check_fields, read_json, write_json
 from .scheduler import SchedulerConfig
-from .trajectory_ops import DEFAULT_LOOKAT_DEPTH, ShotKind
+from .trajectory_ops import DEFAULT_LOOKAT_DEPTH, SHOT_FAMILIES, ShotKind
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,10 @@ class ShotsConfig:
     """Benchmark shot generation: per-family magnitudes and shared geometry."""
 
     frame_count: int = 93
-    rotate_angle: float = math.pi / 4
-    tilt_angle: float = math.pi / 6
-    translate_distance: float = 0.5
-    zoom_distance: float = 2.0
+    rotate_angle: float = SHOT_FAMILIES["rotate_angle"][0]
+    tilt_angle: float = SHOT_FAMILIES["tilt_angle"][0]
+    translate_distance: float = SHOT_FAMILIES["translate_distance"][0]
+    zoom_distance: float = SHOT_FAMILIES["zoom_distance"][0]
     lookat_depth: float = DEFAULT_LOOKAT_DEPTH
 
     def __post_init__(self) -> None:
@@ -65,24 +66,10 @@ class ShotsConfig:
             raise DomainError(f"shot frame_count must be >= 2, got {self.frame_count}")
 
     def magnitudes(self) -> dict[ShotKind, float]:
-        rotate = {
-            ShotKind.ROTATION_LEFT, ShotKind.ROTATION_RIGHT,
-            ShotKind.ARC_RIGHT_WITH_ROT, ShotKind.ARC_LEFT_WITH_ROT,
-            ShotKind.AZIMUTH_RIGHT, ShotKind.AZIMUTH_LEFT,
+        return {
+            kind: getattr(self, family)
+            for family, (_, kinds) in SHOT_FAMILIES.items() for kind in kinds
         }
-        tilt = {ShotKind.TILT_UP, ShotKind.TILT_DOWN, ShotKind.ELEVATION_UP}
-        translate = {ShotKind.TRANSLATE_DOWN_WITH_ROT, ShotKind.TRANSLATE_UP_WITH_ROT}
-        out = {}
-        for kind in ShotKind:
-            if kind in rotate:
-                out[kind] = self.rotate_angle
-            elif kind in tilt:
-                out[kind] = self.tilt_angle
-            elif kind in translate:
-                out[kind] = self.translate_distance
-            else:
-                out[kind] = self.zoom_distance
-        return out
 
 
 @dataclass(frozen=True)
@@ -115,6 +102,9 @@ _SECTIONS = {
     "output": OutputConfig,
 }
 
+# Per section, each field's declared type, read from the dataclass annotations.
+_FIELD_TYPES = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
+
 
 def default_config() -> EngineConfig:
     return EngineConfig()
@@ -125,33 +115,27 @@ def config_to_dict(config: EngineConfig) -> dict[str, Any]:
 
 
 def config_from_dict(doc: dict[str, Any]) -> EngineConfig:
-    """Build a config from a (possibly partial) nested dict; unknown keys fail."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
+    """Build a config from a (possibly partial) nested dict; unknown keys and wrong types fail."""
+    check_fields("config root", doc, {}, ConfigError)
     sections: dict[str, Any] = {}
     for name, value in doc.items():
-        cls = _SECTIONS.get(name)
-        if cls is None:
+        types = _FIELD_TYPES.get(name)
+        if types is None:
             raise ConfigError(f"unknown config section {name!r}")
-        if not isinstance(value, dict):
-            raise ConfigError(f"config section {name!r} must be an object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(value) - known
+        check_fields(f"config section {name!r}", value, types, ConfigError, partial=True)
+        unknown = set(value) - set(types)
         if unknown:
             raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
         try:
-            sections[name] = cls(**value)
-        except (DomainError, TypeError) as e:
+            sections[name] = _SECTIONS[name](**value)
+        except DomainError as e:
             raise ConfigError(f"invalid config section {name!r}: {e}") from e
     return EngineConfig(**sections)
 
 
 def load_config(path: str | Path) -> EngineConfig:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: not valid JSON ({e})") from e
+    doc = read_json(path, "config JSON", ConfigError)
     try:
         return config_from_dict(doc)
     except ConfigError as e:
@@ -159,29 +143,23 @@ def load_config(path: str | Path) -> EngineConfig:
 
 
 def save_config(config: EngineConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, config_to_dict(config))
 
 
-def _parse_scalar(text: str) -> Any:
-    low = text.strip().lower()
-    if low in ("none", "null"):
-        return None
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
+def _parse_value(text: str, kind: Any) -> Any:
+    """text read as the declared type kind, or text itself if it reads as none of it."""
+    word = text.strip().lower()
+    for k in get_args(kind) or (kind,):
+        if k is bool and word in ("true", "false"):
+            return word == "true"
+        if k is type(None) and word in ("none", "null"):
+            return None
+        if k in (int, float):
+            try:
+                return k(text)
+            except ValueError:
+                pass
+    return text  # a str, or a mismatch that config_from_dict reports
 
 
 def apply_overrides(config: EngineConfig, overrides: list[str]) -> EngineConfig:
@@ -195,9 +173,9 @@ def apply_overrides(config: EngineConfig, overrides: list[str]) -> EngineConfig:
         if len(parts) != 2:
             raise ConfigError(f"override key {key!r} must be section.key")
         section, name = parts
-        if section not in doc:
+        if section not in _FIELD_TYPES:
             raise ConfigError(f"unknown config section {section!r}")
-        if name not in doc[section]:
+        if name not in _FIELD_TYPES[section]:
             raise ConfigError(f"unknown key {name!r} in section {section!r}")
-        doc[section][name] = _parse_scalar(raw)
+        doc[section][name] = _parse_value(raw, _FIELD_TYPES[section][name])
     return config_from_dict(doc)

@@ -22,9 +22,7 @@ readers and with at most one writer.
 
 from __future__ import annotations
 
-import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -37,8 +35,7 @@ from .frustum import FrustumParams, SamplerConfig, stacked_covisibility
 # Unused here since scoring went to stacked_covisibility; perfbench/tracer.py
 # still wraps covis.memory.frame_covisibility by name.
 from .frustum import frame_covisibility  # noqa: F401
-
-_MANIFEST_NAME = "manifest.json"
+from .records import MANIFEST, check_fields, inside, read_json, write_json
 
 # Every manifest record field and its JSON type.
 _RECORD_FIELDS = {
@@ -118,13 +115,13 @@ class MemoryBank:
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-            if (self.directory / _MANIFEST_NAME).exists():
+            if (self.directory / MANIFEST).exists():
                 self._load()
 
     @classmethod
     def open(cls, directory: str | Path) -> "MemoryBank":
         directory = Path(directory)
-        if not (directory / _MANIFEST_NAME).exists():
+        if not (directory / MANIFEST).exists():
             raise DomainError(f"{directory}: no bank manifest found")
         return cls(directory)
 
@@ -184,7 +181,7 @@ class MemoryBank:
     def _persist(self, entry: MemoryEntry) -> None:
         assert self.directory is not None
         save_trajectory(entry.trajectory, self.directory / self._traj_name(entry.insert_seq))
-        manifest = {
+        write_json(self.directory / MANIFEST, {
             "entries": [
                 {
                     "trajectory": self._traj_name(e.insert_seq),
@@ -195,34 +192,22 @@ class MemoryBank:
                 }
                 for e in self._entries
             ]
-        }
-        (self.directory / _MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        })
 
     def _load(self) -> None:
         assert self.directory is not None
-        path = self.directory / _MANIFEST_NAME
-        try:
-            manifest = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise DomainError(f"{path}: invalid bank manifest ({e})") from e
-        records = manifest.get("entries", []) if isinstance(manifest, dict) else None
-        if not isinstance(records, list):
-            raise DomainError(f"{path}: bank manifest needs an 'entries' list")
-        root = self.directory.resolve()
+        path = self.directory / MANIFEST
+        manifest = check_fields(str(path), read_json(path, "bank manifest"), {"entries": list})
         prev_seq = 0
-        for n, rec in enumerate(records):
-            _check_record(path, n, rec)
+        for n, rec in enumerate(manifest["entries"]):
+            check_fields(f"{path}: entry {n}", rec, _RECORD_FIELDS)
             seq = rec["insert_seq"]
             if seq <= prev_seq:
                 raise DomainError(f"{path}: insert_seq not strictly increasing at {seq}")
             prev_seq = seq
-            traj_path = (root / rec["trajectory"]).resolve()
-            if not traj_path.is_relative_to(root):
-                raise DomainError(
-                    f"{path}: entry {n} trajectory {rec['trajectory']!r} lies outside the bank"
-                )
+            traj_path = inside(
+                self.directory, rec["trajectory"], f"{path}: entry {n} trajectory", "the bank"
+            )
             entry = MemoryEntry(
                 trajectory=load_trajectory(traj_path),
                 video_ref=rec["video_ref"],
@@ -237,20 +222,6 @@ class MemoryBank:
             self._entries.append(entry)
 
 
-def _check_record(path: Path, n: int, rec: object) -> None:
-    """Raise DomainError unless manifest record n has every field with its JSON type."""
-    if not isinstance(rec, dict):
-        raise DomainError(f"{path}: entry {n} is not an object")
-    for key, kind in _RECORD_FIELDS.items():
-        if key not in rec:
-            raise DomainError(f"{path}: entry {n} lacks {key!r}")
-        value = rec[key]
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise DomainError(
-                f"{path}: entry {n} {key!r} must be a {kind.__name__}, got {value!r}"
-            )
-
-
 def retrieve_top_k(
     bank: MemoryBank,
     target: Trajectory,
@@ -261,7 +232,6 @@ def retrieve_top_k(
     include_source: bool = True,
     cross_chunk: bool = False,
     tie_rule: str = "recent_first",
-    workers: int | None = None,
 ) -> RetrievalResult:
     """Top-k most co-visible bank entries for a target trajectory.
 
@@ -270,8 +240,7 @@ def retrieve_top_k(
     False. Equal scores are broken by recency (higher insert_seq first) under
     the default tie rule, or by insertion order with tie_rule="oldest_first".
     Entries whose frame count differs from the target's are skipped.
-    Returns min(k, pool size) entries. workers > 1 scores the pool in a
-    thread pool; results are identical either way.
+    Returns min(k, pool size) entries.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -287,15 +256,7 @@ def retrieve_top_k(
     if not pool:
         why = f" ({skipped} skipped for frame count != {len(target)})" if skipped else ""
         raise DomainError(f"no retrievable entries for chunk {chunk_index}{why}")
-
-    def score(item: tuple[int, MemoryEntry]) -> float:
-        return trajectory_similarity(target, item[1].trajectory, cfg, params)
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            scores = list(ex.map(score, pool))
-    else:
-        scores = [score(item) for item in pool]
+    scores = [trajectory_similarity(target, e.trajectory, cfg, params) for _, e in pool]
     seq_sign = -1 if tie_rule == "recent_first" else 1
     order = sorted(
         range(len(pool)), key=lambda j: (-scores[j], seq_sign * pool[j][1].insert_seq)

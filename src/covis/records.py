@@ -1,0 +1,88 @@
+"""The on-disk JSON contract: one writer, one reader, one field checker, one path rule.
+
+A JSON file lands whole or not at all (a temporary file, then os.replace).
+A record read back is checked field by field against JSON types, and a
+path it names must resolve inside the directory that holds it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+from typing import Any, get_args
+
+from .errors import DomainError
+
+# The bank's and each video directory's manifest file.
+MANIFEST = "manifest.json"
+
+
+def write_json(path: str | Path, doc: Any) -> None:
+    """Write doc to path atomically: <name>.tmp first, then os.replace."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    os.replace(tmp, path)
+
+
+def read_json(path: Path, what: str, error: type[Exception] = DomainError) -> Any:
+    """The JSON document at path; error naming path and what if it does not parse."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise error(f"{path}: invalid {what} ({e})") from e
+
+
+def _fits(value: Any, kind: Any) -> bool:
+    if not isinstance(kind, type):
+        return kind(value)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _describe(kind: Any) -> str:
+    """kind in words, with its article: a type's name, null for None, a predicate's name."""
+    names = ("null" if k is type(None) else k.__name__ for k in get_args(kind) or (kind,))
+    text = " | ".join(name.replace("_", " ") for name in names)
+    return ("an " if text[0] in "aeiou" else "a ") + text
+
+
+def check_fields(
+    where: str, rec: Any, fields: dict[str, Any],
+    error: type[Exception] = DomainError, partial: bool = False,
+) -> dict:
+    """rec itself if it is an object whose every field fits its kind, else error.
+
+    A kind is a type, a union of types such as `str | None`, or a predicate
+    named for what it accepts. A bool is never a number and an int is also a
+    float. A missing field reads as null; with partial it is skipped.
+    """
+    if not isinstance(rec, dict):
+        raise error(f"{where}: expected an object, got {type(rec).__name__}")
+    for name, kind in fields.items():
+        if partial and name not in rec:
+            continue
+        value = rec.get(name)
+        if not any(_fits(value, k) for k in get_args(kind) or (kind,)):
+            raise error(f"{where}: {name!r} must be {_describe(kind)}, got {value!r}")
+    return rec
+
+
+def inside(root: Path, rel: str, where: str, what: str) -> Path:
+    """root / rel resolved; DomainError "{where} {rel!r} lies outside {what}" if it escapes root."""
+    base = root.resolve()
+    path = (base / rel).resolve()
+    if not path.is_relative_to(base):
+        raise DomainError(f"{where} {rel!r} lies outside {what}")
+    return path
+
+
+def positive_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+
+
+def str_list(x: Any) -> bool:
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
+

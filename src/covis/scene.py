@@ -17,7 +17,6 @@ measures cover the same region).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, CameraPose, Trajectory, load_trajectory, save_trajectory
 from .errors import DomainError
+from .records import MANIFEST, check_fields, inside, positive_int, read_json, write_json
 
 BACKGROUND_ID = 0
 BACKGROUND_RGB = (128, 128, 128)
@@ -234,7 +234,6 @@ def covisible_fraction(scene: SceneModel, a: Trajectory, b: Trajectory, far: flo
     return total / len(a)
 
 
-_MANIFEST_NAME = "manifest.json"
 _TRAJ_NAME = "trajectory.json"
 
 
@@ -244,12 +243,19 @@ def save_frames(seq: FrameSequence, directory: str | Path) -> None:
     Layout: manifest.json, trajectory.json, and per frame i the raw grids
     frame_{i:04d}.rgb (H*W*3 bytes, row-major uint8 RGB) and
     frame_{i:04d}.ids (H*W*4 bytes, row-major little-endian int32).
-    Output bytes depend only on the sequence contents.
+    Output bytes depend only on the sequence contents. The manifest is
+    written last, so a directory that has one holds every frame it names.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    save_trajectory(seq.trajectory, directory / _TRAJ_NAME)
+    for i in range(seq.frame_count):
+        (directory / f"frame_{i:04d}.rgb").write_bytes(np.ascontiguousarray(seq.frames[i]).tobytes())
+        (directory / f"frame_{i:04d}.ids").write_bytes(
+            np.ascontiguousarray(seq.id_map[i].astype("<i4")).tobytes()
+        )
     w, h = seq.trajectory.image_size
-    manifest = {
+    write_json(directory / MANIFEST, {
         "width": w,
         "height": h,
         "frame_count": seq.frame_count,
@@ -257,36 +263,12 @@ def save_frames(seq: FrameSequence, directory: str | Path) -> None:
         "trajectory": _TRAJ_NAME,
         "rgb_format": "row-major uint8 RGB",
         "id_format": "row-major int32 little-endian",
-    }
-    (directory / _MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    save_trajectory(seq.trajectory, directory / _TRAJ_NAME)
-    for i in range(seq.frame_count):
-        (directory / f"frame_{i:04d}.rgb").write_bytes(np.ascontiguousarray(seq.frames[i]).tobytes())
-        (directory / f"frame_{i:04d}.ids").write_bytes(
-            np.ascontiguousarray(seq.id_map[i].astype("<i4")).tobytes()
-        )
+    })
 
 
-def _read_manifest(directory: Path) -> dict:
-    """The manifest of a saved sequence, with every field it needs of the right JSON type."""
-    path = directory / _MANIFEST_NAME
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise DomainError(f"{directory}: invalid frame-sequence manifest ({e})") from e
-    if not isinstance(manifest, dict):
-        raise DomainError(f"{path}: frame-sequence manifest is not an object")
-    for key in ("width", "height", "frame_count"):
-        value = manifest.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise DomainError(f"{path}: {key!r} must be a positive int, got {value!r}")
-    if not isinstance(manifest.get("trajectory"), str):
-        raise DomainError(f"{path}: 'trajectory' must be a str, got {manifest.get('trajectory')!r}")
-    if not isinstance(manifest.get("scene_key"), (str, type(None))):
-        raise DomainError(f"{path}: 'scene_key' must be a str, got {manifest['scene_key']!r}")
-    return manifest
+# Every video manifest field load_frames reads and its JSON type.
+_MANIFEST_FIELDS = {"width": positive_int, "height": positive_int, "frame_count": positive_int,
+                    "trajectory": str, "scene_key": str | None}
 
 
 def _fill(path: Path, out: np.ndarray) -> bool:
@@ -302,16 +284,12 @@ def load_frames(directory: str | Path) -> FrameSequence:
     The manifest's trajectory path must stay inside directory.
     """
     directory = Path(directory)
-    manifest = _read_manifest(directory)
+    path = directory / MANIFEST
+    manifest = check_fields(str(path), read_json(path, "frame-sequence manifest"), _MANIFEST_FIELDS)
     w, h, n = manifest["width"], manifest["height"], manifest["frame_count"]
-    root = directory.resolve()
-    traj_path = (root / manifest["trajectory"]).resolve()
-    if not traj_path.is_relative_to(root):
-        raise DomainError(
-            f"{directory / _MANIFEST_NAME}: trajectory {manifest['trajectory']!r} "
-            "lies outside its directory"
-        )
-    traj = load_trajectory(traj_path)
+    traj = load_trajectory(
+        inside(directory, manifest["trajectory"], f"{path}: trajectory", "its directory")
+    )
     frames = np.empty((n, h, w, 3), dtype=np.uint8)
     ids = np.empty((n, h, w), dtype="<i4")
     for i in range(n):

@@ -36,23 +36,18 @@ class SchedulerConfig:
     """Chunking and context-size configuration.
 
     k is the model context size (number of conditioning videos).
-    conditioning_ratio is a training-time constant; it is carried in the
-    config and reports for completeness but nothing at inference reads it.
     """
 
     k: int = 4
     chunk_frames: int = 93
     overlap_latent: int = 6
     temporal_compression: int = 4
-    conditioning_ratio: float = 0.45
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DomainError(f"context size k must be >= 1, got {self.k}")
         if self.overlap_latent < 1 or self.temporal_compression < 1:
             raise DomainError("overlap_latent and temporal_compression must be >= 1")
-        if not (0.0 <= self.conditioning_ratio <= 1.0):
-            raise DomainError(f"conditioning_ratio must lie in [0, 1], got {self.conditioning_ratio}")
         if not (0 < self.overlap_frames < self.chunk_frames):
             raise DomainError(
                 f"need 0 < overlap_frames < chunk_frames, got overlap "

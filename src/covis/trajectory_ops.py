@@ -59,19 +59,19 @@ class ShotKind(enum.IntEnum):
             raise DomainError(f"unknown shot {slug!r}") from None
 
 
+# Each magnitude family, named as its ShotsConfig field: default and the shots it drives.
+SHOT_FAMILIES: dict[str, tuple[float, tuple[ShotKind, ...]]] = {
+    "rotate_angle": (math.pi / 4, (
+        ShotKind.ROTATION_LEFT, ShotKind.ARC_RIGHT_WITH_ROT, ShotKind.AZIMUTH_RIGHT,
+        ShotKind.ROTATION_RIGHT, ShotKind.ARC_LEFT_WITH_ROT, ShotKind.AZIMUTH_LEFT,
+    )),
+    "tilt_angle": (math.pi / 6, (ShotKind.TILT_UP, ShotKind.TILT_DOWN, ShotKind.ELEVATION_UP)),
+    "translate_distance": (0.5, (ShotKind.TRANSLATE_DOWN_WITH_ROT, ShotKind.TRANSLATE_UP_WITH_ROT)),
+    "zoom_distance": (2.0, (ShotKind.ZOOM_OUT,)),
+}
+
 DEFAULT_MAGNITUDES: dict[ShotKind, float] = {
-    ShotKind.ROTATION_LEFT: math.pi / 4,
-    ShotKind.ARC_RIGHT_WITH_ROT: math.pi / 4,
-    ShotKind.AZIMUTH_RIGHT: math.pi / 4,
-    ShotKind.ROTATION_RIGHT: math.pi / 4,
-    ShotKind.ARC_LEFT_WITH_ROT: math.pi / 4,
-    ShotKind.AZIMUTH_LEFT: math.pi / 4,
-    ShotKind.TILT_UP: math.pi / 6,
-    ShotKind.TRANSLATE_DOWN_WITH_ROT: 0.5,
-    ShotKind.TILT_DOWN: math.pi / 6,
-    ShotKind.TRANSLATE_UP_WITH_ROT: 0.5,
-    ShotKind.ELEVATION_UP: math.pi / 6,
-    ShotKind.ZOOM_OUT: 2.0,
+    kind: default for default, kinds in SHOT_FAMILIES.values() for kind in kinds
 }
 
 DEFAULT_LOOKAT_DEPTH = 5.0

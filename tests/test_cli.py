@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import shutil
 import tempfile
 import weakref
@@ -607,3 +608,67 @@ def test_retrieve_on_malformed_manifest_exits_2(tmp_path, text):
     bank_dir, target = _write_bank(tmp_path)
     (bank_dir / "manifest.json").write_text(text, encoding="utf-8")
     assert main(["retrieve", "--bank", str(bank_dir), "--target", str(target)]) == 2
+
+
+def test_out_names_a_directory_even_when_it_reads_as_a_number(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--out", "2024", *SIM_ARGS]) == 0
+    assert (tmp_path / "2024" / "run_log.json").exists()
+    config = json.loads((tmp_path / "2024" / "config_resolved.json").read_text(encoding="utf-8"))
+    assert config["output"]["directory"] == "2024"
+
+
+@pytest.mark.parametrize("args", [
+    ["--set", "scene.point_count=abc"],
+    ["--set", "scheduler.k=1.5"],
+    ["--set", "output.emit_svg=maybe"],
+    ["--config", "{config}"],
+], ids=["point_count_abc", "k_1.5", "emit_svg_maybe", "seed_str_in_file"])
+def test_mistyped_config_values_exit_4(tmp_path, capsys, args):
+    config = tmp_path / "engine.json"
+    config.write_text(json.dumps({"scene": {"seed": "x"}}), encoding="utf-8")
+    args = [a.format(config=config) for a in args]
+    assert main(["simulate", "--out", str(tmp_path / "run"), *SIM_ARGS, *args]) == 4
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_zero_counts_and_empty_shot_lists_reach_their_validators(tmp_path, capsys):
+    assert main(["simulate", "--out", str(tmp_path / "run"), "--frames", "0"]) == 2
+    assert main(["simulate", "--out", str(tmp_path / "run"), "--shots", ""]) == 2
+    assert not (tmp_path / "run" / "run_log.json").exists()
+    bank_dir, target = _write_bank(tmp_path)
+    where = ["--bank", str(bank_dir), "--target", str(target)]
+    capsys.readouterr()
+    assert main(["retrieve", *where, "--k", "0"]) == 2
+    assert main(["plan", *where, "--l", "0"]) == 2
+    assert main(["plan", *where, "--k", "0"]) == 2
+    assert capsys.readouterr().err.count("k must be >= 1, got 0") == 3
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_failed_bank_write_leaves_the_last_manifest_whole(tmp_path, monkeypatch, n):
+    replace = os.replace
+    bank_writes = []
+
+    def failing_replace(src, dst):
+        if Path(dst).parent.name == "bank":
+            bank_writes.append(dst)
+            if len(bank_writes) == n:
+                raise OSError("no space left on device")
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    d = tmp_path / "run"
+    assert main(["simulate", "--out", str(d), *SIM_ARGS]) == 3
+    manifest = json.loads((d / "bank" / "manifest.json").read_text(encoding="utf-8"))
+    assert [e["insert_seq"] for e in manifest["entries"]] == list(range(1, n))
+
+
+@pytest.mark.parametrize("text", ["[]", '{"events": [1]}', '{"events": [{"event": "schedule"}]}'])
+def test_eval_on_malformed_run_log_exits_2(run_dir, tmp_path, capsys, text):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    (run / "run_log.json").write_text(text, encoding="utf-8")
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
+    assert "unreadable run log" in capsys.readouterr().err

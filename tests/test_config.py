@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covis import ConfigError, DomainError, default_config, load_config, save_config
 from covis.config import (
+    _FIELD_TYPES,
     RetrievalConfig,
     ShotsConfig,
     apply_overrides,
     config_from_dict,
     config_to_dict,
 )
-from covis.trajectory_ops import ShotKind
+from covis.records import check_fields
+from covis.trajectory_ops import DEFAULT_MAGNITUDES, SHOT_FAMILIES, ShotKind
 
 
 def test_default_values():
@@ -127,3 +132,82 @@ def test_shots_config_magnitudes():
     assert mags[ShotKind.ZOOM_OUT] == 4.0
     with pytest.raises(DomainError):
         ShotsConfig(frame_count=1)
+
+
+def test_apply_overrides_reads_each_value_as_its_declared_type():
+    cfg = apply_overrides(default_config(), [
+        "shots.rotate_angle=1",
+        "output.directory=2024",
+        "output.emit_svg=True",
+        "sampler.jitter_seed=7",
+    ])
+    assert cfg.shots.rotate_angle == 1.0 and type(cfg.shots.rotate_angle) is float
+    assert cfg.output.directory == "2024"
+    assert cfg.output.emit_svg is True
+    assert cfg.sampler.jitter_seed == 7
+    assert apply_overrides(cfg, ["sampler.jitter_seed=None"]).sampler.jitter_seed is None
+    assert apply_overrides(cfg, ["output.directory=null"]).output.directory == "null"
+
+
+@pytest.mark.parametrize("override", [
+    "scene.point_count=abc",
+    "scheduler.k=1.5",
+    "output.emit_svg=maybe",
+    "retrieval.cross_chunk=1",
+    "sampler.jitter_seed=x",
+    "shots.zoom_distance=far",
+])
+def test_apply_overrides_rejects_values_of_another_type(override):
+    with pytest.raises(ConfigError, match="must be"):
+        apply_overrides(default_config(), [override])
+
+
+@pytest.mark.parametrize("doc", [
+    {"scene": {"seed": "x"}},
+    {"scene": {"seed": True}},
+    {"scene": {"seed": 1.0}},
+    {"frustum": {"far": "10"}},
+    {"output": {"emit_svg": 1}},
+    {"sampler": {"jitter_seed": 1.5}},
+    {"scheduler": {"conditioning_ratio": 0.45}},
+])
+def test_config_file_values_are_checked_against_declared_types(tmp_path, doc):
+    path = tmp_path / "engine.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{path}: "):
+        load_config(path)
+
+
+def test_config_accepts_an_int_for_a_float_and_null_for_an_optional():
+    cfg = config_from_dict({"frustum": {"far": 12}, "sampler": {"jitter_seed": None}})
+    assert cfg.frustum.far == 12
+    assert cfg.sampler.jitter_seed is None
+
+
+_KEYS = [(section, name) for section, fields in _FIELD_TYPES.items() for name in fields]
+_TEXTS = (
+    st.text() | st.integers().map(str) | st.floats().map(repr)
+    | st.sampled_from(["true", "False", "null", "None", " 3 ", "1e3", "-0", "nan", "inf"])
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_KEYS), _TEXTS)
+def test_apply_overrides_gives_a_typed_config_or_config_error(key, text):
+    section, name = key
+    try:
+        cfg = apply_overrides(default_config(), [f"{section}.{name}={text}"])
+    except ConfigError:
+        return
+    doc = config_to_dict(cfg)
+    for section, fields in _FIELD_TYPES.items():
+        check_fields(section, doc[section], fields, ConfigError)
+
+
+def test_shot_families_derive_the_magnitude_tables():
+    assert sorted(k for _, kinds in SHOT_FAMILIES.values() for k in kinds) == list(ShotKind)
+    shots = ShotsConfig()
+    for family, (default, kinds) in SHOT_FAMILIES.items():
+        assert getattr(shots, family) == default
+        assert all(DEFAULT_MAGNITUDES[k] == default for k in kinds)
+    assert shots.magnitudes() == DEFAULT_MAGNITUDES

@@ -255,18 +255,6 @@ def test_retrieve_self_always_first():
     assert top_score == 1.0
 
 
-def test_retrieve_workers_match_serial():
-    rng = np.random.default_rng(29)
-    bank = MemoryBank()
-    bank.append(random_trajectory(rng, 2), "v1", 1, is_source=True)
-    for i in range(5):
-        bank.append(random_trajectory(rng, 2), f"v{i + 2}", 1)
-    target = random_trajectory(rng, 2)
-    serial = retrieve_top_k(bank, target, 4, chunk_index=1)
-    threaded = retrieve_top_k(bank, target, 4, chunk_index=1, workers=4)
-    assert serial.ranked == threaded.ranked
-
-
 def test_retrieve_insertion_order_only_breaks_ties():
     # aimed trajectories share a working volume, so every pair overlaps a
     # little and the six scores come out generically distinct

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,3 +362,24 @@ def test_load_frames_rejects_trajectory_outside_directory(tmp_path):
         path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(DomainError, match="lies outside its directory"):
             load_frames(tmp_path / "a" / "seq")
+
+
+def test_save_frames_writes_its_manifest_last(tmp_path, monkeypatch):
+    seq = render(manual_scene([[0.0, 0.0, 5.0]]), IDENTITY_TRAJ)
+    write_bytes = Path.write_bytes
+
+    def failing_write(self, data):
+        if self.name == f"frame_{seq.frame_count - 1:04d}.ids":
+            raise OSError("no space left on device")
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing_write)
+    with pytest.raises(OSError):
+        save_frames(seq, tmp_path / "seq")
+    assert not (tmp_path / "seq" / "manifest.json").exists()
+    monkeypatch.setattr(Path, "write_bytes", write_bytes)
+    save_frames(seq, tmp_path / "seq")
+    assert sorted(p.name for p in (tmp_path / "seq").iterdir()) == sorted(
+        ["manifest.json", "trajectory.json"]
+        + [f"frame_{i:04d}.{ext}" for i in range(seq.frame_count) for ext in ("rgb", "ids")]
+    )

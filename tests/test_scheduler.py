@@ -52,7 +52,6 @@ def test_scheduler_config_defaults():
     assert cfg.chunk_frames == 93
     assert cfg.overlap_latent == 6
     assert cfg.temporal_compression == 4
-    assert cfg.conditioning_ratio == 0.45
     # 1 + (6 - 1) * 4 decoded frames share the boundary latents
     assert cfg.overlap_frames == 21
 
@@ -62,8 +61,6 @@ def test_scheduler_config_validation():
         SchedulerConfig(k=0)
     with pytest.raises(DomainError):
         SchedulerConfig(overlap_latent=0)
-    with pytest.raises(DomainError):
-        SchedulerConfig(conditioning_ratio=1.5)
     with pytest.raises(DomainError):
         SchedulerConfig(chunk_frames=21)  # overlap 21 not < chunk
 

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .records import read_json
+from .records import read_json, write_text
 
 # Per-entry tolerance for R^T R = I and det R = 1 checks.
 ORTHONORMAL_TOL = 1e-9
@@ -323,7 +323,7 @@ def save_trajectory(traj: Trajectory, path: str | Path) -> None:
             f'    {{"rotation": [{rot}], "translation": [{tr}], "intrinsics": {{{k}}}}}{tail}'
         )
     lines += ["  ]", "}"]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_trajectory(path: str | Path) -> Trajectory:

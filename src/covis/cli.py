@@ -39,7 +39,7 @@ from .config import (
 from .errors import ConfigError, DomainError
 from .memory import MemoryBank, MemoryEntry, RetrievalResult, pad_context, retrieve_top_k
 from .metrics import SyncReport, SyncRow, pose_error_report, sync_report
-from .records import MANIFEST, check_fields, inside, read_json, str_list, write_json
+from .records import MANIFEST, check_fields, inside, read_json, str_list, write_json, write_text
 from .report import top_down_svg
 from .scene import FrameSequence, load_frames, make_scene, render, save_frames
 from .scheduler import chunk_schedule, generation_order, overlap_condition_mask, plan_divide_conquer
@@ -268,53 +268,42 @@ def cmd_simulate(
     return 0
 
 
-def _chunk_overlaps(run_dir: Path, config: EngineConfig) -> dict[int, int]:
-    """Per-chunk overlap with the previous chunk, from the run log when present."""
-    log_path = run_dir / _RUN_LOG
-    if log_path.exists():
-        doc = read_json(log_path, "run log")
-        try:
-            for event in doc.get("events", []):
-                if event.get("event") == "schedule":
-                    return {
-                        int(c["index"]): int(c["overlap_with_prev"]) for c in event["chunks"]
-                    }
-        except (AttributeError, KeyError, TypeError) as e:
-            raise DomainError(f"{log_path}: unreadable run log ({e})") from e
-    return {}
+def _run_config(run_dir: Path) -> EngineConfig:
+    """The config run_dir was simulated with, which eval and report score and stitch by."""
+    path = run_dir / _RESOLVED_CONFIG
+    if not path.exists():
+        raise DomainError(f"{path}: not found; the run's simulate did not finish")
+    return load_config(path)
 
 
-def _chunk_drops(
-    parts: list[MemoryEntry], overlaps: dict[int, int], config: EngineConfig
-) -> list[int]:
-    """Leading frames each chunk loses when stitched: none for the first, its overlap after."""
-    return [0] + [overlaps.get(e.chunk_index, config.scheduler.overlap_frames) for e in parts[1:]]
+def _group_shots(run_dir: Path, bank: MemoryBank) -> dict[str, list[MemoryEntry]]:
+    """Bank entries by shot label, source entries as "source", each in chunk order.
+
+    Every entry's video must lie inside run_dir.
+    """
+    shots: dict[str, list[MemoryEntry]] = {}
+    for e in sorted(bank.entries, key=lambda e: e.chunk_index):
+        label = "source" if e.is_source else e.trajectory.label
+        inside(run_dir, e.video_ref, f"chunk {e.chunk_index} of {label!r}: video_ref",
+               "the run directory")
+        shots.setdefault(label, []).append(e)
+    return shots
 
 
-def _stitch_trajectory(
-    parts: list[MemoryEntry], overlaps: dict[int, int], config: EngineConfig, label: str
-) -> Trajectory:
+def _chunk_drops(parts: list[MemoryEntry], overlap: int) -> list[int]:
+    """Leading frames each chunk loses when stitched; chunk_schedule overlaps all but the first."""
+    return [0] + [overlap] * (len(parts) - 1)
+
+
+def _stitch_trajectory(parts: list[MemoryEntry], overlap: int, label: str) -> Trajectory:
     traj_frames = []
-    for e, drop in zip(parts, _chunk_drops(parts, overlaps, config)):
+    for e, drop in zip(parts, _chunk_drops(parts, overlap)):
         traj_frames.extend(e.trajectory.frames[drop:])
     return Trajectory(frames=tuple(traj_frames), label=label)
 
 
-def _shot_parts(run_dir: Path, bank: MemoryBank, label: str) -> list[MemoryEntry]:
-    """A shot's generated bank entries in chunk order; each video must lie inside run_dir."""
-    parts = sorted(
-        (e for e in bank.entries if e.trajectory.label == label and not e.is_source),
-        key=lambda e: e.chunk_index,
-    )
-    for e in parts:
-        inside(run_dir, e.video_ref, f"chunk {e.chunk_index} of {label!r}: video_ref",
-               "the run directory")
-    return parts
-
-
 def _stitch_videos(
-    run_dir: Path, parts: list[MemoryEntry], traj: Trajectory,
-    overlaps: dict[int, int], config: EngineConfig,
+    run_dir: Path, parts: list[MemoryEntry], traj: Trajectory, overlap: int
 ) -> FrameSequence:
     """A shot's per-chunk videos joined along its stitched trajectory traj.
 
@@ -326,7 +315,7 @@ def _stitch_videos(
     ids = np.empty((len(traj), h, w), dtype=np.int32)
     keys = set()
     pos = 0
-    for e, drop in zip(parts, _chunk_drops(parts, overlaps, config)):
+    for e, drop in zip(parts, _chunk_drops(parts, overlap)):
         seq = load_frames(run_dir / e.video_ref)
         cw, ch = e.trajectory.image_size
         if seq.frames.shape[:3] != (len(e.trajectory), ch, cw):
@@ -350,9 +339,9 @@ def _stitch_videos(
 
 
 def _stream_sync(
-    run_dir: Path, parts: dict[ShotKind, list[MemoryEntry]],
+    run_dir: Path, parts: dict[str, list[MemoryEntry]],
     generated: dict[ShotKind, Trajectory], pairs: list[tuple[ShotKind, ShotKind]],
-    overlaps: dict[int, int], config: EngineConfig,
+    overlap: int,
 ) -> SyncReport:
     """sync_report over pairs, holding a shot's video only from its first pair to its last.
 
@@ -364,7 +353,7 @@ def _stream_sync(
     for i, pair in enumerate(pairs):
         for kind in pair:
             if kind not in videos:
-                videos[kind] = _stitch_videos(run_dir, parts[kind], generated[kind], overlaps, config)
+                videos[kind] = _stitch_videos(run_dir, parts[kind.slug], generated[kind], overlap)
         rows.extend(sync_report(videos, [pair]).rows)
         for kind in pair:
             if last_use[kind] == i:
@@ -375,26 +364,25 @@ def _stream_sync(
 def cmd_eval(config: EngineConfig, run_dir_text: str | None, n_shots: int) -> int:
     run_dir = Path(run_dir_text or config.output.directory)
     bank = MemoryBank.open(run_dir / _BANK_DIR)
+    run_config = _run_config(run_dir)
     kinds = [ShotKind(i) for i in range(1, n_shots + 1)]
     pairs = sync_pairs(n_shots)
     # a pair may name a shot past n_shots: sync_pairs(9) pairs tilt_down with shot 10
     shots = sorted(set(kinds).union(*pairs))
-    parts = {kind: _shot_parts(run_dir, bank, kind.slug) for kind in shots}
-    missing = [kind.slug for kind in shots if not parts[kind]]
+    groups = _group_shots(run_dir, bank)
+    missing = [kind.slug for kind in shots if kind.slug not in groups]
     if missing:
         raise DomainError(f"run is missing generated shots: {', '.join(missing)}")
 
-    overlaps = _chunk_overlaps(run_dir, config)
-    generated = {
-        kind: _stitch_trajectory(parts[kind], overlaps, config, kind.slug) for kind in shots
-    }
+    overlap = run_config.scheduler.overlap_frames
+    generated = {kind: _stitch_trajectory(groups[kind.slug], overlap, kind.slug) for kind in shots}
     total_frames = len(generated[kinds[0]])
     base = bank.source_entry(1).trajectory
     requested = benchmark_suite(
-        base, total_frames, config.shots.magnitudes(), config.shots.lookat_depth
+        base, total_frames, run_config.shots.magnitudes(), run_config.shots.lookat_depth
     )
 
-    sync = _stream_sync(run_dir, parts, generated, pairs, overlaps, config)
+    sync = _stream_sync(run_dir, groups, generated, pairs, overlap)
     pose_rows = []
     for kind in kinds:
         rep = pose_error_report(requested[int(kind) - 1], generated[kind], align=True)
@@ -408,7 +396,7 @@ def cmd_eval(config: EngineConfig, run_dir_text: str | None, n_shots: int) -> in
         csv_lines.append(
             f"{kind.slug}:pose,{rep.frame_count},,{rep.trans_err!r},{rep.rot_err!r},{rep.scale!r}"
         )
-    (run_dir / _REPORT_CSV).write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    write_text(run_dir / _REPORT_CSV, "\n".join(csv_lines) + "\n")
 
     doc = {
         "n_shots": n_shots,
@@ -484,79 +472,66 @@ def cmd_report(config: EngineConfig, run_dir_text: str | None) -> int:
     else:
         warnings_list.append(f"no evaluation report at {report_path}; run eval first")
 
-    bank = None
-    if (run_dir / _BANK_DIR / MANIFEST).exists():
-        bank = MemoryBank.open(run_dir / _BANK_DIR)
-    else:
+    run_config = None
+    groups: dict[str, list[MemoryEntry]] = {}
+    trajs: list[Trajectory] = []
+    if not (run_dir / _BANK_DIR / MANIFEST).exists():
         warnings_list.append(f"no bank at {run_dir / _BANK_DIR}; run simulate first")
+    elif not (run_dir / _RESOLVED_CONFIG).exists():
+        warnings_list.append(f"no config at {run_dir / _RESOLVED_CONFIG}; run simulate first")
+    else:
+        run_config = _run_config(run_dir)
+        print("resolved configuration:")
+        print(json.dumps(config_to_dict(run_config), indent=2, sort_keys=True))
+        groups = _group_shots(run_dir, MemoryBank.open(run_dir / _BANK_DIR))
+        # the source, then every shot by label, each stitched once for the table and the SVG
+        trajs = [
+            _stitch_trajectory(groups[label], run_config.scheduler.overlap_frames, label)
+            for label in sorted(groups, key=lambda label: (label != "source", label))
+        ]
 
-    print("resolved configuration:")
-    print(json.dumps(config_to_dict(config), indent=2, sort_keys=True))
-
+    pose_by_shot = {}
+    match_by_shot: dict[str, list[float]] = {}
+    if report_doc:
+        pose_by_shot = {p["shot"]: p for p in report_doc.get("poses", [])}
+        for rec in report_doc.get("sync", []):
+            for slug in rec["pair"]:
+                match_by_shot.setdefault(slug, []).append(rec["mean_matched_pixels"])
     rows = []
-    if bank is not None:
-        by_label: dict[str, list] = {}
-        for e in bank.entries:
-            if not e.is_source:
-                by_label.setdefault(e.trajectory.label, []).append(e)
-        pose_by_shot = {}
-        match_by_shot: dict[str, list[float]] = {}
-        if report_doc:
-            pose_by_shot = {p["shot"]: p for p in report_doc.get("poses", [])}
-            for rec in report_doc.get("sync", []):
-                for slug in rec["pair"]:
-                    match_by_shot.setdefault(slug, []).append(rec["mean_matched_pixels"])
-        for label in sorted(by_label):
-            entries = by_label[label]
-            frames = sum(len(e.trajectory) for e in entries)
-            pose = pose_by_shot.get(label)
-            matches = match_by_shot.get(label)
-            rows.append({
-                "shot": label,
-                "chunks": len(entries),
-                "frames": frames,
-                "trans_err": None if pose is None else pose["trans_err"],
-                "rot_err": None if pose is None else pose["rot_err"],
-                "mean_matched_pixels": None if not matches else float(np.mean(matches)),
-            })
+    for traj in trajs:
+        if traj.label == "source":
+            continue
+        pose = pose_by_shot.get(traj.label)
+        matches = match_by_shot.get(traj.label)
+        rows.append((
+            traj.label, len(groups[traj.label]), len(traj),
+            None if pose is None else pose["trans_err"],
+            None if pose is None else pose["rot_err"],
+            None if not matches else float(np.mean(matches)),
+        ))
 
     def cell(x) -> str:
         return "-" if x is None else (f"{x:.6g}" if isinstance(x, float) else str(x))
 
-    print("\nper-shot summary:")
-    print(f"{'shot':<28}{'chunks':>7}{'frames':>8}{'trans_err':>12}{'rot_err':>10}{'match_px':>10}")
-    for r in rows:
-        print(
-            f"{r['shot']:<28}{r['chunks']:>7}{r['frames']:>8}"
-            f"{cell(r['trans_err']):>12}{cell(r['rot_err']):>10}{cell(r['mean_matched_pixels']):>10}"
+    def table_row(cells) -> str:
+        return f"{cells[0]:<27} " + " ".join(
+            f"{c:>{w}}" for c, w in zip(cells[1:], (6, 7, 11, 11, 11))
         )
+
+    print("\nper-shot summary:")
+    print(table_row(("shot", "chunks", "frames", "trans_err", "rot_err", "match_px")))
+    for r in rows:
+        print(table_row([cell(x) for x in r]))
     summary_path = run_dir / "report_summary.csv"
     if rows:
         lines = ["shot,chunks,frames,trans_err,rot_err,mean_matched_pixels"]
-        for r in rows:
-            lines.append(
-                f"{r['shot']},{r['chunks']},{r['frames']},"
-                f"{'' if r['trans_err'] is None else repr(r['trans_err'])},"
-                f"{'' if r['rot_err'] is None else repr(r['rot_err'])},"
-                f"{'' if r['mean_matched_pixels'] is None else repr(r['mean_matched_pixels'])}"
-            )
-        run_dir.mkdir(parents=True, exist_ok=True)
-        summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines += [",".join("" if x is None else str(x) for x in r) for r in rows]
+        write_text(summary_path, "\n".join(lines) + "\n")
         print(f"wrote {summary_path}")
 
-    if config.output.emit_svg and bank is not None:
-        overlaps = _chunk_overlaps(run_dir, config)
-        trajs = []
-        source_parts = sorted(
-            (e for e in bank.entries if e.is_source), key=lambda e: e.chunk_index
-        )
-        if source_parts:
-            trajs.append(_stitch_trajectory(source_parts, overlaps, config, "source"))
-        for label in sorted(by_label):
-            entries = sorted(by_label[label], key=lambda e: e.chunk_index)
-            trajs.append(_stitch_trajectory(entries, overlaps, config, label))
+    if config.output.emit_svg and run_config is not None:
         svg_path = run_dir / "trajectories.svg"
-        svg_path.write_text(top_down_svg(trajs, config.frustum), encoding="utf-8")
+        write_text(svg_path, top_down_svg(trajs, run_config.frustum))
         print(f"wrote {svg_path}")
 
     for w in warnings_list:

@@ -127,8 +127,11 @@ def config_from_dict(doc: dict[str, Any]) -> EngineConfig:
         if unknown:
             raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
         try:
-            sections[name] = _SECTIONS[name](**value)
-        except DomainError as e:
+            # an int given for a float field is stored as a float, as --set stores it
+            sections[name] = _SECTIONS[name](
+                **{k: float(v) if types[k] is float else v for k, v in value.items()}
+            )
+        except (DomainError, OverflowError) as e:
             raise ConfigError(f"invalid config section {name!r}: {e}") from e
     return EngineConfig(**sections)
 

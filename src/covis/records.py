@@ -1,6 +1,6 @@
-"""The on-disk JSON contract: one writer, one reader, one field checker, one path rule.
+"""The on-disk contract: one atomic writer, one JSON reader, one field checker, one path rule.
 
-A JSON file lands whole or not at all (a temporary file, then os.replace).
+A file lands whole or not at all (a temporary file, then os.replace).
 A record read back is checked field by field against JSON types, and a
 path it names must resolve inside the directory that holds it.
 """
@@ -18,12 +18,16 @@ from .errors import DomainError
 MANIFEST = "manifest.json"
 
 
-def write_json(path: str | Path, doc: Any) -> None:
-    """Write doc to path atomically: <name>.tmp first, then os.replace."""
+def write_text(path: str | Path, text: str) -> None:
+    """Write text to path atomically: <name>.tmp first, then os.replace."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def write_json(path: str | Path, doc: Any) -> None:
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path: Path, what: str, error: type[Exception] = DomainError) -> Any:

@@ -652,7 +652,7 @@ def test_failed_bank_write_leaves_the_last_manifest_whole(tmp_path, monkeypatch,
     bank_writes = []
 
     def failing_replace(src, dst):
-        if Path(dst).parent.name == "bank":
+        if Path(dst).parent.name == "bank" and Path(dst).name == "manifest.json":
             bank_writes.append(dst)
             if len(bank_writes) == n:
                 raise OSError("no space left on device")
@@ -665,10 +665,116 @@ def test_failed_bank_write_leaves_the_last_manifest_whole(tmp_path, monkeypatch,
     assert [e["insert_seq"] for e in manifest["entries"]] == list(range(1, n))
 
 
-@pytest.mark.parametrize("text", ["[]", '{"events": [1]}', '{"events": [{"event": "schedule"}]}'])
-def test_eval_on_malformed_run_log_exits_2(run_dir, tmp_path, capsys, text):
+@pytest.mark.parametrize("n", [2, 4])
+def test_failed_trajectory_write_leaves_no_partial_trajectory_file(tmp_path, monkeypatch, n):
+    replace = os.replace
+    traj_writes = []
+
+    def failing_replace(src, dst):
+        if Path(dst).parent.name == "bank" and Path(dst).name.startswith("traj_"):
+            traj_writes.append(dst)
+            if len(traj_writes) == n:
+                raise OSError("no space left on device")
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    d = tmp_path / "run"
+    assert main(["simulate", "--out", str(d), *SIM_ARGS]) == 3
+    manifest = json.loads((d / "bank" / "manifest.json").read_text(encoding="utf-8"))
+    assert [e["insert_seq"] for e in manifest["entries"]] == list(range(1, n))
+    # the n-th trajectory never lands, whole or in part; each banked one parses
+    assert sorted(p.name for p in (d / "bank").glob("traj_*.json")) == [
+        e["trajectory"] for e in manifest["entries"]
+    ]
+    MemoryBank.open(d / "bank")
+
+
+# two chunks, [0, 6) and [3, 8), a non-default shot magnitude and overlap
+CONFIG_FLAGS = ["--set", "shots.rotate_angle=0.5", "--set", "scheduler.chunk_frames=6",
+                "--set", "scheduler.overlap_latent=2", "--set", "scheduler.temporal_compression=2"]
+
+
+@pytest.fixture(scope="module")
+def config_run(tmp_path_factory) -> Path:
+    d = tmp_path_factory.mktemp("config_run")
+    assert main(["simulate", "--out", str(d), "--seed", "4", "--frames", "8", "--shots", "1,2,3",
+                 "--set", "scene.point_count=40", *CONFIG_FLAGS]) == 0
+    return d
+
+
+_REPORT_FILES = ["report.json", "report.csv", "report_summary.csv", "trajectories.svg"]
+
+
+def _eval_and_report(run: Path, *flags: str) -> dict[str, bytes]:
+    assert main(["eval", "--run", str(run), "--n-shots", "3", *flags]) == 0
+    assert main(["report", "--run", str(run), *flags]) == 0
+    return {name: (run / name).read_bytes() for name in _REPORT_FILES}
+
+
+def test_eval_scores_a_run_with_the_config_it_was_simulated_with(config_run, tmp_path):
     run = tmp_path / "run"
-    shutil.copytree(run_dir, run)
-    (run / "run_log.json").write_text(text, encoding="utf-8")
-    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
-    assert "unreadable run log" in capsys.readouterr().err
+    shutil.copytree(config_run, run)
+    without = _eval_and_report(run)
+    assert _eval_and_report(run, *CONFIG_FLAGS) == without
+    # the rotation shots turn by 0.5 rad, as simulated, and are scored against that
+    doc = json.loads(without["report.json"])
+    assert all(p["trans_err"] == 0.0 and p["rot_err"] < 1e-5 for p in doc["poses"])
+
+
+def test_eval_and_report_do_not_read_the_run_log(config_run, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(config_run, run)
+    with_log = _eval_and_report(run)
+    (run / "run_log.json").unlink()
+    assert _eval_and_report(run) == with_log
+
+
+def test_report_frames_are_the_stitched_length_and_cells_stay_apart(config_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(config_run, run)
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 0
+    doc = json.loads((run / "report.json").read_text(encoding="utf-8"))
+    doc["poses"][0].update(trans_err=0.0, rot_err=1.47514e-07)  # the widest .6g cells
+    doc["sync"][0].update(mean_matched_pixels=-1.23456e-100)
+    (run / "report.json").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--run", str(run)]) == 0
+    out = capsys.readouterr().out
+    table = out.split("per-shot summary:\n")[1].split("\nwrote ")[0].splitlines()
+    assert table[0].split() == ["shot", "chunks", "frames", "trans_err", "rot_err", "match_px"]
+    rows = [line.split() for line in table[1:]]
+    assert len(rows) == 3 and all(len(cells) == 6 for cells in rows)
+    assert ["rotation_left", "2", "8", "0", "1.47514e-07"] in [cells[:5] for cells in rows]
+    summary = (run / "report_summary.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[1:3] for line in summary[1:]] == [["2", "8"]] * 3
+
+
+@pytest.mark.parametrize("text, code", [
+    (None, 2), ("{oops", 4), ('{"shots": {"rotate_angle": "x"}}', 4),
+], ids=["missing", "not_json", "mistyped"])
+def test_eval_without_a_readable_run_config_names_it(config_run, tmp_path, capsys, text, code):
+    run = tmp_path / "run"
+    shutil.copytree(config_run, run)
+    path = run / "config_resolved.json"
+    if text is None:
+        path.unlink()
+    else:
+        path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == code
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    assert not (run / "report.json").exists()
+
+
+def test_report_without_run_config_warns_and_skips_the_bank(config_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(config_run, run)
+    (run / "config_resolved.json").unlink()
+    capsys.readouterr()
+    assert main(["report", "--run", str(run)]) == 0
+    out = capsys.readouterr().out
+    assert f"warning: no config at {run / 'config_resolved.json'}" in out
+    assert "resolved configuration:" not in out
+    assert not (run / "report_summary.csv").exists()
+    assert not (run / "trajectories.svg").exists()

@@ -184,6 +184,18 @@ def test_config_accepts_an_int_for_a_float_and_null_for_an_optional():
     assert cfg.sampler.jitter_seed is None
 
 
+def test_an_int_for_a_float_is_stored_as_the_float_set_would_store(tmp_path):
+    path = tmp_path / "engine.json"
+    path.write_text(json.dumps({"shots": {"rotate_angle": 1}}), encoding="utf-8")
+    from_file = load_config(path)
+    assert type(from_file.shots.rotate_angle) is float
+    save_config(from_file, tmp_path / "a.json")
+    save_config(apply_overrides(default_config(), ["shots.rotate_angle=1"]), tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    with pytest.raises(ConfigError, match="too large"):
+        config_from_dict({"frustum": {"far": 10 ** 400}})
+
+
 _KEYS = [(section, name) for section, fields in _FIELD_TYPES.items() for name in fields]
 _TEXTS = (
     st.text() | st.integers().map(str) | st.floats().map(repr)
@@ -202,6 +214,19 @@ def test_apply_overrides_gives_a_typed_config_or_config_error(key, text):
     doc = config_to_dict(cfg)
     for section, fields in _FIELD_TYPES.items():
         check_fields(section, doc[section], fields, ConfigError)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_KEYS), _TEXTS), max_size=4))
+def test_a_saved_config_loads_back_to_the_same_bytes(tmp_path_factory, overrides):
+    try:
+        cfg = apply_overrides(default_config(), [f"{s}.{n}={text}" for (s, n), text in overrides])
+    except ConfigError:
+        return
+    d = tmp_path_factory.mktemp("cfg")
+    save_config(cfg, d / "a.json")
+    save_config(load_config(d / "a.json"), d / "b.json")
+    assert (d / "a.json").read_bytes() == (d / "b.json").read_bytes()
 
 
 def test_shot_families_derive_the_magnitude_tables():

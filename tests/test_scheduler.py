@@ -122,6 +122,21 @@ def test_chunk_schedule_coverage(total):
     assert int((coverage == 2).sum()) == twice
 
 
+@settings(max_examples=200)
+@given(st.integers(1, 8), st.integers(1, 5), st.integers(1, 60), st.integers(1, 500))
+def test_chunk_schedule_drops_overlap_frames_after_the_first_chunk(
+    overlap_latent, compression, extra, total
+):
+    # eval stitches a shot by dropping these frames, knowing only the config
+    cfg = SchedulerConfig(overlap_latent=overlap_latent, temporal_compression=compression,
+                          chunk_frames=1 + (overlap_latent - 1) * compression + extra)
+    chunks = chunk_schedule(total, cfg).chunks
+    drops = [c.overlap_with_prev for c in chunks]
+    assert drops == [0] + [cfg.overlap_frames] * (len(chunks) - 1)
+    kept = [f for c, drop in zip(chunks, drops) for f in range(c.start + drop, c.end)]
+    assert kept == list(range(total))
+
+
 def test_overlap_condition_mask():
     cfg = SchedulerConfig()
     mask = overlap_condition_mask(Chunk(72, 165, 21), cfg)

@@ -56,18 +56,14 @@ _REPORT_JSON = "report.json"
 _REPORT_CSV = "report.csv"
 
 
-def _default_base(config: EngineConfig, frame_count: int = 1) -> Trajectory:
-    """Static identity-pose trajectory whose image bounds match the frustum FOVs."""
+def _load_base(config: EngineConfig, path: str | None, frame_count: int = 1) -> Trajectory:
+    """The trajectory at path, else frame_count identity poses sized to the frustum FOVs."""
+    if path is not None:
+        return load_trajectory(path)
     intr = CameraIntrinsics.from_fov(
         config.frustum.fov_h, config.frustum.fov_v, DEFAULT_BASE_WIDTH, DEFAULT_BASE_HEIGHT
     )
     return Trajectory.from_poses([CameraPose.identity()] * frame_count, intr, label="source")
-
-
-def _load_base(config: EngineConfig, path: str | None, frame_count: int = 1) -> Trajectory:
-    if path is None:
-        return _default_base(config, frame_count)
-    return load_trajectory(path)
 
 
 def _shot_file_name(kind: ShotKind) -> str:
@@ -158,6 +154,11 @@ def cmd_simulate(
     config: EngineConfig, source_path: str | None, shots_text: str | None,
     frame_count: int | None,
 ) -> int:
+    # both would fail only after the first bank write, and that bank would block a rerun
+    if not config.retrieval.include_source:
+        raise DomainError("retrieval.include_source=false leaves chunk 1 nothing to retrieve")
+    if config.scheduler.k == 1 and config.retrieval.k != 1:
+        raise DomainError(f"scheduler.k=1 needs retrieval.k=1, got {config.retrieval.k}")
     out_dir = Path(config.output.directory)
     bank_path = out_dir / _BANK_DIR
     if (bank_path / MANIFEST).exists():
@@ -229,14 +230,11 @@ def cmd_simulate(
                 ],
                 "notes": list(plan.notes),
             })
-            final_seq: FrameSequence | None = None
-            for step in plan.steps:
-                if not (step.is_final or config.output.bank_intermediates):
-                    continue  # render is pure, so an unbanked intermediate is never drawn
-                step_seq = render(scene, step.target)
-                if step.is_final:
-                    final_seq = step_seq
-                else:
+            # render is pure, so an unbanked intermediate is never drawn, and the
+            # final step, whose target is target, is drawn below like any other view
+            if config.output.bank_intermediates:
+                for step in plan.steps[:-1]:
+                    step_seq = render(scene, step.target)
                     iref = (
                         f"{_VIDEO_DIR}/s{v:02d}_{target.label}_c{m:02d}_"
                         f"{step.produces.replace(':', '')}"
@@ -244,7 +242,6 @@ def cmd_simulate(
                     save_frames(step_seq, out_dir / iref)
                     bank.append(step.target, iref, m, video_frame_count=step_seq.frame_count)
                     events.append({"event": "banked", "ref": iref, "chunk": m, "source": False})
-            assert final_seq is not None
         else:
             selected = [bank.entries[i] for i, _ in result.ranked]
             context = pad_context(selected, model_k, bank.source_entry(m))
@@ -252,10 +249,10 @@ def cmd_simulate(
                 "event": "context", "view": v, "chunk": m,
                 "refs": [e.insert_seq for e in context],
             })
-            final_seq = render(scene, target)
+        seq = render(scene, target)
         ref = f"{_VIDEO_DIR}/s{v:02d}_{target.label}_c{m:02d}"
-        save_frames(final_seq, out_dir / ref)
-        bank.append(target, ref, m, video_frame_count=final_seq.frame_count)
+        save_frames(seq, out_dir / ref)
+        bank.append(target, ref, m, video_frame_count=seq.frame_count)
         events.append({"event": "banked", "ref": ref, "chunk": m, "source": False})
 
     write_json(out_dir / _RUN_LOG, {"events": events})
@@ -279,11 +276,15 @@ def _run_config(run_dir: Path) -> EngineConfig:
 def _group_shots(run_dir: Path, bank: MemoryBank) -> dict[str, list[MemoryEntry]]:
     """Bank entries by shot label, source entries as "source", each in chunk order.
 
-    Every entry's video must lie inside run_dir.
+    Banked merge intermediates (output.bank_intermediates) are no shot and
+    are left out. Every kept entry's video must lie inside run_dir.
     """
+    labels = {"source"} | {kind.slug for kind in ShotKind}
     shots: dict[str, list[MemoryEntry]] = {}
     for e in sorted(bank.entries, key=lambda e: e.chunk_index):
         label = "source" if e.is_source else e.trajectory.label
+        if label not in labels:
+            continue
         inside(run_dir, e.video_ref, f"chunk {e.chunk_index} of {label!r}: video_ref",
                "the run directory")
         shots.setdefault(label, []).append(e)
@@ -383,21 +384,18 @@ def cmd_eval(config: EngineConfig, run_dir_text: str | None, n_shots: int) -> in
     )
 
     sync = _stream_sync(run_dir, groups, generated, pairs, overlap)
-    pose_rows = []
+    poses = []
     for kind in kinds:
         rep = pose_error_report(requested[int(kind) - 1], generated[kind], align=True)
-        pose_rows.append((kind, rep))
-
-    csv_lines = ["pair,frames,mean_matched_pixels,trans_err,rot_err,scale"]
-    for row in sync.rows:
-        p, q = row.pair
-        csv_lines.append(f"{p.slug}|{q.slug},{row.frames},{row.mean_matched_pixels!r},,,")
-    for kind, rep in pose_rows:
-        csv_lines.append(
-            f"{kind.slug}:pose,{rep.frame_count},,{rep.trans_err!r},{rep.rot_err!r},{rep.scale!r}"
-        )
-    write_text(run_dir / _REPORT_CSV, "\n".join(csv_lines) + "\n")
-
+        poses.append({
+            "shot": kind.slug,
+            "frames": rep.frame_count,
+            "trans_err": rep.trans_err,
+            "trans_err_mean": rep.trans_err_mean,
+            "rot_err": rep.rot_err,
+            "rot_err_mean": rep.rot_err_mean,
+            "scale": rep.scale,
+        })
     doc = {
         "n_shots": n_shots,
         "sync": [
@@ -411,34 +409,34 @@ def cmd_eval(config: EngineConfig, run_dir_text: str | None, n_shots: int) -> in
         ],
         "mean_matched_pixels": sync.mean_matched_pixels,
         "mean_matched_kpx": sync.mean_matched_kpx,
-        "poses": [
-            {
-                "shot": kind.slug,
-                "frames": rep.frame_count,
-                "trans_err": rep.trans_err,
-                "trans_err_mean": rep.trans_err_mean,
-                "rot_err": rep.rot_err,
-                "rot_err_mean": rep.rot_err_mean,
-                "scale": rep.scale,
-            }
-            for kind, rep in pose_rows
-        ],
+        "poses": poses,
     }
+
+    csv_lines = ["pair,frames,mean_matched_pixels,trans_err,rot_err,scale"]
+    for rec in doc["sync"]:
+        p, q = rec["pair"]
+        csv_lines.append(f"{p}|{q},{rec['frames']},{rec['mean_matched_pixels']!r},,,")
+    for rec in poses:
+        csv_lines.append(
+            f"{rec['shot']}:pose,{rec['frames']},,{rec['trans_err']!r},{rec['rot_err']!r},"
+            f"{rec['scale']!r}"
+        )
+    write_text(run_dir / _REPORT_CSV, "\n".join(csv_lines) + "\n")
     write_json(run_dir / _REPORT_JSON, doc)
 
     print(f"sync pairs (n_shots={n_shots}):")
-    for row in sync.rows:
-        p, q = row.pair
+    for rec in doc["sync"]:
+        p, q = rec["pair"]
         print(
-            f"  {p.slug} | {q.slug}: {row.mean_matched_pixels:.1f} px "
-            f"({row.mean_matched_kpx:.3f} k) over {row.frames} frames"
+            f"  {p} | {q}: {rec['mean_matched_pixels']:.1f} px "
+            f"({rec['mean_matched_kpx']:.3f} k) over {rec['frames']} frames"
         )
     print(f"mean matched pixels: {sync.mean_matched_pixels:.1f} ({sync.mean_matched_kpx:.3f} k)")
     print("pose errors (generated vs requested):")
-    for kind, rep in pose_rows:
+    for rec in poses:
         print(
-            f"  {kind.slug}: trans_err={rep.trans_err:.6g} rot_err={rep.rot_err:.6g} "
-            f"scale={rep.scale:.6g}"
+            f"  {rec['shot']}: trans_err={rec['trans_err']:.6g} rot_err={rec['rot_err']:.6g} "
+            f"scale={rec['scale']:.6g}"
         )
     print(f"wrote {run_dir / _REPORT_CSV} and {run_dir / _REPORT_JSON}")
     return 0
@@ -557,6 +555,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override one configuration value (repeatable)")
     common.add_argument("--seed", type=int, help="override scene.seed")
     common.add_argument("--out", help="override output.directory")
+    bank_target = argparse.ArgumentParser(add_help=False)
+    bank_target.add_argument("--bank", required=True)
+    bank_target.add_argument("--target", required=True)
+    bank_target.add_argument("--chunk", type=int, default=1)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--run", help="run directory (default: output.directory)")
 
     p = argparse.ArgumentParser(
         prog="covis",
@@ -568,18 +572,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the twelve benchmark shot trajectories")
     g.add_argument("--base", help="base trajectory file (default: built-in identity base)")
 
-    r = sub.add_parser("retrieve", parents=[common], help="rank bank entries against a target")
-    r.add_argument("--bank", required=True)
-    r.add_argument("--target", required=True)
+    r = sub.add_parser("retrieve", parents=[common, bank_target],
+                       help="rank bank entries against a target")
     r.add_argument("--k", type=int, help="retrieval count (default: retrieval.k)")
-    r.add_argument("--chunk", type=int, default=1)
 
-    pl = sub.add_parser("plan", parents=[common], help="print the context-reduction plan")
-    pl.add_argument("--bank", required=True)
-    pl.add_argument("--target", required=True)
+    pl = sub.add_parser("plan", parents=[common, bank_target],
+                        help="print the context-reduction plan")
     pl.add_argument("--l", type=int, help="retrieval count (default: retrieval.k)")
     pl.add_argument("--k", type=int, help="context size (default: scheduler.k)")
-    pl.add_argument("--chunk", type=int, default=1)
 
     s = sub.add_parser("simulate", parents=[common],
                        help="run retrieval-conditioned generation over chunks and views")
@@ -588,12 +588,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--frames", type=int,
                    help="frame count of the default source (ignored with --source)")
 
-    e = sub.add_parser("eval", parents=[common], help="score a finished run")
-    e.add_argument("--run", help="run directory (default: output.directory)")
+    e = sub.add_parser("eval", parents=[common, run], help="score a finished run")
     e.add_argument("--n-shots", type=int, default=12, choices=[3, 6, 9, 12])
 
-    rp = sub.add_parser("report", parents=[common], help="aggregate tables and SVG for a run")
-    rp.add_argument("--run", help="run directory (default: output.directory)")
+    sub.add_parser("report", parents=[common, run], help="aggregate tables and SVG for a run")
     return p
 
 

@@ -92,15 +92,7 @@ class EngineConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-_SECTIONS = {
-    "frustum": FrustumParams,
-    "sampler": SamplerConfig,
-    "scheduler": SchedulerConfig,
-    "retrieval": RetrievalConfig,
-    "scene": SceneConfig,
-    "shots": ShotsConfig,
-    "output": OutputConfig,
-}
+_SECTIONS = get_type_hints(EngineConfig)
 
 # Per section, each field's declared type, read from the dataclass annotations.
 _FIELD_TYPES = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}

@@ -47,29 +47,9 @@ def align_scale(gt: np.ndarray, pred: np.ndarray) -> float:
     return float((pred * gt).sum()) / denom
 
 
-def trans_err(gt: Trajectory, pred: Trajectory, align: bool = False) -> float:
-    """Summed squared camera-center error, optionally after scale alignment."""
-    if len(gt) != len(pred):
-        raise DomainError(f"frame counts differ: {len(gt)} vs {len(pred)}")
-    g, p = gt.centers(), pred.centers()
-    if align:
-        p = align_scale(g, p) * p
-    return float(((g - p) ** 2).sum())
-
-
 def _geodesic_angle(r_gt: np.ndarray, r_pred: np.ndarray) -> float:
     cos = (float(np.trace(r_gt @ r_pred.T)) - 1.0) / 2.0
     return math.acos(min(1.0, max(-1.0, cos)))
-
-
-def rot_err(gt: Trajectory, pred: Trajectory) -> float:
-    """Summed geodesic rotation error in radians."""
-    if len(gt) != len(pred):
-        raise DomainError(f"frame counts differ: {len(gt)} vs {len(pred)}")
-    return sum(
-        _geodesic_angle(pg.rotation, pp.rotation)
-        for (pg, _), (pp, _) in zip(gt.frames, pred.frames)
-    )
 
 
 @dataclass(frozen=True)
@@ -122,6 +102,16 @@ def pose_error_report(gt: Trajectory, pred: Trajectory, align: bool = True) -> P
         scale=scale,
         per_frame=tuple((float(d), a) for d, a in zip(diffs, angles)),
     )
+
+
+def trans_err(gt: Trajectory, pred: Trajectory, align: bool = False) -> float:
+    """Summed squared camera-center error, optionally after scale alignment."""
+    return pose_error_report(gt, pred, align=align).trans_err
+
+
+def rot_err(gt: Trajectory, pred: Trajectory) -> float:
+    """Summed geodesic rotation error in radians."""
+    return pose_error_report(gt, pred, align=False).rot_err
 
 
 @dataclass(frozen=True)

@@ -45,12 +45,12 @@ def top_down_svg(trajectories: Sequence[Trajectory], params: FrustumParams | Non
         pts.append(centers)
         pose = traj.frames[0][0]
         apex = pose.translation
-        for side in (-1.0, 1.0):
-            corner = apex + pose.rotation @ np.array([side * half_depth * tan_h, 0.0, half_depth])
-            pts.append(corner[None, [0, 2]])
-        a = apex + pose.rotation @ np.array([-half_depth * tan_h, 0.0, half_depth])
-        b = apex + pose.rotation @ np.array([half_depth * tan_h, 0.0, half_depth])
-        footprints.append((apex[[0, 2]], a[[0, 2]], b[[0, 2]]))
+        a, b = (
+            (apex + pose.rotation @ np.array([side * half_depth * tan_h, 0.0, half_depth]))[[0, 2]]
+            for side in (-1.0, 1.0)
+        )
+        pts += [a[None], b[None]]
+        footprints.append((apex[[0, 2]], a, b))
     allpts = np.concatenate(pts) if pts else np.zeros((1, 2))
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
@@ -84,7 +84,7 @@ def top_down_svg(trajectories: Sequence[Trajectory], params: FrustumParams | Non
                 f'stroke="{color}" stroke-width="0.8" stroke-dasharray="3,3"/>'
             )
         # optical axis marker for the first frame
-        fwd = trajectories[i].frames[0][0].forward
+        fwd = traj.frames[0][0].forward
         tip = apex + np.array([fwd[0], fwd[2]])
         tx, ty = to_svg(tip)
         lines.append(

@@ -21,7 +21,7 @@ context slots as it produces) and planning raises a DomainError instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import os
@@ -778,3 +779,57 @@ def test_report_without_run_config_warns_and_skips_the_bank(config_run, tmp_path
     assert "resolved configuration:" not in out
     assert not (run / "report_summary.csv").exists()
     assert not (run / "trajectories.svg").exists()
+
+
+def test_report_lists_only_the_source_and_the_shots(tmp_path):
+    # retrieval.k=8 over a context of 4 plans merges; banked, they are no shots
+    args = ["--seed", "3", "--frames", "8", "--set", "scene.point_count=40",
+            "--set", "retrieval.k=8", *CONFIG_FLAGS]
+    outputs = {}
+    for keep in (False, True):
+        run = tmp_path / f"keep_{keep}"
+        assert main(["simulate", "--out", str(run), *args,
+                     "--set", f"output.bank_intermediates={str(keep).lower()}"]) == 0
+        outputs[keep] = _eval_and_report(run)
+        labels = {e.trajectory.label for e in MemoryBank.open(run / "bank").entries}
+        assert any(label.startswith("merge(") for label in labels) == keep
+    assert outputs[True] == outputs[False]
+    summary = outputs[True]["report_summary.csv"].decode().splitlines()
+    assert sorted(line.split(",")[0] for line in summary[1:]) == sorted(k.slug for k in ShotKind)
+    assert outputs[True]["trajectories.svg"].count(b"<polyline") == 13
+
+
+@pytest.mark.parametrize("flags", [
+    ["retrieval.include_source=false"], ["scheduler.k=1", "retrieval.k=2"],
+], ids=["no_source", "context_1_retrieve_2"])
+def test_simulate_rejects_a_config_it_cannot_finish_before_banking(tmp_path, capsys, flags):
+    d = tmp_path / "run"
+    sets = [arg for flag in flags for arg in ("--set", flag)]
+    args = ["--out", str(d), "--frames", "5", "--shots", "1,2", "--set", "scene.point_count=40"]
+    capsys.readouterr()
+    assert main(["simulate", *args, *sets]) == 2
+    err = capsys.readouterr().err
+    assert flags[0] in err and "Traceback" not in err
+    assert not (d / "bank" / "manifest.json").exists()
+    assert main(["simulate", *args]) == 0
+    # retrieve still takes the setting
+    target = d / "videos" / "s01_rotation_left_c01" / "trajectory.json"
+    assert main(["retrieve", "--bank", str(d / "bank"), "--target", str(target), *sets]) == 0
+
+
+_COMMON_FLAGS = {"-h", "--help", "--config", "--set", "--seed", "--out"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("gen-benchmark", {"--base"}),
+    ("retrieve", {"--bank", "--target", "--chunk", "--k"}),
+    ("plan", {"--bank", "--target", "--chunk", "--l", "--k"}),
+    ("simulate", {"--source", "--shots", "--frames"}),
+    ("eval", {"--run", "--n-shots"}),
+    ("report", {"--run"}),
+])
+def test_each_subcommand_accepts_exactly_its_flags(command, flags):
+    parser = covis.cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices[command]
+    assert {s for a in sub._actions for s in a.option_strings} == _COMMON_FLAGS | flags

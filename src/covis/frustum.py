@@ -205,51 +205,53 @@ def frame_covisibility(a: Frustum, b: Frustum, cfg: SamplerConfig | None = None)
 
 
 # Samples per kernel block. 12,288 (32 frames of the default 384-point
-# lattice) keep each (frames, P, 3) temporary near 300 KB, so a block stays in
+# lattice) keep each (frames, 3, P) temporary near 300 KB, so a block stays in
 # a core's L2 cache; one 93-frame block ran about 2x slower per frame.
 _BLOCK_SAMPLES = 12288
 
 
-def _samples_in_view(
-    lattice: np.ndarray, rot_s: np.ndarray, cen_s: np.ndarray,
-    rot_v: np.ndarray, cen_v: np.ndarray,
-) -> np.ndarray:
-    """Lattice samples of frustum stack s in the local frames of stack v, (F, P, 3).
-
-    Frame f equals (sample_points(s_f) - v_f.apex) @ v_f.orientation bit for
-    bit: the same (P, 3) @ (3, 3) matmuls and the same scalar additions.
-    """
-    pts = lattice @ np.ascontiguousarray(rot_s.transpose(0, 2, 1))
-    # One coordinate at a time: an (F, P) column plus a per-frame scalar runs
-    # about 3x faster than a broadcast over the length-3 last axis.
-    for k in range(3):
-        col = pts[..., k]
-        col += cen_s[:, k, None]
-        col -= cen_v[:, k, None]
-    return np.matmul(pts, rot_v)
-
-
-def stacked_covisibility(
-    rot_a: np.ndarray, cen_a: np.ndarray, rot_b: np.ndarray, cen_b: np.ndarray,
+def pool_covisibility(
+    rot_a: np.ndarray, cen_a: np.ndarray, stacks: list[tuple[np.ndarray, np.ndarray]],
     cfg: SamplerConfig | None = None, params: FrustumParams | None = None,
 ) -> np.ndarray:
-    """Per-frame co-visibility of two equal-length frustum stacks, shape (F,).
+    """Per-frame co-visibility of stack a against each (rotations, centers) stack, (E, F).
 
-    Frame f is scored between the frustums with rotation rot_*[f] (F, 3, 3)
-    and apex cen_*[f] (F, 3), both shaped by params. Each element equals
-    frame_covisibility of that frame's pair bit for bit (see
-    _samples_in_view). Frames are scored in blocks, and no sample tensor
-    outlives its block.
+    Rotations are (F, 3, 3), apexes (F, 3), every frustum shaped by params.
+    Element [e, f] equals frame_covisibility of frame f of a and of entry e
+    bit for bit (see _view_local). Blocks of frames are the outer loop, so a's
+    world samples are built once per block for the whole pool. Scratch is per call.
     """
     cfg = cfg or SamplerConfig()
     params = params or FrustumParams()
     shape = (params.fov_h, params.fov_v, params.near, params.far)
-    lattice = _local_lattice(cfg.grid_w, cfg.grid_h, cfg.depth_slices, cfg.jitter_seed, *shape)
-    counts = np.empty(len(rot_a), dtype=np.int64)
+    lattice = _local_lattice(cfg.grid_w, cfg.grid_h, cfg.depth_slices, cfg.jitter_seed, *shape).T
     step = max(1, _BLOCK_SAMPLES // cfg.point_count)
+    counts = np.zeros((len(stacks), len(rot_a)), dtype=np.int64)
+    bufs = [np.empty((min(step, len(rot_a)), 3, cfg.point_count)) for _ in range(4)]
     for f in range(0, len(rot_a), step):
-        ra, ca, rb, cb = (x[f:f + step] for x in (rot_a, cen_a, rot_b, cen_b))
-        in_b = _inside_local(_samples_in_view(lattice, ra, ca, rb, cb), *shape).sum(axis=1)
-        in_a = _inside_local(_samples_in_view(lattice, rb, cb, ra, ca), *shape).sum(axis=1)
-        counts[f:f + step] = in_b + in_a
+        blk = slice(f, f + step)
+        world_a, world_b, buf, loc = (b[:len(rot_a[blk])] for b in bufs)
+        _world_samples(lattice, rot_a[blk], cen_a[blk], world_a)
+        for e, (rot_b, cen_b) in enumerate(stacks):
+            _world_samples(lattice, rot_b[blk], cen_b[blk], world_b)
+            for world, rot_v, cen_v in ((world_a, rot_b, cen_b), (world_b, rot_a, cen_a)):
+                local = _view_local(world, rot_v[blk], cen_v[blk], buf, loc)
+                counts[e, blk] += np.count_nonzero(_inside_local(local, *shape), axis=1)
     return counts / (2.0 * cfg.point_count)
+
+
+def _world_samples(lattice: np.ndarray, rot: np.ndarray, cen: np.ndarray, out: np.ndarray) -> None:
+    """Lattice (3, P) placed in frustums (rot, cen), written to out as (n, 3, P)."""
+    np.matmul(rot, lattice, out=out)
+    out += cen[:, :, None]
+
+
+def _view_local(world, rot_v, cen_v, buf, loc) -> np.ndarray:
+    """World samples (n, 3, P) in frustums (rot_v, cen_v)'s local frames, (n, P, 3) view of loc.
+
+    Frame f equals (sample_points(s_f) - v_f.apex) @ v_f.orientation bit for
+    bit: the same (P, 3) @ (3, 3) operand order. A contiguous rot_v^T @ buf
+    misses in the last bit at P = 1, where numpy takes its matrix-vector path.
+    """
+    np.subtract(world, cen_v[:, :, None], out=buf)
+    return np.matmul(buf.transpose(0, 2, 1), rot_v, out=loc.transpose(0, 2, 1))

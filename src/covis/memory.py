@@ -8,12 +8,11 @@ mean per-frame frustum co-visibility and returns the top k, most recent
 first on ties. Entries whose frame count differs from the target's are
 skipped and counted.
 
-Scoring one pair is a single numpy pass over all F frames
-(frustum.stacked_covisibility) on the pose stacks that each Trajectory
-caches on first use: read-only rotations (F, 3, 3) and centers (F, 3),
-about 9 KB per 93-frame entry. The per-frame scores are then summed in
-frame order, so every score equals a Python loop over frame_covisibility
-bit for bit and run logs do not depend on the kernel.
+A retrieval scores its whole pool in one frustum.pool_covisibility call,
+and trajectory_similarity is that call on a one-entry pool. The kernel
+reads the pose stacks each Trajectory caches on first use, about 9 KB per
+93-frame entry. Each entry's per-frame scores are summed in frame order,
+so every score equals a Python loop over frame_covisibility bit for bit.
 
 Appends are serialized by a lock (single-writer contract); scoring reads an
 immutable snapshot of the entries, so it may run concurrently with other
@@ -31,9 +30,8 @@ import numpy as np
 
 from .camera import Trajectory, load_trajectory, save_trajectory
 from .errors import DomainError
-from .frustum import FrustumParams, SamplerConfig, stacked_covisibility
-# Unused here since scoring went to stacked_covisibility; perfbench/tracer.py
-# still wraps covis.memory.frame_covisibility by name.
+from .frustum import FrustumParams, SamplerConfig, pool_covisibility
+# Unused here; kept because perfbench/tracer.py wraps covis.memory.frame_covisibility.
 from .frustum import frame_covisibility  # noqa: F401
 from .records import MANIFEST, check_fields, inside, read_json, write_json
 
@@ -48,7 +46,7 @@ class MemoryEntry:
     """One remembered video: its trajectory, an opaque video reference, and bookkeeping.
 
     video_ref is an identifier or path; the bank never dereferences it.
-    insert_seq is assigned by the bank and is strictly increasing.
+    insert_seq is assigned by the bank: the entry's 1-based position in it.
     """
 
     trajectory: Trajectory
@@ -73,10 +71,14 @@ def trajectory_similarity(
     """Mean per-frame frustum co-visibility of two equal-length trajectories."""
     if len(a) != len(b):
         raise DomainError(f"frame counts differ: {len(a)} vs {len(b)}")
-    scores = stacked_covisibility(*a.pose_stack, *b.pose_stack, cfg, params)
-    # cumsum adds in frame order like a Python loop; sum() adds pairwise and
-    # may differ in the last bit.
-    return float(np.cumsum(scores)[-1]) / len(a)
+    return _similarities(a, [b], cfg, params)[0]
+
+
+def _similarities(target: Trajectory, pool: Sequence[Trajectory], cfg, params) -> list[float]:
+    """trajectory_similarity of target against each pool trajectory of its length."""
+    per_frame = pool_covisibility(*target.pose_stack, [t.pose_stack for t in pool], cfg, params)
+    # cumsum adds in frame order like a Python loop; sum() may differ in the last bit
+    return (np.cumsum(per_frame, axis=1)[:, -1] / len(target)).tolist()
 
 
 @dataclass(frozen=True)
@@ -198,16 +200,15 @@ class MemoryBank:
         assert self.directory is not None
         path = self.directory / MANIFEST
         manifest = check_fields(str(path), read_json(path, "bank manifest"), {"entries": list})
-        prev_seq = 0
         for n, rec in enumerate(manifest["entries"]):
             check_fields(f"{path}: entry {n}", rec, _RECORD_FIELDS)
-            seq = rec["insert_seq"]
-            if seq <= prev_seq:
-                raise DomainError(f"{path}: insert_seq not strictly increasing at {seq}")
-            prev_seq = seq
             traj_path = inside(
                 self.directory, rec["trajectory"], f"{path}: entry {n} trajectory", "the bank"
             )
+            # append's numbering and naming; anything else lets a later append reuse a seq or file
+            seq, name = n + 1, self._traj_name(n + 1)
+            if (rec["insert_seq"], rec["trajectory"]) != (seq, name):
+                raise DomainError(f"{path}: entry {n} needs insert_seq {seq} and trajectory {name}")
             entry = MemoryEntry(
                 trajectory=load_trajectory(traj_path),
                 video_ref=rec["video_ref"],
@@ -256,7 +257,7 @@ def retrieve_top_k(
     if not pool:
         why = f" ({skipped} skipped for frame count != {len(target)})" if skipped else ""
         raise DomainError(f"no retrievable entries for chunk {chunk_index}{why}")
-    scores = [trajectory_similarity(target, e.trajectory, cfg, params) for _, e in pool]
+    scores = _similarities(target, [e.trajectory for _, e in pool], cfg, params)
     seq_sign = -1 if tie_rule == "recent_first" else 1
     order = sorted(
         range(len(pool)), key=lambda j: (-scores[j], seq_sign * pool[j][1].insert_seq)

@@ -223,11 +223,8 @@ def covisible_fraction(scene: SceneModel, a: Trajectory, b: Trajectory, far: flo
     if len(a) != len(b):
         raise DomainError(f"frame counts differ: {len(a)} vs {len(b)}")
     total = 0.0
-    for f in range(len(a)):
-        pa, ia = a.frames[f]
-        pb, ib = b.frames[f]
-        va = _visible_mask(scene, f, pa, ia, far)
-        vb = _visible_mask(scene, f, pb, ib, far)
+    for f, ((pa, ia), (pb, ib)) in enumerate(zip(a.frames, b.frames)):
+        va, vb = _visible_mask(scene, f, pa, ia, far), _visible_mask(scene, f, pb, ib, far)
         union = int((va | vb).sum())
         if union:
             total += int((va & vb).sum()) / union

@@ -16,11 +16,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Every span tracer.install adds except frustum.covis, which retrieval no
-# longer calls (it scores whole trajectories with stacked_covisibility).
+# Every span tracer.install adds except frustum.covis and memory.similarity:
+# retrieval calls neither frame_covisibility nor trajectory_similarity, since
+# it scores the whole pool in one pool_covisibility call.
 EXPECTED_SPANS = {
     "camera.traj_load",
-    "memory.append", "memory.open", "memory.retrieve", "memory.similarity",
+    "memory.append", "memory.open", "memory.retrieve",
     "scheduler.plan",
     "trajectory_ops.merge", "trajectory_ops.suite",
     "scene.render", "scene.save", "scene.load",

@@ -604,6 +604,22 @@ def test_retrieve_on_damaged_manifest_exits_2_or_3(damage):
         assert main(["retrieve", "--bank", str(bank_dir), "--target", str(target)]) in (2, 3)
 
 
+@pytest.mark.parametrize("field, value", [("insert_seq", 5), ("trajectory", "traj_000003.json")],
+                         ids=["seq_gap", "misnamed_file"])
+def test_retrieve_on_bank_out_of_sequence_exits_2(tmp_path, capsys, field, value):
+    # an append would give either bank seq 3 in traj_000003.json: after
+    # [1, 5] it no longer reopens, and entry 2's file would be overwritten
+    bank_dir, target = _write_bank(tmp_path)
+    manifest_path = bank_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["entries"][1][field] = value
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    if field == "trajectory":
+        (bank_dir / "traj_000002.json").rename(bank_dir / value)
+    assert main(["retrieve", "--bank", str(bank_dir), "--target", str(target)]) == 2
+    assert "needs insert_seq 2 and trajectory traj_000002.json" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["[]", "3", '{"entries": {}}', '{"entries": [1]}'])
 def test_retrieve_on_malformed_manifest_exits_2(tmp_path, text):
     bank_dir, target = _write_bank(tmp_path)

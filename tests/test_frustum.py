@@ -21,7 +21,7 @@ from covis import (
     frame_covisibility,
     sample_points,
 )
-from covis.frustum import _local_lattice, _samples_in_view
+from covis.frustum import _local_lattice, _view_local, _world_samples
 
 from helpers import random_pose, random_rotation
 
@@ -228,12 +228,16 @@ def test_covisibility_monotone_under_far_shrink():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seeds, st.integers(1, 40), st.none() | st.integers(0, 2**32 - 1), st.booleans())
-def test_stacked_samples_match_per_frame_bits(seed, frames, jitter, default_params):
-    # counts hide last-bit differences, so compare the local coordinates themselves
+@given(
+    seeds, st.integers(1, 40), st.none() | st.integers(0, 2**32 - 1), st.booleans(),
+    st.sampled_from([(3, 2, 5), (1, 1, 1)]),
+)
+def test_stacked_samples_match_per_frame_bits(seed, frames, jitter, default_params, grid):
+    # counts hide last-bit differences, so compare the local coordinates
+    # themselves; a 1x1x1 grid (P = 1) checks numpy's matrix-vector path too
     rng = np.random.default_rng(seed)
     params = FrustumParams() if default_params else FrustumParams(1.1, 0.7, 0.5, 6.0)
-    cfg = SamplerConfig(grid_w=3, grid_h=2, depth_slices=5, jitter_seed=jitter)
+    cfg = SamplerConfig(*grid, jitter_seed=jitter)
     poses_s = [random_pose(rng) for _ in range(frames)]
     poses_v = [random_pose(rng) for _ in range(frames)]
 
@@ -244,7 +248,9 @@ def test_stacked_samples_match_per_frame_bits(seed, frames, jitter, default_para
         cfg.grid_w, cfg.grid_h, cfg.depth_slices, cfg.jitter_seed,
         params.fov_h, params.fov_v, params.near, params.far,
     )
-    local = _samples_in_view(lattice, *stack(poses_s), *stack(poses_v))
+    world = np.empty((frames, 3, cfg.point_count))
+    _world_samples(lattice.T, *stack(poses_s), world)
+    local = _view_local(world, *stack(poses_v), np.empty_like(world), np.empty_like(world))
     for f, (ps, pv) in enumerate(zip(poses_s, poses_v)):
         fs, fv = params.build(ps), params.build(pv)
         assert np.array_equal(local[f], (sample_points(fs, cfg) - fv.apex) @ fv.orientation)

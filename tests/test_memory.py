@@ -22,7 +22,7 @@ from covis import (
     retrieve_top_k,
     trajectory_similarity,
 )
-from covis.frustum import stacked_covisibility
+from covis.frustum import pool_covisibility
 
 from helpers import (
     aimed_trajectory,
@@ -112,29 +112,55 @@ frustum_params = st.builds(
 )
 
 
+# Sampler grids: P = 120; P = 3,072 (4 frames per kernel block, so 5 or
+# more frames cross a block boundary); P = 1 (numpy's matrix-vector path);
+# and P = 12,480, past the 12,288-sample block, so every block is one frame.
+sampler_grids = st.sampled_from([(5, 4, 6), (32, 24, 4), (1, 1, 1), (65, 64, 3)])
+layouts = st.sampled_from(["random", "identical", "disjoint", "mixed"])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    seeds, st.integers(1, 12),
-    st.sampled_from(["random", "identical", "disjoint", "mixed"]),
-    st.none() | st.integers(0, 2**32 - 1),
-    st.none() | frustum_params,
+    seeds, st.integers(1, 12), st.lists(layouts, min_size=1, max_size=6),
+    st.none() | st.integers(0, 2**32 - 1), st.none() | frustum_params, sampler_grids,
+    st.lists(st.integers(0, 6), max_size=3),
 )
-def test_similarity_equals_frame_loop_exactly(seed, frames, layout, jitter, params):
+def test_similarity_equals_frame_loop_exactly(seed, frames, pool_layouts, jitter, params, grid,
+                                              skipped_at):
     rng = np.random.default_rng(seed)
     a = random_trajectory(rng, frame_count=frames)
-    b = paired_trajectory(rng, a, layout)
-    cfg = SamplerConfig(grid_w=5, grid_h=4, depth_slices=6, jitter_seed=jitter)
+    pool = [paired_trajectory(rng, a, layout) for layout in pool_layouts]
+    cfg = SamplerConfig(*grid, jitter_seed=jitter)
     ref_params = params or FrustumParams()
-    per_frame = stacked_covisibility(*a.pose_stack, *b.pose_stack, cfg, params)
-    assert per_frame.tolist() == [
-        frame_covisibility(ref_params.build(pa), ref_params.build(pb), cfg)
-        for pa, pb in zip(a.poses, b.poses)
-    ]
-    assert trajectory_similarity(a, b, cfg, params) == loop_similarity(a, b, cfg, ref_params)
-    if layout == "identical":
-        assert trajectory_similarity(a, b, cfg, params) == 1.0
-    if layout == "disjoint":
-        assert trajectory_similarity(a, b, cfg, params) == 0.0
+    per_frame = pool_covisibility(*a.pose_stack, [b.pose_stack for b in pool], cfg, params)
+    assert per_frame.shape == (len(pool), frames)
+    for b, row, layout in zip(pool, per_frame, pool_layouts):
+        assert row.tolist() == [
+            frame_covisibility(ref_params.build(pa), ref_params.build(pb), cfg)
+            for pa, pb in zip(a.poses, b.poses)
+        ]
+        assert trajectory_similarity(a, b, cfg, params) == loop_similarity(a, b, cfg, ref_params)
+        if layout == "identical":
+            assert trajectory_similarity(a, b, cfg, params) == 1.0
+        if layout == "disjoint":
+            assert trajectory_similarity(a, b, cfg, params) == 0.0
+
+    # retrieval ranks the same scores, most recent first on ties, and skips
+    # entries of another frame count wherever they sit in the bank
+    bank = MemoryBank()
+    for j in range(7):
+        if j in skipped_at:
+            bank.append(random_trajectory(rng, frame_count=frames + 1), f"skip{j}", 1)
+        if j < len(pool):
+            bank.append(pool[j], f"v{j}", 1)
+    result = retrieve_top_k(bank, a, len(bank), 1, cfg, params)
+    expected = sorted(
+        ((i, trajectory_similarity(a, e.trajectory, cfg, params))
+         for i, e in enumerate(bank.entries) if len(e.trajectory) == frames),
+        key=lambda r: (-r[1], -bank.entries[r[0]].insert_seq),
+    )
+    assert result.ranked == tuple(expected)
+    assert result.skipped == len(set(skipped_at))
 
 
 def test_pose_stack_is_cached_and_read_only():

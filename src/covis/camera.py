@@ -40,10 +40,54 @@ def _readonly(a: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
     out = np.array(a, dtype=np.float64, copy=True)
     if out.shape != shape:
         raise DomainError(f"{what}: expected shape {shape}, got {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"{what}: non-finite values")
     out.setflags(write=False)
     return out
+
+
+def _is_size(x: object) -> bool:
+    """True for an image dimension: an integer (not a bool) of at least 1."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
+
+
+def _reject(bad: np.ndarray, prefix: str, message) -> None:
+    """DomainError prefix.format(f) + message(f) for the first frame f that bad marks."""
+    if bad.any():
+        f = int(np.argmax(bad))
+        raise DomainError(prefix.format(f) + message(f))
+
+
+def _check_poses(rotations: np.ndarray, centers: np.ndarray, prefix: str = "frame {}: ") -> None:
+    """CameraPose's rules over (F, 3, 3) rotations and (F, 3) centers."""
+    for what, arr in (("rotation", rotations), ("translation", centers)):
+        _reject(~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1), prefix,
+                lambda f: f"{what} has non-finite values {arr[f].tolist()}")
+    err = np.abs(np.matmul(rotations.transpose(0, 2, 1), rotations) - np.eye(3)).max(axis=(1, 2))
+    _reject(err > ORTHONORMAL_TOL, prefix,
+            lambda f: f"rotation is not orthonormal (max residual {err[f]:.3e})")
+    det = np.linalg.det(rotations)
+    _reject(np.abs(det - 1.0) > ORTHONORMAL_TOL, prefix,
+            lambda f: f"rotation determinant must be +1, got {float(det[f])!r}")
+
+
+def _check_intrinsics(
+    intrinsics: np.ndarray, sizes: Sequence[tuple[object, object]], prefix: str = "frame {}: "
+) -> tuple[int, int]:
+    """CameraIntrinsics' rules over (F, 4) fx, fy, cx, cy rows and (width, height) per frame.
+
+    Returns the one image size every frame must share.
+    """
+    _reject(~np.isfinite(intrinsics).all(axis=1), prefix,
+            lambda f: f"intrinsics has non-finite values {intrinsics[f].tolist()}")
+    fx, fy = intrinsics[:, 0], intrinsics[:, 1]
+    _reject(~((fx > 0.0) & (fy > 0.0)), prefix,
+            lambda f: f"focal lengths must be positive, got fx={fx[f]}, fy={fy[f]}")
+    w, h = sizes[0]
+    for f, (fw, fh) in enumerate(sizes):
+        if not (_is_size(fw) and _is_size(fh)):
+            raise DomainError(prefix.format(f) + f"image size must be integers >= 1, got {fw!r}x{fh!r}")
+        if (fw, fh) != (w, h):
+            raise DomainError(f"frame {f} has image size {fw}x{fh}, expected {w}x{h}")
+    return int(w), int(h)
 
 
 @dataclass(frozen=True)
@@ -62,10 +106,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self) -> None:
-        if not (self.fx > 0.0 and self.fy > 0.0):
-            raise DomainError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
-        if self.width < 1 or self.height < 1:
-            raise DomainError(f"image size must be >= 1x1, got {self.width}x{self.height}")
+        k = np.array([[self.fx, self.fy, self.cx, self.cy]], dtype=np.float64)
+        _check_intrinsics(k, [(self.width, self.height)], prefix="")
 
     @classmethod
     def from_fov(cls, fov_h: float, fov_v: float, width: int, height: int) -> "CameraIntrinsics":
@@ -90,12 +132,7 @@ class CameraPose:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rotation", _readonly(self.rotation, (3, 3), "rotation"))
         object.__setattr__(self, "translation", _readonly(self.translation, (3,), "translation"))
-        err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
-        if err > ORTHONORMAL_TOL:
-            raise DomainError(f"rotation is not orthonormal (max residual {err:.3e})")
-        det = float(np.linalg.det(self.rotation))
-        if abs(det - 1.0) > ORTHONORMAL_TOL:
-            raise DomainError(f"rotation determinant must be +1, got {det!r}")
+        _check_poses(self.rotation[None], self.translation[None], prefix="")
 
     @classmethod
     def identity(cls) -> "CameraPose":
@@ -149,24 +186,52 @@ def relative_pose(a: CameraPose, b: CameraPose) -> CameraPose:
     return CameraPose(rotation=rt @ b.rotation, translation=rt @ (b.translation - a.translation))
 
 
-@dataclass(frozen=True)
+def _check_frames(
+    rotations: np.ndarray, centers: np.ndarray, intrinsics: np.ndarray,
+    sizes: Sequence[tuple[object, object]],
+) -> tuple[int, int]:
+    """Stacks of F >= 1 frames checked by CameraPose's and CameraIntrinsics' rules in one pass.
+
+    Errors name the first offending frame. Returns the shared image size.
+    """
+    n = len(rotations)
+    if n < 1:
+        raise DomainError("trajectory needs at least one frame")
+    for what, arr, shape in (("rotations", rotations, (n, 3, 3)), ("centers", centers, (n, 3)),
+                             ("intrinsics", intrinsics, (n, 4))):
+        if arr.shape != shape:
+            raise DomainError(f"{what}: expected shape {shape}, got {arr.shape}")
+    _check_poses(rotations, centers)
+    return _check_intrinsics(intrinsics, sizes)
+
+
 class Trajectory:
-    """A sequence of (pose, intrinsics) frames sharing one image size."""
+    """A sequence of (pose, intrinsics) frames sharing one image size.
 
-    frames: tuple[tuple[CameraPose, CameraIntrinsics], ...]
-    label: str = ""
+    The frames are held as three read-only stacks, checked in one vectorised
+    pass: rotations (F, 3, 3), camera centers (F, 3) and intrinsics (F, 4)
+    as fx, fy, cx, cy, beside the one (width, height). frames and poses
+    build CameraPose and CameraIntrinsics objects only when first asked for.
+    """
 
-    def __post_init__(self) -> None:
-        frames = tuple((p, i) for p, i in self.frames)
-        object.__setattr__(self, "frames", frames)
-        if len(frames) < 1:
-            raise DomainError("trajectory needs at least one frame")
-        w, h = frames[0][1].width, frames[0][1].height
-        for idx, (_, intr) in enumerate(frames):
-            if intr.width != w or intr.height != h:
-                raise DomainError(
-                    f"frame {idx} has image size {intr.width}x{intr.height}, expected {w}x{h}"
-                )
+    def __init__(
+        self, frames: Sequence[tuple[CameraPose, CameraIntrinsics]] = (), label: str = ""
+    ) -> None:
+        frames = tuple((p, i) for p, i in frames)
+        stacks = (np.array([p.rotation for p, _ in frames]).reshape(-1, 3, 3),
+                  np.array([p.translation for p, _ in frames]).reshape(-1, 3),
+                  np.array([(i.fx, i.fy, i.cx, i.cy) for _, i in frames], dtype=np.float64).reshape(-1, 4))
+        _trusted(stacks, _check_frames(*stacks, [(i.width, i.height) for _, i in frames]), label, self)
+        self.__dict__["frames"] = frames
+
+    @classmethod
+    def from_stacks(
+        cls, rotations: np.ndarray, centers: np.ndarray, intrinsics: np.ndarray,
+        image_size: tuple[int, int], label: str = "",
+    ) -> "Trajectory":
+        """A trajectory over copies of (F, 3, 3) rotations, (F, 3) centers, (F, 4) intrinsics."""
+        stacks = [np.array(a, dtype=np.float64) for a in (rotations, centers, intrinsics)]
+        return _trusted(stacks, _check_frames(*stacks, [image_size] * len(stacks[0])), label)
 
     @classmethod
     def from_poses(
@@ -175,41 +240,57 @@ class Trajectory:
         return cls(frames=tuple((p, intrinsics) for p in poses), label=label)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self._stacks[0])
 
     def __iter__(self) -> Iterator[tuple[CameraPose, CameraIntrinsics]]:
         return iter(self.frames)
+
+    @cached_property
+    def frames(self) -> tuple[tuple[CameraPose, CameraIntrinsics], ...]:
+        """(pose, intrinsics) per frame, built from the stacks on first use."""
+        rotations, centers, intrinsics = self._stacks
+        w, h = self.image_size
+        return tuple(
+            (CameraPose(rotation=r, translation=c), CameraIntrinsics(*k, width=w, height=h))
+            for r, c, k in zip(rotations, centers, intrinsics.tolist())
+        )
 
     @property
     def poses(self) -> tuple[CameraPose, ...]:
         return tuple(p for p, _ in self.frames)
 
-    @property
-    def image_size(self) -> tuple[int, int]:
-        """(width, height) shared by every frame."""
-        intr = self.frames[0][1]
-        return intr.width, intr.height
-
     def centers(self) -> np.ndarray:
-        """(F, 3) array of camera centers."""
-        return np.stack([p.translation for p, _ in self.frames])
+        """(F, 3) array of camera centers, a writable copy."""
+        return self._stacks[1].copy()
 
-    @cached_property
+    @property
     def pose_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only rotations (F, 3, 3) and centers (F, 3), stacked on first use."""
-        rotations = np.stack([p.rotation for p, _ in self.frames])
-        centers = self.centers()
-        rotations.setflags(write=False)
-        centers.setflags(write=False)
-        return rotations, centers
+        """Read-only rotations (F, 3, 3) and centers (F, 3)."""
+        return self._stacks[0], self._stacks[1]
+
+    @property
+    def intrinsics_stack(self) -> np.ndarray:
+        """Read-only (F, 4) intrinsics, one fx, fy, cx, cy row per frame."""
+        return self._stacks[2]
 
     def slice_frames(self, start: int, stop: int) -> "Trajectory":
-        if not (0 <= start < stop <= len(self.frames)):
-            raise DomainError(f"invalid frame slice [{start}, {stop}) for length {len(self.frames)}")
-        return Trajectory(frames=self.frames[start:stop], label=self.label)
+        if not (0 <= start < stop <= len(self)):
+            raise DomainError(f"invalid frame slice [{start}, {stop}) for length {len(self)}")
+        return _trusted([s[start:stop] for s in self._stacks], self.image_size, self.label)
 
     def with_label(self, label: str) -> "Trajectory":
-        return Trajectory(frames=self.frames, label=label)
+        return _trusted(self._stacks, self.image_size, label)
+
+
+def _trusted(
+    stacks: Sequence[np.ndarray], image_size: tuple[int, int], label: str, traj: Trajectory | None = None
+) -> Trajectory:
+    """traj (by default a new trajectory) over stacks that are already checked, made read-only."""
+    traj = Trajectory.__new__(Trajectory) if traj is None else traj
+    for a in stacks:
+        a.setflags(write=False)
+    traj._stacks, traj.image_size, traj.label = tuple(stacks), image_size, label
+    return traj
 
 
 def pixel_ray(
@@ -284,66 +365,64 @@ def plucker_raymap(traj: Trajectory, downsample: int = 1) -> PluckerRayMap:
     us = (np.arange(gw) + 0.5) * downsample
     vs = (np.arange(gh) + 0.5) * downsample
     out = np.empty((len(traj), gh, gw, 6))
-    for f, (pose, intr) in enumerate(traj.frames):
-        x = (us[None, :] - intr.cx) / intr.fx
-        y = (vs[:, None] - intr.cy) / intr.fy
+    for f, (rotation, center, (fx, fy, cx, cy)) in enumerate(zip(*traj.pose_stack, traj.intrinsics_stack)):
+        x = (us[None, :] - cx) / fx
+        y = (vs[:, None] - cy) / fy
         d = np.stack([np.broadcast_to(x, (gh, gw)), np.broadcast_to(y, (gh, gw)), np.ones((gh, gw))], axis=-1)
         d /= np.linalg.norm(d, axis=-1, keepdims=True)
-        d = d @ pose.rotation.T
-        m = np.cross(np.broadcast_to(pose.translation, d.shape), d)
+        d = d @ rotation.T
+        m = np.cross(np.broadcast_to(center, d.shape), d)
         out[f, ..., :3] = d
         out[f, ..., 3:] = m
     return PluckerRayMap(rays=out)
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits: enough for an exact float64 round trip.
-    return format(float(x), ".17g")
-
-
 def save_trajectory(traj: Trajectory, path: str | Path) -> None:
     """Write a trajectory file (JSON, bit-exact float round trip)."""
-    lines = [
+    w, h = traj.image_size
+    rotations, centers = traj.pose_stack
+    # 17 significant digits: enough for an exact float64 round trip
+    line = (
+        '    {{"rotation": [' + ", ".join(["{:.17g}"] * 9) + '], "translation": ['
+        + ", ".join(["{:.17g}"] * 3) + '], "intrinsics": {{"fx": {:.17g}, "fy": {:.17g}, '
+        + f'"cx": {{:.17g}}, "cy": {{:.17g}}, "width": {w}, "height": {h}}}}}}}}}'
+    )
+    rows = np.concatenate([rotations.reshape(-1, 9), centers, traj.intrinsics_stack], axis=1)
+    write_text(path, "\n".join([
         "{",
         '  "convention": "camera_to_world",',
         f'  "label": {json.dumps(traj.label)},',
         '  "frames": [',
-    ]
-    last = len(traj.frames) - 1
-    for idx, (pose, intr) in enumerate(traj.frames):
-        rot = ", ".join(_fmt(x) for x in pose.rotation.reshape(-1))
-        tr = ", ".join(_fmt(x) for x in pose.translation)
-        k = (
-            f'"fx": {_fmt(intr.fx)}, "fy": {_fmt(intr.fy)}, '
-            f'"cx": {_fmt(intr.cx)}, "cy": {_fmt(intr.cy)}, '
-            f'"width": {intr.width}, "height": {intr.height}'
-        )
-        tail = "," if idx < last else ""
-        lines.append(
-            f'    {{"rotation": [{rot}], "translation": [{tr}], "intrinsics": {{{k}}}}}{tail}'
-        )
-    lines += ["  ]", "}"]
-    write_text(path, "\n".join(lines) + "\n")
+        ",\n".join(line.format(*row) for row in rows.tolist()),
+        "  ]",
+        "}",
+        "",
+    ]))
+
+
+def _loads(text: str) -> object:
+    """json.loads, but "-0", which save_trajectory writes for -0.0, reads as -0.0, not the int 0."""
+    return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
-    """Read a trajectory file written by save_trajectory."""
+    """Read a trajectory file written by save_trajectory, straight into the stacks."""
     path = Path(path)
-    doc = read_json(path, "trajectory JSON")
+    doc = read_json(path, "trajectory JSON", loads=_loads)
     if not isinstance(doc, dict) or doc.get("convention") != "camera_to_world":
         raise DomainError(f"{path}: missing or unsupported pose convention")
-    frames = []
     try:
-        for rec in doc["frames"]:
-            rot = np.array(rec["rotation"], dtype=np.float64).reshape(3, 3)
-            tr = np.array(rec["translation"], dtype=np.float64)
-            ki = rec["intrinsics"]
-            intr = CameraIntrinsics(
-                fx=float(ki["fx"]), fy=float(ki["fy"]),
-                cx=float(ki["cx"]), cy=float(ki["cy"]),
-                width=int(ki["width"]), height=int(ki["height"]),
-            )
-            frames.append((CameraPose(rotation=rot, translation=tr), intr))
-    except (KeyError, TypeError, ValueError) as e:
+        recs = doc["frames"]
+        ks = [rec["intrinsics"] for rec in recs]
+        rotations = np.array([rec["rotation"] for rec in recs], dtype=np.float64)
+        centers = np.array([rec["translation"] for rec in recs], dtype=np.float64)
+        intrinsics = np.array([(k["fx"], k["fy"], k["cx"], k["cy"]) for k in ks], dtype=np.float64)
+        sizes = [(k["width"], k["height"]) for k in ks]
+        rotations = rotations.reshape(len(recs), 3, 3)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DomainError(f"{path}: malformed trajectory record ({e})") from e
-    return Trajectory(frames=tuple(frames), label=str(doc.get("label", "")))
+    try:
+        size = _check_frames(rotations, centers, intrinsics, sizes)
+    except DomainError as e:
+        raise DomainError(f"{path}: {e}") from None
+    return _trusted((rotations, centers, intrinsics), size, str(doc.get("label", "")))

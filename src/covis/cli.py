@@ -296,11 +296,18 @@ def _chunk_drops(parts: list[MemoryEntry], overlap: int) -> list[int]:
     return [0] + [overlap] * (len(parts) - 1)
 
 
+def _arrays(t: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t's read-only rotations, centers and intrinsics."""
+    return (*t.pose_stack, t.intrinsics_stack)
+
+
 def _stitch_trajectory(parts: list[MemoryEntry], overlap: int, label: str) -> Trajectory:
-    traj_frames = []
-    for e, drop in zip(parts, _chunk_drops(parts, overlap)):
-        traj_frames.extend(e.trajectory.frames[drop:])
-    return Trajectory(frames=tuple(traj_frames), label=label)
+    kept = [e.trajectory.slice_frames(drop, len(e.trajectory))
+            for e, drop in zip(parts, _chunk_drops(parts, overlap))]
+    sizes = sorted({t.image_size for t in kept})
+    if len(sizes) > 1:
+        raise DomainError(f"shot {label!r}: chunk image sizes differ: {sizes}")
+    return Trajectory.from_stacks(*map(np.concatenate, zip(*map(_arrays, kept))), sizes[0], label)
 
 
 def _stitch_videos(
@@ -318,12 +325,14 @@ def _stitch_videos(
     pos = 0
     for e, drop in zip(parts, _chunk_drops(parts, overlap)):
         seq = load_frames(run_dir / e.video_ref)
-        cw, ch = e.trajectory.image_size
-        if seq.frames.shape[:3] != (len(e.trajectory), ch, cw):
-            f, vh, vw = seq.frames.shape[:3]
+        # the video's frames follow its own trajectory, which must be the banked one
+        if seq.trajectory.image_size != e.trajectory.image_size or not all(
+                map(np.array_equal, _arrays(seq.trajectory), _arrays(e.trajectory))):
+            (vw, vh), (cw, ch) = seq.trajectory.image_size, e.trajectory.image_size
             raise DomainError(
-                f"{e.video_ref}: {f} frames of {vw}x{vh}, but its bank trajectory has "
-                f"{len(e.trajectory)} frames of {cw}x{ch}"
+                f"{e.video_ref}: its video follows {len(seq.trajectory)} frames of {vw}x{vh}, "
+                f"but its bank trajectory has {len(e.trajectory)} frames of {cw}x{ch}; "
+                "the two must be identical"
             )
         n = len(seq.frames[drop:])
         frames[pos:pos + n] = seq.frames[drop:]
@@ -621,6 +630,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"covis {args.command}: I/O error: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:  # e.g. numpy refusing a frame buffer for a huge image size
+        print(f"covis {args.command}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

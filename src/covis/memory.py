@@ -10,9 +10,10 @@ skipped and counted.
 
 A retrieval scores its whole pool in one frustum.pool_covisibility call,
 and trajectory_similarity is that call on a one-entry pool. The kernel
-reads the pose stacks each Trajectory caches on first use, about 9 KB per
-93-frame entry. Each entry's per-frame scores are summed in frame order,
-so every score equals a Python loop over frame_covisibility bit for bit.
+reads the pose stacks each Trajectory stores, about 9 KB per 93-frame
+entry, so nothing is stacked per call. Each entry's per-frame scores are
+summed in frame order, so every score equals a Python loop over
+frame_covisibility bit for bit.
 
 Appends are serialized by a lock (single-writer contract); scoring reads an
 immutable snapshot of the entries, so it may run concurrently with other

@@ -47,11 +47,6 @@ def align_scale(gt: np.ndarray, pred: np.ndarray) -> float:
     return float((pred * gt).sum()) / denom
 
 
-def _geodesic_angle(r_gt: np.ndarray, r_pred: np.ndarray) -> float:
-    cos = (float(np.trace(r_gt @ r_pred.T)) - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, cos)))
-
-
 @dataclass(frozen=True)
 class PoseErrorReport:
     """Summed pose errors plus the applied scale and per-frame breakdown.
@@ -89,13 +84,13 @@ def pose_error_report(gt: Trajectory, pred: Trajectory, align: bool = True) -> P
     """Full pose comparison of a predicted trajectory against ground truth."""
     if len(gt) != len(pred):
         raise DomainError(f"frame counts differ: {len(gt)} vs {len(pred)}")
-    g, p = gt.centers(), pred.centers()
+    g, p = gt.pose_stack[1], pred.pose_stack[1]
     scale = align_scale(g, p) if align else 1.0
     diffs = ((g - scale * p) ** 2).sum(axis=1)
-    angles = [
-        _geodesic_angle(pg.rotation, pp.rotation)
-        for (pg, _), (pp, _) in zip(gt.frames, pred.frames)
-    ]
+    # trace(R_gt R_pred^T) per frame, one batched matmul; acos stays per frame, as math.acos
+    traces = np.trace(np.matmul(gt.pose_stack[0], pred.pose_stack[0].transpose(0, 2, 1)),
+                      axis1=1, axis2=2)
+    angles = [math.acos(min(1.0, max(-1.0, (t - 1.0) / 2.0))) for t in traces.tolist()]
     return PoseErrorReport(
         trans_err=float(diffs.sum()),
         rot_err=float(sum(angles)),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, get_args
+from typing import Any, Callable, get_args
 
 from .errors import DomainError
 
@@ -30,10 +30,12 @@ def write_json(path: str | Path, doc: Any) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path: Path, what: str, error: type[Exception] = DomainError) -> Any:
-    """The JSON document at path; error naming path and what if it does not parse."""
+def read_json(
+    path: Path, what: str, error: type[Exception] = DomainError, loads: Callable = json.loads
+) -> Any:
+    """The JSON document at path, decoded by loads; error naming path and what if it does not parse."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return loads(path.read_text(encoding="utf-8"))
     except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
         raise error(f"{path}: invalid {what} ({e})") from e
 

@@ -43,10 +43,9 @@ def top_down_svg(trajectories: Sequence[Trajectory], params: FrustumParams | Non
         centers = traj.centers()[:, [0, 2]]
         polylines.append(centers)
         pts.append(centers)
-        pose = traj.frames[0][0]
-        apex = pose.translation
+        rotation, apex = (stack[0] for stack in traj.pose_stack)
         a, b = (
-            (apex + pose.rotation @ np.array([side * half_depth * tan_h, 0.0, half_depth]))[[0, 2]]
+            (apex + rotation @ np.array([side * half_depth * tan_h, 0.0, half_depth]))[[0, 2]]
             for side in (-1.0, 1.0)
         )
         pts += [a[None], b[None]]
@@ -84,7 +83,7 @@ def top_down_svg(trajectories: Sequence[Trajectory], params: FrustumParams | Non
                 f'stroke="{color}" stroke-width="0.8" stroke-dasharray="3,3"/>'
             )
         # optical axis marker for the first frame
-        fwd = traj.frames[0][0].forward
+        fwd = traj.pose_stack[0][0][:, 2]
         tip = apex + np.array([fwd[0], fwd[2]])
         tx, ty = to_svg(tip)
         lines.append(

@@ -19,10 +19,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .camera import CameraIntrinsics, CameraPose, Trajectory, load_trajectory, save_trajectory
+from .camera import Trajectory, load_trajectory, save_trajectory
 from .errors import DomainError
 from .records import MANIFEST, check_fields, inside, positive_int, read_json, write_json
 
@@ -154,18 +155,20 @@ class FrameSequence:
 
 
 def _project(
-    pts: np.ndarray, pose: CameraPose, intr: CameraIntrinsics
+    pts: np.ndarray, rotation: np.ndarray, center: np.ndarray, k: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Continuous image coordinates (u, v) and depth for points in front of the camera.
 
+    rotation and center are a camera-to-world pose and k its fx, fy, cx, cy.
     Returns (u, v, z) with z <= 0 wherever the point is at or behind the
     camera plane; u, v are only meaningful where z > 0.
     """
-    local = (pts - pose.translation) @ pose.rotation
+    local = (pts - center) @ rotation
     z = local[:, 2]
+    fx, fy, cx, cy = k
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = intr.fx * local[:, 0] / z + intr.cx
-        v = intr.fy * local[:, 1] / z + intr.cy
+        u = fx * local[:, 0] / z + cx
+        v = fy * local[:, 1] / z + cy
     return u, v, z
 
 
@@ -181,8 +184,9 @@ def render(scene: SceneModel, traj: Trajectory) -> FrameSequence:
     n_frames = len(traj)
     frames = np.full((n_frames, h, w, 3), BACKGROUND_RGB[0], dtype=np.uint8)
     id_map = np.full((n_frames, h, w), BACKGROUND_ID, dtype=np.int32)
-    for f, (pose, intr) in enumerate(traj.frames):
-        u, v, z = _project(scene.positions_at(f), pose, intr)
+    rotations, centers = traj.pose_stack
+    for f, (rot, center, k) in enumerate(zip(rotations, centers, traj.intrinsics_stack.tolist())):
+        u, v, z = _project(scene.positions_at(f), rot, center, k)
         valid = z > 0.0
         ui = np.floor(u[valid]).astype(np.int64)
         vi = np.floor(v[valid]).astype(np.int64)
@@ -203,13 +207,13 @@ def render(scene: SceneModel, traj: Trajectory) -> FrameSequence:
     return FrameSequence(frames=frames, id_map=id_map, trajectory=traj, scene_key=scene.scene_key)
 
 
-def _visible_mask(
-    scene: SceneModel, frame: int, pose: CameraPose, intr: CameraIntrinsics, far: float
-) -> np.ndarray:
-    u, v, z = _project(scene.positions_at(frame), pose, intr)
-    vis = (z > 0.0) & (z <= far)
-    vis &= (u >= 0.0) & (u < intr.width) & (v >= 0.0) & (v < intr.height)
-    return vis
+def _visible_masks(scene: SceneModel, traj: Trajectory, far: float) -> Iterator[np.ndarray]:
+    """Per frame, the points of scene that traj's camera sees within depth far."""
+    w, h = traj.image_size
+    rotations, centers = traj.pose_stack
+    for f, (rot, center, k) in enumerate(zip(rotations, centers, traj.intrinsics_stack.tolist())):
+        u, v, z = _project(scene.positions_at(f), rot, center, k)
+        yield (z > 0.0) & (z <= far) & (u >= 0.0) & (u < w) & (v >= 0.0) & (v < h)
 
 
 def covisible_fraction(scene: SceneModel, a: Trajectory, b: Trajectory, far: float = 10.0) -> float:
@@ -223,8 +227,7 @@ def covisible_fraction(scene: SceneModel, a: Trajectory, b: Trajectory, far: flo
     if len(a) != len(b):
         raise DomainError(f"frame counts differ: {len(a)} vs {len(b)}")
     total = 0.0
-    for f, ((pa, ia), (pb, ib)) in enumerate(zip(a.frames, b.frames)):
-        va, vb = _visible_mask(scene, f, pa, ia, far), _visible_mask(scene, f, pb, ib, far)
+    for va, vb in zip(_visible_masks(scene, a, far), _visible_masks(scene, b, far)):
         union = int((va | vb).sum())
         if union:
             total += int((va & vb).sum()) / union

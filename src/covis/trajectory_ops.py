@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .camera import CameraIntrinsics, CameraPose, Trajectory
+from .camera import Trajectory
 from .errors import DomainError
 
 
@@ -96,73 +96,74 @@ class ShotSpec:
             raise DomainError(f"lookat_depth must be positive, got {self.lookat_depth}")
 
 
-def _rot_x(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+def _turns(axis: int, angles: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) rotations by each angle about camera axis 0 (x) or 1 (y)."""
+    out = np.zeros((len(angles), 3, 3))
+    i, j = (1, 2) if axis == 0 else (2, 0)  # the plane the rotation turns
+    out[:, axis, axis] = 1.0
+    out[:, i, i] = out[:, j, j] = [math.cos(a) for a in angles]
+    out[:, j, i] = [math.sin(a) for a in angles]
+    out[:, i, j] = -out[:, j, i]
+    return out
 
 
-def _rot_y(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _axis_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rotation about a unit axis by angle (Rodrigues)."""
+def _axis_rotations(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) rotations about one unit axis by each angle (Rodrigues)."""
     x, y, z = axis
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    s = np.array([math.sin(a) for a in angles])[:, None, None]
+    c = np.array([math.cos(a) for a in angles])[:, None, None]
+    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
 
 
-def _look_rotation(center: np.ndarray, target: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """Camera-to-world rotation aiming from center at target, with up as up hint."""
-    fwd = target - center
-    n = np.linalg.norm(fwd)
-    if n < 1e-12:
-        raise DomainError("camera center coincides with look-at target")
-    fwd = fwd / n
-    right = np.cross(fwd, up)
-    n = np.linalg.norm(right)
-    if n < 1e-12:
-        raise DomainError("look direction is parallel to the up axis")
-    right = right / n
-    down = np.cross(fwd, right)
-    return np.stack([right, down, fwd], axis=1)
+def _look_rotations(centers: np.ndarray, target: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Camera-to-world rotations aiming from each center at target, with up as up hint."""
+
+    def unit(v: np.ndarray, fault: str) -> np.ndarray:
+        # np.linalg.norm of each row: the sqrt of the same BLAS dot, so the bits agree
+        n = np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
+        if (n < 1e-12).any():
+            raise DomainError(fault)
+        return v / n
+
+    fwd = unit(target - centers, "camera center coincides with look-at target")
+    right = unit(np.cross(fwd, up), "look direction is parallel to the up axis")
+    return np.stack([right, np.cross(fwd, right), fwd], axis=2)
 
 
-def _shot_pose(
-    kind: ShotKind,
-    base: CameraPose,
-    lookat: np.ndarray,
-    amount: float,
-) -> CameraPose:
-    """Pose of a shot at accumulated magnitude ``amount`` away from the base."""
-    r0, c0 = base.rotation, base.translation
-    up = -base.down  # world-space up of the base camera (+y points down)
-    if kind == ShotKind.ROTATION_LEFT:
-        return CameraPose(rotation=r0 @ _rot_y(-amount), translation=c0)
-    if kind == ShotKind.ROTATION_RIGHT:
-        return CameraPose(rotation=r0 @ _rot_y(amount), translation=c0)
-    if kind == ShotKind.TILT_UP:
-        return CameraPose(rotation=r0 @ _rot_x(amount), translation=c0)
-    if kind == ShotKind.TILT_DOWN:
-        return CameraPose(rotation=r0 @ _rot_x(-amount), translation=c0)
-    if kind in (ShotKind.ARC_RIGHT_WITH_ROT, ShotKind.ARC_LEFT_WITH_ROT,
-                ShotKind.AZIMUTH_RIGHT, ShotKind.AZIMUTH_LEFT):
-        sign = 1.0 if kind in (ShotKind.ARC_RIGHT_WITH_ROT, ShotKind.AZIMUTH_RIGHT) else -1.0
-        center = lookat + _axis_rotation(up, sign * amount) @ (c0 - lookat)
-        if kind in (ShotKind.ARC_RIGHT_WITH_ROT, ShotKind.ARC_LEFT_WITH_ROT):
-            return CameraPose(rotation=_look_rotation(center, lookat, up), translation=center)
-        return CameraPose(rotation=r0, translation=center)
-    if kind == ShotKind.ELEVATION_UP:
-        center = lookat + _axis_rotation(base.right, -amount) @ (c0 - lookat)
-        return CameraPose(rotation=r0, translation=center)
-    if kind in (ShotKind.TRANSLATE_DOWN_WITH_ROT, ShotKind.TRANSLATE_UP_WITH_ROT):
-        sign = 1.0 if kind == ShotKind.TRANSLATE_DOWN_WITH_ROT else -1.0
-        center = c0 + sign * amount * base.down
-        return CameraPose(rotation=_look_rotation(center, lookat, up), translation=center)
-    if kind == ShotKind.ZOOM_OUT:
-        return CameraPose(rotation=r0, translation=c0 - amount * base.forward)
-    raise DomainError(f"unhandled shot kind {kind!r}")
+# Per shot: the sign of its motion and the motion, one of
+# pan/tilt (turn in place about the camera's y/x axis), arc/orbit (circle
+# the look-at point about up, re-aiming or not), elevate (circle it about
+# right), translate (move along down, re-aiming) and zoom (move along forward).
+_MOTIONS: dict[ShotKind, tuple[float, str]] = {
+    ShotKind.ROTATION_LEFT: (-1.0, "pan"), ShotKind.ROTATION_RIGHT: (1.0, "pan"),
+    ShotKind.TILT_UP: (1.0, "tilt"), ShotKind.TILT_DOWN: (-1.0, "tilt"),
+    ShotKind.ARC_RIGHT_WITH_ROT: (1.0, "arc"), ShotKind.ARC_LEFT_WITH_ROT: (-1.0, "arc"),
+    ShotKind.AZIMUTH_RIGHT: (1.0, "orbit"), ShotKind.AZIMUTH_LEFT: (-1.0, "orbit"),
+    ShotKind.ELEVATION_UP: (-1.0, "elevate"), ShotKind.ZOOM_OUT: (-1.0, "zoom"),
+    ShotKind.TRANSLATE_DOWN_WITH_ROT: (1.0, "translate"),
+    ShotKind.TRANSLATE_UP_WITH_ROT: (-1.0, "translate"),
+}
+
+
+def _shot_stack(
+    kind: ShotKind, r0: np.ndarray, c0: np.ndarray, lookat: np.ndarray, amounts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations and centers of a shot at each accumulated magnitude away from the base."""
+    sign, motion = _MOTIONS[kind]
+    signed, n = sign * amounts, len(amounts)
+    right, down, forward = r0.T
+    up = -down  # world-space up of the base camera (+y points down)
+    if motion in ("pan", "tilt"):
+        return np.matmul(r0, _turns(1 if motion == "pan" else 0, signed)), np.broadcast_to(c0, (n, 3))
+    if motion in ("translate", "zoom"):
+        centers = c0 + signed[:, None] * (down if motion == "translate" else forward)
+    else:
+        axis = right if motion == "elevate" else up
+        centers = lookat + np.matmul(_axis_rotations(axis, signed), c0 - lookat)
+    if motion in ("arc", "translate"):
+        return _look_rotations(centers, lookat, up), centers
+    return np.broadcast_to(r0, (n, 3, 3)), centers
 
 
 def generate_shot(spec: ShotSpec) -> Trajectory:
@@ -170,15 +171,18 @@ def generate_shot(spec: ShotSpec) -> Trajectory:
 
     The shot parameter (angle or distance) is interpolated linearly over
     frames, so frame i sits at i/(F-1) of the magnitude; frame 1 is the base
-    pose itself, bit for bit.
+    pose itself, bit for bit. Every frame is computed in one batched pass.
     """
-    base_pose, intr = spec.base.frames[0]
-    lookat = base_pose.translation + spec.lookat_depth * base_pose.forward
-    poses = [base_pose]
-    for i in range(1, spec.frame_count):
-        amount = spec.magnitude * i / (spec.frame_count - 1)
-        poses.append(_shot_pose(spec.kind, base_pose, lookat, amount))
-    return Trajectory.from_poses(poses, intr, label=spec.kind.slug)
+    rotations, centers = spec.base.pose_stack
+    r0, c0 = rotations[0], centers[0]
+    lookat = c0 + spec.lookat_depth * r0[:, 2]
+    amounts = spec.magnitude * np.arange(1, spec.frame_count) / (spec.frame_count - 1)
+    rots, cens = _shot_stack(spec.kind, r0, c0, lookat, amounts)
+    return Trajectory.from_stacks(
+        np.concatenate([r0[None], rots]), np.concatenate([c0[None], cens]),
+        np.broadcast_to(spec.base.intrinsics_stack[0], (spec.frame_count, 4)),
+        spec.base.image_size, label=spec.kind.slug,
+    )
 
 
 def benchmark_suite(
@@ -233,52 +237,47 @@ def sync_pairs(n_shots: int) -> list[tuple[ShotKind, ShotKind]]:
     return out
 
 
-def _mean_rotation(rotations: Sequence[np.ndarray], fallback: np.ndarray) -> np.ndarray:
-    """Chordal-L2 mean: orthogonal polar factor of the matrix mean.
-
-    Near-antipodal inputs make the mean singular; then the first input's
-    rotation is kept and a warning is issued.
-    """
-    m = np.mean(np.stack(rotations), axis=0)
-    u, s, vt = np.linalg.svd(m)
-    if s[-1] < 1e-8:
-        warnings.warn("degenerate rotation mean (antipodal inputs); keeping first rotation")
-        return np.array(fallback)
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
-
-
 def merge_trajectories(trajs: Sequence[Trajectory]) -> Trajectory:
     """Frame-wise merge of equal-length trajectories into one.
 
-    Centers are averaged; rotations take the chordal-L2 mean; intrinsics
-    keep the widest field of view (min fx, min fy) and average the principal
-    point. All inputs must share frame count and image size.
+    Centers are averaged; rotations take the chordal-L2 mean, the orthogonal
+    polar factor of the matrix mean, found for all frames in one batched
+    SVD. Near-antipodal inputs make a frame's mean singular; that frame
+    keeps the first input's rotation, with a warning. Intrinsics keep the
+    widest field of view (min fx, min fy) and average the principal point.
+    All inputs must share frame count and image size.
     """
     if not trajs:
         raise DomainError("nothing to merge")
     if len(trajs) == 1:
         return trajs[0]
     n = len(trajs[0])
-    w, h = trajs[0].image_size
+    size = trajs[0].image_size
     for t in trajs[1:]:
         if len(t) != n:
             raise DomainError(f"frame counts differ: {len(t)} vs {n}")
-        if t.image_size != (w, h):
-            raise DomainError(f"image sizes differ: {t.image_size} vs {(w, h)}")
-    frames = []
-    for f in range(n):
-        poses = [t.frames[f][0] for t in trajs]
-        intrs = [t.frames[f][1] for t in trajs]
-        center = np.mean(np.stack([p.translation for p in poses]), axis=0)
-        rot = _mean_rotation([p.rotation for p in poses], poses[0].rotation)
-        intr = CameraIntrinsics(
-            fx=min(i.fx for i in intrs),
-            fy=min(i.fy for i in intrs),
-            cx=float(np.mean([i.cx for i in intrs])),
-            cy=float(np.mean([i.cy for i in intrs])),
-            width=w, height=h,
-        )
-        frames.append((CameraPose(rotation=rot, translation=center), intr))
+        if t.image_size != size:
+            raise DomainError(f"image sizes differ: {t.image_size} vs {size}")
+    # Each mean adds the inputs in the order a per-frame mean did, so every bit
+    # agrees: rotations and centers as rows of an input-major stack, one
+    # after another; the principal point along a contiguous input axis,
+    # which numpy sums pairwise from 8 inputs on, as it did the per-frame list.
+    rotations = np.stack([t.pose_stack[0] for t in trajs])
+    intrinsics = np.stack([t.intrinsics_stack for t in trajs])
+    u, s, vt = np.linalg.svd(np.mean(rotations, axis=0))
+    d = np.sign(np.linalg.det(u @ vt))
+    flip = np.zeros((n, 3, 3))
+    flip[:, 0, 0] = flip[:, 1, 1] = 1.0
+    flip[:, 2, 2] = d
+    merged = u @ flip @ vt
+    degenerate = s[:, -1] < 1e-8
+    if degenerate.any():
+        warnings.warn("degenerate rotation mean (antipodal inputs); keeping first rotation")
+        merged[degenerate] = rotations[0][degenerate]
+    principal = np.ascontiguousarray(intrinsics[:, :, 2:].transpose(1, 2, 0))
+    merged_intrinsics = np.concatenate([intrinsics[:, :, :2].min(axis=0), principal.mean(axis=2)], axis=1)
     label = "merge(" + "+".join(t.label or "?" for t in trajs) + ")"
-    return Trajectory(frames=tuple(frames), label=label)
+    return Trajectory.from_stacks(
+        merged, np.mean(np.stack([t.pose_stack[1] for t in trajs]), axis=0),
+        merged_intrinsics, size, label=label,
+    )

@@ -849,3 +849,75 @@ def test_each_subcommand_accepts_exactly_its_flags(command, flags):
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     sub = subparsers.choices[command]
     assert {s for a in sub._actions for s in a.option_strings} == _COMMON_FLAGS | flags
+
+
+def _source_with(tmp_path: Path, frames: int, edit) -> Path:
+    """A static source trajectory file whose frame intrinsics edit(f, intrinsics) rewrites.
+
+    edit may set a value to the string "@"; it lands in the file as the raw JSON text after it.
+    """
+    intr = CameraIntrinsics(fx=8.0, fy=8.0, cx=8.0, cy=6.0, width=16, height=12)
+    path = tmp_path / "source.json"
+    save_trajectory(Trajectory.from_poses([CameraPose.identity()] * frames, intr), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    raw = {}
+    for f, rec in enumerate(doc["frames"]):
+        raw.update(edit(f, rec["intrinsics"]) or {})
+    text = json.dumps(doc)
+    for key, value in raw.items():
+        text = text.replace(f'"{key}"', value)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("key, value, frames, expect", [
+    ("cx", "NaN", [1], "frame 1: intrinsics has non-finite values [8.0, 8.0, nan, 6.0]"),
+    ("fx", "1e400", [2], "frame 2: intrinsics has non-finite values [inf, 8.0, 8.0, 6.0]"),
+    ("width", "192.7", [0, 1, 2], "frame 0: image size must be integers >= 1, got 192.7x12"),
+    ("width", "true", [0, 1, 2], "frame 0: image size must be integers >= 1, got Truex12"),
+    ("width", "[192]", [1], "frame 1: image size must be integers >= 1, got [192]x12"),
+    ("height", '{"h": 12}', [2], "frame 2: image size must be integers >= 1, got 16x{'h': 12}"),
+    ("fy", "1" + "0" * 400, [1], "malformed trajectory record (int too large to convert to float)"),
+], ids=["nan_cx", "inf_fx", "float_width", "bool_width", "list_width", "object_height",
+     "huge_int_fy"])
+def test_simulate_rejects_bad_intrinsics_naming_the_frame(tmp_path, capsys, key, value, frames,
+                                                          expect):
+    def edit(f, intr):
+        if f in frames:
+            intr[key] = f"@{key}{f}"
+            return {f"@{key}{f}": value}
+
+    source = _source_with(tmp_path, 3, edit)
+    out = tmp_path / "run"
+    args = ["simulate", "--source", str(source), "--shots", "1", "--out", str(out),
+            "--set", "scene.point_count=40"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert expect in err and str(source) in err
+    assert not (out / "bank" / "manifest.json").exists()
+
+
+def test_simulate_on_an_image_size_numpy_refuses_exits_2(tmp_path, capsys):
+    # 2 frames of 10^9 x 10^9 RGB ask for 6e18 bytes: numpy refuses before touching memory
+    def edit(f, intr):
+        intr.update(width=1_000_000_000, height=1_000_000_000)
+
+    source = _source_with(tmp_path, 2, edit)
+    args = ["simulate", "--source", str(source), "--shots", "1", "--out", str(tmp_path / "run"),
+            "--set", "scene.point_count=40"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("covis simulate: ") and "allocate" in err
+
+
+def test_eval_rejects_a_chunk_video_whose_trajectory_was_edited(run_dir, tmp_path, capsys):
+    run, video = _copied_video(run_dir, tmp_path)
+    traj = load_trajectory(video / "trajectory.json")
+    poses = list(traj.poses)
+    poses[2] = CameraPose(poses[2].rotation, poses[2].translation + [0.0, 0.25, 0.0])
+    save_trajectory(Trajectory.from_poses(poses, traj.frames[0][1], traj.label),
+                    video / "trajectory.json")
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "but its bank trajectory has 5 frames of" in err and "must be identical" in err
+    assert not (run / "report.json").exists()

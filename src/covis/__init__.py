@@ -12,9 +12,7 @@ from .camera import (
     PluckerRayMap,
     Trajectory,
     load_trajectory,
-    pixel_ray,
     plucker_raymap,
-    relative_pose,
     save_trajectory,
 )
 from .config import EngineConfig, default_config, load_config, save_config

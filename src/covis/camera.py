@@ -21,13 +21,14 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .records import read_json, write_text
+from .records import positive_int, read_json, write_text
 
 # Per-entry tolerance for R^T R = I and det R = 1 checks.
 ORTHONORMAL_TOL = 1e-9
@@ -42,11 +43,6 @@ def _readonly(a: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
         raise DomainError(f"{what}: expected shape {shape}, got {out.shape}")
     out.setflags(write=False)
     return out
-
-
-def _is_size(x: object) -> bool:
-    """True for an image dimension: an integer (not a bool) of at least 1."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
 
 
 def _reject(bad: np.ndarray, prefix: str, message) -> None:
@@ -83,7 +79,7 @@ def _check_intrinsics(
             lambda f: f"focal lengths must be positive, got fx={fx[f]}, fy={fy[f]}")
     w, h = sizes[0]
     for f, (fw, fh) in enumerate(sizes):
-        if not (_is_size(fw) and _is_size(fh)):
+        if not (positive_int(fw) and positive_int(fh)):
             raise DomainError(prefix.format(f) + f"image size must be integers >= 1, got {fw!r}x{fh!r}")
         if (fw, fh) != (w, h):
             raise DomainError(f"frame {f} has image size {fw}x{fh}, expected {w}x{h}")
@@ -116,11 +112,6 @@ class CameraIntrinsics:
         fy = height / (2.0 * math.tan(fov_v / 2.0))
         return cls(fx=fx, fy=fy, cx=width / 2.0, cy=height / 2.0, width=width, height=height)
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
 
 @dataclass(frozen=True)
 class CameraPose:
@@ -138,30 +129,6 @@ class CameraPose:
     def identity(cls) -> "CameraPose":
         return cls(rotation=np.eye(3), translation=np.zeros(3))
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "CameraPose":
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise DomainError(f"pose matrix must be 4x4, got {m.shape}")
-        return cls(rotation=m[:3, :3], translation=m[:3, 3])
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
-    def inverse(self) -> "CameraPose":
-        rt = self.rotation.T
-        return CameraPose(rotation=rt, translation=-(rt @ self.translation))
-
-    def compose(self, other: "CameraPose") -> "CameraPose":
-        """Pose whose 4x4 matrix equals self.matrix() @ other.matrix()."""
-        return CameraPose(
-            rotation=self.rotation @ other.rotation,
-            translation=self.rotation @ other.translation + self.translation,
-        )
-
     @property
     def right(self) -> np.ndarray:
         return self.rotation[:, 0]
@@ -174,16 +141,6 @@ class CameraPose:
     def forward(self) -> np.ndarray:
         """Optical axis (+z of the camera frame) in world coordinates."""
         return self.rotation[:, 2]
-
-
-def relative_pose(a: CameraPose, b: CameraPose) -> CameraPose:
-    """Pose of b expressed in a's camera frame.
-
-    relative_pose(a, a) is the identity, and relative poses compose:
-    relative_pose(a, c) == relative_pose(a, b).compose(relative_pose(b, c)).
-    """
-    rt = a.rotation.T
-    return CameraPose(rotation=rt @ b.rotation, translation=rt @ (b.translation - a.translation))
 
 
 def _check_frames(
@@ -278,9 +235,6 @@ class Trajectory:
             raise DomainError(f"invalid frame slice [{start}, {stop}) for length {len(self)}")
         return _trusted([s[start:stop] for s in self._stacks], self.image_size, self.label)
 
-    def with_label(self, label: str) -> "Trajectory":
-        return _trusted(self._stacks, self.image_size, label)
-
 
 def _trusted(
     stacks: Sequence[np.ndarray], image_size: tuple[int, int], label: str, traj: Trajectory | None = None
@@ -291,32 +245,6 @@ def _trusted(
         a.setflags(write=False)
     traj._stacks, traj.image_size, traj.label = tuple(stacks), image_size, label
     return traj
-
-
-def pixel_ray(
-    pose: CameraPose, intr: CameraIntrinsics, u: float, v: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """World-space ray through the center of pixel (u, v).
-
-    Args:
-        pose: camera-to-world pose.
-        intr: pinhole intrinsics.
-        u, v: pixel coordinates with 0 <= u < width and 0 <= v < height.
-
-    Returns:
-        (direction, origin): unit direction in world coordinates and the
-        camera center. The ray passes through the continuous image point
-        (u + 0.5, v + 0.5).
-    """
-    if not (0 <= u < intr.width and 0 <= v < intr.height):
-        raise DomainError(
-            f"pixel ({u}, {v}) outside image bounds {intr.width}x{intr.height}"
-        )
-    d_cam = np.array(
-        [(u + 0.5 - intr.cx) / intr.fx, (v + 0.5 - intr.cy) / intr.fy, 1.0]
-    )
-    d_cam /= np.linalg.norm(d_cam)
-    return pose.rotation @ d_cam, np.array(pose.translation)
 
 
 @dataclass(frozen=True)
@@ -405,6 +333,17 @@ def _loads(text: str) -> object:
     return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
 
 
+def _floats(rows: list, what: str) -> np.ndarray:
+    """rows as a float64 array, or DomainError naming the first frame with a non-number in it.
+
+    As in records.check_fields, a bool is never a number.
+    """
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        f = next(f for f, row in enumerate(rows) if not set(map(type, row)) <= {int, float})
+        raise DomainError(f"frame {f}: {what} must hold only numbers, got {rows[f]!r}")
+    return np.array(rows, dtype=np.float64)
+
+
 def load_trajectory(path: str | Path) -> Trajectory:
     """Read a trajectory file written by save_trajectory, straight into the stacks."""
     path = Path(path)
@@ -414,15 +353,13 @@ def load_trajectory(path: str | Path) -> Trajectory:
     try:
         recs = doc["frames"]
         ks = [rec["intrinsics"] for rec in recs]
-        rotations = np.array([rec["rotation"] for rec in recs], dtype=np.float64)
-        centers = np.array([rec["translation"] for rec in recs], dtype=np.float64)
-        intrinsics = np.array([(k["fx"], k["fy"], k["cx"], k["cy"]) for k in ks], dtype=np.float64)
+        rotations = _floats([rec["rotation"] for rec in recs], "rotation").reshape(len(recs), 3, 3)
+        centers = _floats([rec["translation"] for rec in recs], "translation")
+        intrinsics = _floats([(k["fx"], k["fy"], k["cx"], k["cy"]) for k in ks], "intrinsics")
         sizes = [(k["width"], k["height"]) for k in ks]
-        rotations = rotations.reshape(len(recs), 3, 3)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise DomainError(f"{path}: malformed trajectory record ({e})") from e
-    try:
         size = _check_frames(rotations, centers, intrinsics, sizes)
     except DomainError as e:
         raise DomainError(f"{path}: {e}") from None
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise DomainError(f"{path}: malformed trajectory record ({e})") from e
     return _trusted((rotations, centers, intrinsics), size, str(doc.get("label", "")))

@@ -3,13 +3,15 @@
 The configuration is a tree of frozen dataclasses. Every run resolves its
 full configuration (defaults, file, then --set overrides) and writes it next
 to its outputs, so runs are self-describing. Each value must fit the type
-its dataclass field declares. A --set value is read as that type, so a str
-field keeps the text as given: "output.directory=2024" names "2024".
+its dataclass field declares, and a float must be finite. A --set value is
+read as that type, so a str field keeps the text as given:
+"output.directory=2024" names "2024".
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
@@ -120,9 +122,11 @@ def config_from_dict(doc: dict[str, Any]) -> EngineConfig:
             raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
         try:
             # an int given for a float field is stored as a float, as --set stores it
-            sections[name] = _SECTIONS[name](
-                **{k: float(v) if types[k] is float else v for k, v in value.items()}
-            )
+            fields = {k: float(v) if types[k] is float else v for k, v in value.items()}
+            for k, v in fields.items():
+                if types[k] is float and not math.isfinite(v):
+                    raise ConfigError(f"config section {name!r}: {k!r} must be finite, got {v!r}")
+            sections[name] = _SECTIONS[name](**fields)
         except (DomainError, OverflowError) as e:
             raise ConfigError(f"invalid config section {name!r}: {e}") from e
     return EngineConfig(**sections)

@@ -76,11 +76,6 @@ class Frustum:
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "orientation", orient)
 
-    @property
-    def axis(self) -> np.ndarray:
-        """Optical axis direction in world coordinates."""
-        return self.orientation[:, 2]
-
 
 def build_frustum(
     pose: CameraPose,

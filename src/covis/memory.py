@@ -15,14 +15,14 @@ entry, so nothing is stacked per call. Each entry's per-frame scores are
 summed in frame order, so every score equals a Python loop over
 frame_covisibility bit for bit.
 
-Appends are serialized by a lock (single-writer contract); scoring reads an
-immutable snapshot of the entries, so it may run concurrently with other
-readers and with at most one writer.
+The bank is single-process and single-threaded: one caller appends (covis
+simulate, chunk by chunk) and nothing guards concurrent appends or a
+reader running beside a writer. Two processes must not share a bank
+directory.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -98,10 +98,6 @@ class RetrievalResult:
         if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
             raise DomainError("retrieval scores must be non-increasing")
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.ranked)
-
 
 class MemoryBank:
     """Append-only memory of trajectory/video entries, optionally disk-backed.
@@ -114,7 +110,6 @@ class MemoryBank:
     def __init__(self, directory: str | Path | None = None):
         self._entries: list[MemoryEntry] = []
         self._source_idx: dict[int, int] = {}
-        self._lock = threading.Lock()
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -151,21 +146,20 @@ class MemoryBank:
             raise DomainError(
                 f"video has {video_frame_count} frames but trajectory has {len(trajectory)}"
             )
-        with self._lock:
-            if is_source and chunk_index in self._source_idx:
-                raise DomainError(f"chunk {chunk_index} already has a source entry")
-            entry = MemoryEntry(
-                trajectory=trajectory,
-                video_ref=video_ref,
-                chunk_index=chunk_index,
-                insert_seq=len(self._entries) + 1,
-                is_source=is_source,
-            )
-            self._entries.append(entry)
-            if is_source:
-                self._source_idx[chunk_index] = len(self._entries) - 1
-            if self.directory is not None:
-                self._persist(entry)
+        if is_source and chunk_index in self._source_idx:
+            raise DomainError(f"chunk {chunk_index} already has a source entry")
+        entry = MemoryEntry(
+            trajectory=trajectory,
+            video_ref=video_ref,
+            chunk_index=chunk_index,
+            insert_seq=len(self._entries) + 1,
+            is_source=is_source,
+        )
+        self._entries.append(entry)
+        if is_source:
+            self._source_idx[chunk_index] = len(self._entries) - 1
+        if self.directory is not None:
+            self._persist(entry)
         return entry
 
     def source_entry(self, chunk_index: int) -> MemoryEntry:
@@ -174,9 +168,6 @@ class MemoryBank:
         if idx is None:
             raise DomainError(f"chunk {chunk_index} has no source entry")
         return self._entries[idx]
-
-    def entries_for_chunk(self, chunk_index: int) -> list[tuple[int, MemoryEntry]]:
-        return [(i, e) for i, e in enumerate(self._entries) if e.chunk_index == chunk_index]
 
     def _traj_name(self, insert_seq: int) -> str:
         return f"traj_{insert_seq:06d}.json"

@@ -150,34 +150,19 @@ def _check_same_scene(a: FrameSequence, b: FrameSequence) -> None:
         )
 
 
-def oracle_match(
-    a: FrameSequence,
-    b: FrameSequence,
-    frame_pairing: Sequence[tuple[int, int]] | None = None,
-    threshold: float = DEFAULT_MATCH_THRESHOLD,
-) -> list[MatchMap]:
-    """Ground-truth matcher over rendered id maps, one MatchMap per frame pair.
+def oracle_match(a: FrameSequence, b: FrameSequence) -> list[MatchMap]:
+    """Ground-truth matcher over rendered id maps, one MatchMap per frame.
 
-    A pixel of ``a`` gets confidence 1.0 iff its (non-background) point id is
-    visible anywhere in the paired frame of ``b``; background pixels and
-    unseen ids get 0.0. Both sequences must come from the same scene. The
-    default pairing is frame i of a with frame i of b.
+    A pixel of frame i of ``a`` gets confidence 1.0 iff its (non-background)
+    point id is visible anywhere in frame i of ``b``; background pixels and
+    unseen ids get 0.0. Both sequences must come from the same scene and
+    have equal frame counts.
     """
     _check_same_scene(a, b)
-    if frame_pairing is None:
-        if a.frame_count != b.frame_count:
-            raise DomainError(
-                f"frame counts differ ({a.frame_count} vs {b.frame_count}); "
-                "give an explicit frame_pairing"
-            )
-        frame_pairing = [(i, i) for i in range(a.frame_count)]
-    out = []
-    for ia, ib in frame_pairing:
-        if not (0 <= ia < a.frame_count and 0 <= ib < b.frame_count):
-            raise DomainError(f"frame pair ({ia}, {ib}) out of range")
-        conf = _match_mask(a.id_map[ia], b.id_map[ib]).astype(np.float64)
-        out.append(MatchMap(confidences=conf, threshold=threshold))
-    return out
+    if a.frame_count != b.frame_count:
+        raise DomainError(f"frame counts differ ({a.frame_count} vs {b.frame_count})")
+    return [MatchMap(confidences=_match_mask(ids_a, ids_b).astype(np.float64))
+            for ids_a, ids_b in zip(a.id_map, b.id_map)]
 
 
 @dataclass(frozen=True)

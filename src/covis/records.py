@@ -12,6 +12,8 @@ import os
 from pathlib import Path
 from typing import Any, Callable, get_args
 
+import numpy as np
+
 from .errors import DomainError
 
 # The bank's and each video directory's manifest file.
@@ -86,7 +88,8 @@ def inside(root: Path, rel: str, where: str, what: str) -> Path:
 
 
 def positive_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+    """An integer of at least 1: a Python or numpy integer, never a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x > 0
 
 
 def str_list(x: Any) -> bool:

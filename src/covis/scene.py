@@ -66,10 +66,6 @@ class SceneModel:
             object.__setattr__(self, name, arr)
 
     @property
-    def point_count(self) -> int:
-        return int(self.ids.shape[0])
-
-    @property
     def scene_key(self) -> str:
         """Content hash identifying the scene (used to reject cross-scene matching)."""
         h = hashlib.sha256()

@@ -1,4 +1,4 @@
-"""Camera types, pixel rays, Plücker ray maps, and trajectory file round trips."""
+"""Camera types, Plücker ray maps, and trajectory file round trips."""
 
 from __future__ import annotations
 
@@ -15,9 +15,7 @@ from covis import (
     DomainError,
     Trajectory,
     load_trajectory,
-    pixel_ray,
     plucker_raymap,
-    relative_pose,
     save_trajectory,
 )
 from covis.camera import PluckerRayMap
@@ -59,59 +57,33 @@ def test_pose_rejects_non_rotation():
         CameraPose(rotation=reflection, translation=np.zeros(3))
 
 
-def test_pose_axes_and_inverse():
+def test_pose_axes():
     rng = np.random.default_rng(7)
     p = random_pose(rng)
     assert np.array_equal(p.right, p.rotation[:, 0])
     assert np.array_equal(p.down, p.rotation[:, 1])
     assert np.array_equal(p.forward, p.rotation[:, 2])
-    round_trip = p.compose(p.inverse())
-    assert np.allclose(round_trip.rotation, np.eye(3), atol=1e-12)
-    assert np.allclose(round_trip.translation, 0.0, atol=1e-12)
 
 
-def test_pixel_ray_principal_point():
-    # cx = u + 0.5 puts the principal point on the center of pixel u.
-    intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=49.5, cy=49.5, width=100, height=100)
-    d, o = pixel_ray(CameraPose.identity(), intr, 49, 49)
-    assert np.array_equal(d, [0.0, 0.0, 1.0])
-    assert np.array_equal(o, [0.0, 0.0, 0.0])
-
-
-def test_pixel_ray_45_degrees():
-    intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=200, height=100)
-    d, _ = pixel_ray(CameraPose.identity(), intr, 149.5, 49.5)
-    assert np.allclose(d, [1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0)], atol=1e-15)
-
-
-def test_pixel_ray_rotated_pose_rotates_direction():
-    rng = np.random.default_rng(11)
-    intr = random_intrinsics(rng)
-    pose = random_pose(rng)
-    d_id, _ = pixel_ray(CameraPose.identity(), intr, 3, 2)
-    d_rot, o = pixel_ray(pose, intr, 3, 2)
-    assert np.allclose(d_rot, pose.rotation @ d_id, atol=1e-12)
-    assert np.array_equal(o, pose.translation)
-
-
-def test_pixel_ray_bounds():
-    intr = CameraIntrinsics(fx=10.0, fy=10.0, cx=2.0, cy=2.0, width=4, height=4)
-    pose = CameraPose.identity()
-    for u, v in [(4, 0), (0, 4), (-0.1, 0), (0, -0.1)]:
-        with pytest.raises(DomainError):
-            pixel_ray(pose, intr, u, v)
-    pixel_ray(pose, intr, 3.9, 3.9)  # inside
+def test_raymap_45_degree_pixel():
+    # the center of pixel (149, 49) lies fx = 100 px right of the principal point
+    intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=49.5, cy=49.5, width=200, height=100)
+    rm = plucker_raymap(Trajectory.from_poses([CameraPose.identity()], intr))
+    assert np.allclose(rm.rays[0, 49, 149, :3], [1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0)],
+                       atol=1e-15)
 
 
 @settings(max_examples=50)
 @given(seeds)
 def test_principal_ray_is_forward_axis(seed):
     rng = np.random.default_rng(seed)
-    intr = random_intrinsics(rng)
+    k = random_intrinsics(rng)
+    u, v = int(k.cx), int(k.cy)
+    # the principal point on the center of pixel (u, v)
+    intr = CameraIntrinsics(fx=k.fx, fy=k.fy, cx=u + 0.5, cy=v + 0.5, width=k.width, height=k.height)
     pose = random_pose(rng)
-    u, v = intr.cx - 0.5, intr.cy - 0.5
-    d, _ = pixel_ray(pose, intr, u, v)
-    assert np.allclose(d, pose.forward, atol=1e-12)
+    rm = plucker_raymap(Trajectory.from_poses([pose], intr))
+    assert np.allclose(rm.rays[0, v, u, :3], pose.forward, atol=1e-12)
 
 
 def test_raymap_zero_moment_at_origin():
@@ -189,40 +161,6 @@ def test_raymap_type_rejects_bad_rays():
         PluckerRayMap(rays=skew)
 
 
-def test_relative_pose_identity_cases():
-    rng = np.random.default_rng(13)
-    p = random_pose(rng)
-    rel = relative_pose(p, p)
-    assert np.allclose(rel.rotation, np.eye(3), atol=1e-12)
-    assert np.allclose(rel.translation, 0.0, atol=1e-12)
-
-    b = random_pose(rng)
-    rel = relative_pose(CameraPose.identity(), b)
-    assert np.array_equal(rel.rotation, b.rotation)
-    assert np.array_equal(rel.translation, b.translation)
-
-
-@settings(max_examples=40)
-@given(seeds)
-def test_relative_pose_matches_matrix_oracle(seed):
-    # Oracle: homogeneous-matrix algebra, rel = inv(M_a) @ M_b.
-    rng = np.random.default_rng(seed)
-    a, b = random_pose(rng), random_pose(rng)
-    want = np.linalg.inv(a.matrix()) @ b.matrix()
-    rel = relative_pose(a, b)
-    assert np.allclose(rel.matrix(), want, atol=1e-9)
-
-
-@settings(max_examples=30)
-@given(seeds)
-def test_relative_pose_composition(seed):
-    rng = np.random.default_rng(seed)
-    a, b, c = (random_pose(rng) for _ in range(3))
-    direct = relative_pose(a, c)
-    chained = relative_pose(a, b).compose(relative_pose(b, c))
-    assert np.allclose(direct.matrix(), chained.matrix(), atol=1e-9)
-
-
 def test_trajectory_validation():
     intr_a = CameraIntrinsics(fx=1.0, fy=1.0, cx=1.0, cy=1.0, width=4, height=4)
     intr_b = CameraIntrinsics(fx=1.0, fy=1.0, cx=1.0, cy=1.0, width=8, height=4)
@@ -242,7 +180,6 @@ def test_trajectory_slice_and_label():
     assert len(part) == 3
     assert part.label == "walk"
     assert np.array_equal(part.centers(), traj.centers()[1:4])
-    assert traj.with_label("x").label == "x"
     with pytest.raises(DomainError):
         traj.slice_frames(3, 3)
     with pytest.raises(DomainError):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import shutil
@@ -640,7 +642,11 @@ def test_out_names_a_directory_even_when_it_reads_as_a_number(tmp_path, monkeypa
     ["--set", "scheduler.k=1.5"],
     ["--set", "output.emit_svg=maybe"],
     ["--config", "{config}"],
-], ids=["point_count_abc", "k_1.5", "emit_svg_maybe", "seed_str_in_file"])
+    ["--set", "frustum.far=inf"],
+    ["--set", "scene.velocity_scale=nan"],
+    ["--set", "shots.zoom_distance=nan"],
+], ids=["point_count_abc", "k_1.5", "emit_svg_maybe", "seed_str_in_file", "far_inf",
+        "velocity_scale_nan", "zoom_distance_nan"])
 def test_mistyped_config_values_exit_4(tmp_path, capsys, args):
     config = tmp_path / "engine.json"
     config.write_text(json.dumps({"scene": {"seed": "x"}}), encoding="utf-8")
@@ -878,8 +884,10 @@ def _source_with(tmp_path: Path, frames: int, edit) -> Path:
     ("width", "[192]", [1], "frame 1: image size must be integers >= 1, got [192]x12"),
     ("height", '{"h": 12}', [2], "frame 2: image size must be integers >= 1, got 16x{'h': 12}"),
     ("fy", "1" + "0" * 400, [1], "malformed trajectory record (int too large to convert to float)"),
+    ("fx", '"96"', [0], "frame 0: intrinsics must hold only numbers, got ('96', 8, 8, 6)"),
+    ("cy", "true", [2], "frame 2: intrinsics must hold only numbers, got (8, 8, 8, True)"),
 ], ids=["nan_cx", "inf_fx", "float_width", "bool_width", "list_width", "object_height",
-     "huge_int_fy"])
+     "huge_int_fy", "string_fx", "bool_cy"])
 def test_simulate_rejects_bad_intrinsics_naming_the_frame(tmp_path, capsys, key, value, frames,
                                                           expect):
     def edit(f, intr):
@@ -895,6 +903,39 @@ def test_simulate_rejects_bad_intrinsics_naming_the_frame(tmp_path, capsys, key,
     err = capsys.readouterr().err
     assert expect in err and str(source) in err
     assert not (out / "bank" / "manifest.json").exists()
+
+
+def test_simulate_rejects_a_bool_in_a_rotation(tmp_path, capsys):
+    # true where the identity rotation holds a 1 would read as 1.0 and pass every pose check
+    source = _source_with(tmp_path, 3, lambda f, intr: None)
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    doc["frames"][1]["rotation"][4] = True
+    source.write_text(json.dumps(doc), encoding="utf-8")
+    args = ["simulate", "--source", str(source), "--shots", "1", "--out", str(tmp_path / "run"),
+            "--set", "scene.point_count=40"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{source}: frame 1: rotation must hold only numbers" in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_simulate_rejects_a_source_with_one_number_replaced(data):
+    # any one pose or intrinsic value as a JSON string, bool or null: exit 2, naming the file
+    with tempfile.TemporaryDirectory() as tmp:
+        source = _source_with(Path(tmp), 3, lambda f, intr: None)
+        doc = json.loads(source.read_text(encoding="utf-8"))
+        frame = doc["frames"][data.draw(st.integers(0, 2), label="frame")]
+        values = frame[data.draw(st.sampled_from(["rotation", "translation", "intrinsics"]))]
+        key = data.draw(st.sampled_from(sorted(values) if isinstance(values, dict)
+                                        else range(len(values))))
+        values[key] = data.draw(st.text(max_size=3) | st.booleans() | st.none(), label="value")
+        source.write_text(json.dumps(doc), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["simulate", "--source", str(source), "--shots", "1",
+                         "--out", str(Path(tmp) / "run"), "--set", "scene.point_count=40"])
+        assert code == 2 and str(source) in err.getvalue()
 
 
 def test_simulate_on_an_image_size_numpy_refuses_exits_2(tmp_path, capsys):

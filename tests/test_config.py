@@ -156,6 +156,9 @@ def test_apply_overrides_reads_each_value_as_its_declared_type():
     "retrieval.cross_chunk=1",
     "sampler.jitter_seed=x",
     "shots.zoom_distance=far",
+    "frustum.far=inf",
+    "scene.velocity_scale=nan",
+    "shots.zoom_distance=nan",
 ])
 def test_apply_overrides_rejects_values_of_another_type(override):
     with pytest.raises(ConfigError, match="must be"):
@@ -170,6 +173,8 @@ def test_apply_overrides_rejects_values_of_another_type(override):
     {"output": {"emit_svg": 1}},
     {"sampler": {"jitter_seed": 1.5}},
     {"scheduler": {"conditioning_ratio": 0.45}},
+    {"frustum": {"far": math.inf}},
+    {"scene": {"extent": math.nan}},
 ])
 def test_config_file_values_are_checked_against_declared_types(tmp_path, doc):
     path = tmp_path / "engine.json"
@@ -214,6 +219,7 @@ def test_apply_overrides_gives_a_typed_config_or_config_error(key, text):
     doc = config_to_dict(cfg)
     for section, fields in _FIELD_TYPES.items():
         check_fields(section, doc[section], fields, ConfigError)
+        assert all(math.isfinite(doc[section][k]) for k, kind in fields.items() if kind is float)
 
 
 @settings(max_examples=200, deadline=None)

@@ -58,12 +58,12 @@ def test_param_validation():
 
 
 def test_axis_follows_pose():
-    assert np.array_equal(default_frustum().axis, [0.0, 0.0, 1.0])
+    assert np.array_equal(default_frustum().orientation[:, 2], [0.0, 0.0, 1.0])
     flipped = CameraPose(rotation=np.diag([-1.0, 1.0, -1.0]), translation=np.zeros(3))
-    assert np.array_equal(default_frustum(flipped).axis, [0.0, 0.0, -1.0])
+    assert np.array_equal(default_frustum(flipped).orientation[:, 2], [0.0, 0.0, -1.0])
     pose = CameraPose(rotation=YAW_90, translation=np.array([1.0, 2.0, 3.0]))
     fr = default_frustum(pose)
-    assert np.array_equal(fr.axis, [1.0, 0.0, 0.0])
+    assert np.array_equal(fr.orientation[:, 2], [1.0, 0.0, 0.0])
     assert np.array_equal(fr.apex, [1.0, 2.0, 3.0])
 
 
@@ -117,7 +117,7 @@ def test_single_sample_sits_on_axis():
     fr = default_frustum(random_pose(np.random.default_rng(31)))
     pts = sample_points(fr, SamplerConfig(grid_w=1, grid_h=1, depth_slices=1))
     # one slice: depth = near + 0.5 * (far - near) = 5
-    assert np.allclose(pts[0], fr.apex + 5.0 * fr.axis, atol=1e-12)
+    assert np.allclose(pts[0], fr.apex + 5.0 * fr.orientation[:, 2], atol=1e-12)
 
 
 def test_sampling_is_deterministic():

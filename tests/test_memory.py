@@ -190,7 +190,7 @@ def test_bank_append_sequencing():
     assert (e1.insert_seq, e2.insert_seq) == (1, 2)
     assert len(bank) == 2
     assert bank.source_entry(1) is e1
-    assert [i for i, _ in bank.entries_for_chunk(1)] == [0, 1]
+    assert [i for i, e in enumerate(bank.entries) if e.chunk_index == 1] == [0, 1]
     with pytest.raises(DomainError):
         bank.source_entry(2)
 
@@ -209,7 +209,7 @@ def test_retrieval_result_requires_sorted_scores():
     with pytest.raises(DomainError):
         RetrievalResult(ranked=((0, 0.2), (1, 0.9)))
     r = RetrievalResult(ranked=((1, 0.9), (0, 0.2)))
-    assert r.indices == (1, 0)
+    assert [i for i, _ in r.ranked] == [1, 0]
 
 
 def test_retrieve_identical_entry_scores_one():
@@ -248,7 +248,7 @@ def test_retrieve_skips_other_frame_counts():
     bank.append(random_trajectory(rng, 3), "v3", 2)
     target = random_trajectory(rng, 3)
     result = retrieve_top_k(bank, target, 4, chunk_index=2, cross_chunk=True)
-    assert sorted(result.indices) == [0, 2]
+    assert sorted(i for i, _ in result.ranked) == [0, 2]
     assert result.skipped == 1
     assert retrieve_top_k(bank, target, 4, chunk_index=1).skipped == 0
     with pytest.raises(DomainError, match="1 skipped"):
@@ -263,9 +263,9 @@ def test_retrieve_tie_breaks_by_recency():
     bank.append(traj, "old", 1, is_source=True)
     bank.append(traj, "new", 1)
     recent = retrieve_top_k(bank, target, 2, chunk_index=1)
-    assert [bank.entries[i].video_ref for i in recent.indices] == ["new", "old"]
+    assert [bank.entries[i].video_ref for i, _ in recent.ranked] == ["new", "old"]
     oldest = retrieve_top_k(bank, target, 2, chunk_index=1, tie_rule="oldest_first")
-    assert [bank.entries[i].video_ref for i in oldest.indices] == ["old", "new"]
+    assert [bank.entries[i].video_ref for i, _ in oldest.ranked] == ["old", "new"]
 
 
 def test_retrieve_self_always_first():

@@ -204,12 +204,8 @@ def test_oracle_match_scene_and_pairing_guards():
     with pytest.raises(DomainError):
         oracle_match(a, seq_from_ids(np.ones((1, 2, 2)), key=None))
     long_b = seq_from_ids(np.ones((3, 2, 2)), key="scene-a")
-    with pytest.raises(DomainError):
-        oracle_match(a, long_b)  # unequal counts need explicit pairing
-    maps = oracle_match(a, long_b, frame_pairing=[(0, 2), (0, 0)])
-    assert len(maps) == 2
-    with pytest.raises(DomainError):
-        oracle_match(a, long_b, frame_pairing=[(0, 3)])
+    with pytest.raises(DomainError, match="frame counts differ"):
+        oracle_match(a, long_b)
 
 
 def test_sync_report_identical_pair():

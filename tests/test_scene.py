@@ -52,7 +52,7 @@ def test_make_scene_deterministic():
 
 def test_make_scene_geometry_and_ids():
     scene = make_scene(0, point_count=1000, extent=10.0)
-    assert scene.point_count == 1000
+    assert len(scene.ids) == 1000
     assert np.array_equal(scene.ids, np.arange(1, 1001, dtype=np.int32))
     center = np.array([0.0, 0.0, 5.0])
     assert (np.abs(scene.positions - center) <= 5.0).all()

@@ -22,7 +22,6 @@ from .frustum import (
     FrustumParams,
     SamplerConfig,
     build_frustum,
-    contains,
     contains_points,
     frame_covisibility,
     sample_points,

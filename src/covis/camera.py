@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .records import positive_int, read_json, write_text
+from .records import check_fields, positive_int, read_json, write_text
 
 # Per-entry tolerance for R^T R = I and det R = 1 checks.
 ORTHONORMAL_TOL = 1e-9
@@ -129,19 +129,6 @@ class CameraPose:
     def identity(cls) -> "CameraPose":
         return cls(rotation=np.eye(3), translation=np.zeros(3))
 
-    @property
-    def right(self) -> np.ndarray:
-        return self.rotation[:, 0]
-
-    @property
-    def down(self) -> np.ndarray:
-        return self.rotation[:, 1]
-
-    @property
-    def forward(self) -> np.ndarray:
-        """Optical axis (+z of the camera frame) in world coordinates."""
-        return self.rotation[:, 2]
-
 
 def _check_frames(
     rotations: np.ndarray, centers: np.ndarray, intrinsics: np.ndarray,
@@ -167,8 +154,8 @@ class Trajectory:
 
     The frames are held as three read-only stacks, checked in one vectorised
     pass: rotations (F, 3, 3), camera centers (F, 3) and intrinsics (F, 4)
-    as fx, fy, cx, cy, beside the one (width, height). frames and poses
-    build CameraPose and CameraIntrinsics objects only when first asked for.
+    as fx, fy, cx, cy, beside the one (width, height). frames builds
+    CameraPose and CameraIntrinsics objects only when first asked for.
     """
 
     def __init__(
@@ -199,9 +186,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self._stacks[0])
 
-    def __iter__(self) -> Iterator[tuple[CameraPose, CameraIntrinsics]]:
-        return iter(self.frames)
-
     @cached_property
     def frames(self) -> tuple[tuple[CameraPose, CameraIntrinsics], ...]:
         """(pose, intrinsics) per frame, built from the stacks on first use."""
@@ -211,14 +195,6 @@ class Trajectory:
             (CameraPose(rotation=r, translation=c), CameraIntrinsics(*k, width=w, height=h))
             for r, c, k in zip(rotations, centers, intrinsics.tolist())
         )
-
-    @property
-    def poses(self) -> tuple[CameraPose, ...]:
-        return tuple(p for p, _ in self.frames)
-
-    def centers(self) -> np.ndarray:
-        """(F, 3) array of camera centers, a writable copy."""
-        return self._stacks[1].copy()
 
     @property
     def pose_stack(self) -> tuple[np.ndarray, np.ndarray]:
@@ -268,35 +244,16 @@ class PluckerRayMap:
         rays.setflags(write=False)
         object.__setattr__(self, "rays", rays)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.rays.shape
 
-
-def plucker_raymap(traj: Trajectory, downsample: int = 1) -> PluckerRayMap:
-    """Plücker ray map of a trajectory at pixel (or block) resolution.
-
-    Rays are computed at full pixel resolution by default. ``downsample`` is
-    the hook for coarser grids: with downsample = s (which must divide both
-    image dimensions) one ray is emitted per s x s pixel block, through the
-    block center. Equivariance is unaffected because each ray is still an
-    exact pinhole ray.
-    """
-    if downsample < 1:
-        raise DomainError(f"downsample must be >= 1, got {downsample}")
+def plucker_raymap(traj: Trajectory) -> PluckerRayMap:
+    """Plücker ray map of a trajectory at full resolution: one ray per pixel, through its center."""
     w, h = traj.image_size
-    if w % downsample or h % downsample:
-        raise DomainError(
-            f"downsample {downsample} must divide image size {w}x{h}"
-        )
-    gw, gh = w // downsample, h // downsample
-    us = (np.arange(gw) + 0.5) * downsample
-    vs = (np.arange(gh) + 0.5) * downsample
-    out = np.empty((len(traj), gh, gw, 6))
+    us, vs = np.arange(w) + 0.5, np.arange(h) + 0.5
+    out = np.empty((len(traj), h, w, 6))
     for f, (rotation, center, (fx, fy, cx, cy)) in enumerate(zip(*traj.pose_stack, traj.intrinsics_stack)):
         x = (us[None, :] - cx) / fx
         y = (vs[:, None] - cy) / fy
-        d = np.stack([np.broadcast_to(x, (gh, gw)), np.broadcast_to(y, (gh, gw)), np.ones((gh, gw))], axis=-1)
+        d = np.stack([np.broadcast_to(x, (h, w)), np.broadcast_to(y, (h, w)), np.ones((h, w))], axis=-1)
         d /= np.linalg.norm(d, axis=-1, keepdims=True)
         d = d @ rotation.T
         m = np.cross(np.broadcast_to(center, d.shape), d)
@@ -350,6 +307,7 @@ def load_trajectory(path: str | Path) -> Trajectory:
     doc = read_json(path, "trajectory JSON", loads=_loads)
     if not isinstance(doc, dict) or doc.get("convention") != "camera_to_world":
         raise DomainError(f"{path}: missing or unsupported pose convention")
+    check_fields(str(path), doc, {"label": str}, partial=True)
     try:
         recs = doc["frames"]
         ks = [rec["intrinsics"] for rec in recs]
@@ -362,4 +320,4 @@ def load_trajectory(path: str | Path) -> Trajectory:
         raise DomainError(f"{path}: {e}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DomainError(f"{path}: malformed trajectory record ({e})") from e
-    return _trusted((rotations, centers, intrinsics), size, str(doc.get("label", "")))
+    return _trusted((rotations, centers, intrinsics), size, doc.get("label", ""))

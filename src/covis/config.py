@@ -18,9 +18,11 @@ from typing import Any, get_args, get_type_hints
 
 from .errors import ConfigError, DomainError
 from .frustum import FrustumParams, SamplerConfig
+from .memory import check_retrieval
 from .records import check_fields, read_json, write_json
+from .scene import check_scene
 from .scheduler import SchedulerConfig
-from .trajectory_ops import DEFAULT_LOOKAT_DEPTH, SHOT_FAMILIES, ShotKind
+from .trajectory_ops import DEFAULT_LOOKAT_DEPTH, SHOT_FAMILIES, ShotKind, check_shot
 
 
 @dataclass(frozen=True)
@@ -37,10 +39,7 @@ class RetrievalConfig:
     include_source: bool = True
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError(f"retrieval k must be >= 1, got {self.k}")
-        if self.tie_rule not in ("recent_first", "oldest_first"):
-            raise DomainError(f"unknown tie rule {self.tie_rule!r}")
+        check_retrieval(self.k, self.tie_rule)
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,9 @@ class SceneConfig:
     extent: float = 10.0
     moving_fraction: float = 0.0
     velocity_scale: float = 0.02
+
+    def __post_init__(self) -> None:
+        check_scene(self.point_count, self.extent, self.moving_fraction)
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,7 @@ class ShotsConfig:
     lookat_depth: float = DEFAULT_LOOKAT_DEPTH
 
     def __post_init__(self) -> None:
-        if self.frame_count < 2:
-            raise DomainError(f"shot frame_count must be >= 2, got {self.frame_count}")
+        check_shot(self.frame_count, **{f: getattr(self, f) for f in (*SHOT_FAMILIES, "lookat_depth")})
 
     def magnitudes(self) -> dict[ShotKind, float]:
         return {

@@ -43,9 +43,6 @@ class FrustumParams:
     def __post_init__(self) -> None:
         _check_frustum_params(self.fov_h, self.fov_v, self.near, self.far)
 
-    def build(self, pose: CameraPose) -> "Frustum":
-        return build_frustum(pose, self.fov_h, self.fov_v, self.near, self.far)
-
 
 def _check_frustum_params(fov_h: float, fov_v: float, near: float, far: float) -> None:
     if not (0.0 < fov_h < math.pi and 0.0 < fov_v < math.pi):
@@ -108,14 +105,6 @@ def _inside_local(
     ok &= np.abs(local[..., 0]) <= depth * math.tan(fov_h / 2.0)
     ok &= np.abs(local[..., 1]) <= depth * math.tan(fov_v / 2.0)
     return ok
-
-
-def contains(fr: Frustum, point: np.ndarray) -> bool:
-    """True if a single world point lies inside the frustum."""
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape != (3,):
-        raise DomainError(f"expected a 3-vector, got shape {point.shape}")
-    return bool(contains_points(fr, point[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -181,7 +170,7 @@ def sample_points(fr: Frustum, cfg: SamplerConfig | None = None) -> np.ndarray:
     """Stratified sample of P points inside the frustum, shape (P, 3).
 
     Deterministic for a given (frustum, cfg): repeated calls return identical
-    arrays, and every returned point satisfies contains().
+    arrays, and every returned point satisfies contains_points().
     """
     cfg = cfg or SamplerConfig()
     local = _local_lattice(

@@ -34,12 +34,11 @@ from .errors import DomainError
 from .frustum import FrustumParams, SamplerConfig, pool_covisibility
 # Unused here; kept because perfbench/tracer.py wraps covis.memory.frame_covisibility.
 from .frustum import frame_covisibility  # noqa: F401
-from .records import MANIFEST, check_fields, inside, read_json, write_json
+from .records import MANIFEST, check_fields, inside, positive_int, read_json, write_json
 
 # Every manifest record field and its JSON type.
-_RECORD_FIELDS = {
-    "trajectory": str, "video_ref": str, "chunk_index": int, "insert_seq": int, "is_source": bool,
-}
+_RECORD_FIELDS = {"trajectory": str, "video_ref": str, "chunk_index": positive_int, "insert_seq": int,
+                  "is_source": bool}
 
 
 @dataclass(frozen=True)
@@ -215,6 +214,14 @@ class MemoryBank:
             self._entries.append(entry)
 
 
+def check_retrieval(k: int, tie_rule: str) -> None:
+    """retrieve_top_k's rules for k and tie_rule, also RetrievalConfig's."""
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    if tie_rule not in ("recent_first", "oldest_first"):
+        raise DomainError(f"unknown tie rule {tie_rule!r}")
+
+
 def retrieve_top_k(
     bank: MemoryBank,
     target: Trajectory,
@@ -235,10 +242,7 @@ def retrieve_top_k(
     Entries whose frame count differs from the target's are skipped.
     Returns min(k, pool size) entries.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if tie_rule not in ("recent_first", "oldest_first"):
-        raise DomainError(f"unknown tie rule {tie_rule!r}")
+    check_retrieval(k, tie_rule)
     candidates = [
         (i, e)
         for i, e in enumerate(bank.entries)

@@ -40,7 +40,7 @@ def top_down_svg(trajectories: Sequence[Trajectory], params: FrustumParams | Non
     footprints = []  # (apex_xz, corner_a_xz, corner_b_xz) per trajectory
     polylines = []
     for traj in trajectories:
-        centers = traj.centers()[:, [0, 2]]
+        centers = traj.pose_stack[1][:, [0, 2]]
         polylines.append(centers)
         pts.append(centers)
         rotation, apex = (stack[0] for stack in traj.pose_stack)

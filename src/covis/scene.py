@@ -30,7 +30,7 @@ from .records import MANIFEST, check_fields, inside, positive_int, read_json, wr
 BACKGROUND_ID = 0
 BACKGROUND_RGB = (128, 128, 128)
 
-# Default scene center: on the reference optical axis at half the far plane.
+# Every scene's center: on the reference optical axis at half the far plane.
 DEFAULT_SCENE_CENTER = (0.0, 0.0, 5.0)
 
 
@@ -77,28 +77,32 @@ class SceneModel:
         return self.positions + float(frame) * self.velocities
 
 
-def make_scene(
-    seed: int,
-    point_count: int = 1000,
-    extent: float = 10.0,
-    moving_fraction: float = 0.0,
-    center: tuple[float, float, float] = DEFAULT_SCENE_CENTER,
-    velocity_scale: float = 0.02,
-) -> SceneModel:
-    """Uniform random point scene inside a cube of side ``extent`` about ``center``.
-
-    A moving_fraction of points receive constant random velocities with
-    components uniform in [-velocity_scale, velocity_scale]. Same seed and
-    parameters always produce the identical scene.
-    """
+def check_scene(point_count: int, extent: float, moving_fraction: float) -> None:
+    """make_scene's rules for its arguments, also SceneConfig's."""
     if point_count < 1:
         raise DomainError(f"point_count must be >= 1, got {point_count}")
     if extent <= 0.0:
         raise DomainError(f"extent must be positive, got {extent}")
     if not (0.0 <= moving_fraction <= 1.0):
         raise DomainError(f"moving_fraction must lie in [0, 1], got {moving_fraction}")
+
+
+def make_scene(
+    seed: int,
+    point_count: int = 1000,
+    extent: float = 10.0,
+    moving_fraction: float = 0.0,
+    velocity_scale: float = 0.02,
+) -> SceneModel:
+    """Uniform random point scene inside a cube of side ``extent`` about DEFAULT_SCENE_CENTER.
+
+    A moving_fraction of points receive constant random velocities with
+    components uniform in [-velocity_scale, velocity_scale]. Same seed and
+    parameters always produce the identical scene.
+    """
+    check_scene(point_count, extent, moving_fraction)
     rng = np.random.default_rng(seed)
-    positions = np.asarray(center, dtype=np.float64) + (rng.random((point_count, 3)) - 0.5) * extent
+    positions = np.add(DEFAULT_SCENE_CENTER, (rng.random((point_count, 3)) - 0.5) * extent)
     colors = rng.integers(0, 256, size=(point_count, 3), dtype=np.int64).astype(np.uint8)
     velocities = np.zeros((point_count, 3))
     n_moving = int(round(moving_fraction * point_count))
@@ -277,7 +281,7 @@ def load_frames(directory: str | Path) -> FrameSequence:
     """Load a FrameSequence written by save_frames; exact round trip.
 
     Each frame file is read straight into its slot of the returned arrays.
-    The manifest's trajectory path must stay inside directory.
+    The manifest's trajectory must lie inside directory and match its frame count and size.
     """
     directory = Path(directory)
     path = directory / MANIFEST
@@ -286,6 +290,9 @@ def load_frames(directory: str | Path) -> FrameSequence:
     traj = load_trajectory(
         inside(directory, manifest["trajectory"], f"{path}: trajectory", "its directory")
     )
+    if (n, (w, h)) != (len(traj), traj.image_size):
+        raise DomainError(f"{directory}: manifest has {n} frames of {w}x{h}, its trajectory "
+                          "{} frames of {}x{}".format(len(traj), *traj.image_size))
     frames = np.empty((n, h, w, 3), dtype=np.uint8)
     ids = np.empty((n, h, w), dtype="<i4")
     for i in range(n):

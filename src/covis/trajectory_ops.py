@@ -88,12 +88,16 @@ class ShotSpec:
     lookat_depth: float = DEFAULT_LOOKAT_DEPTH
 
     def __post_init__(self) -> None:
-        if self.magnitude <= 0.0:
-            raise DomainError(f"magnitude must be positive, got {self.magnitude}")
-        if self.frame_count < 2:
-            raise DomainError(f"frame_count must be >= 2, got {self.frame_count}")
-        if self.lookat_depth <= 0.0:
-            raise DomainError(f"lookat_depth must be positive, got {self.lookat_depth}")
+        check_shot(self.frame_count, magnitude=self.magnitude, lookat_depth=self.lookat_depth)
+
+
+def check_shot(frame_count: int, **positive: float) -> None:
+    """ShotSpec's rules, also ShotsConfig's: 2+ frames and every named angle or distance positive."""
+    if frame_count < 2:
+        raise DomainError(f"frame_count must be >= 2, got {frame_count}")
+    for name, value in positive.items():
+        if value <= 0.0:
+            raise DomainError(f"{name} must be positive, got {value}")
 
 
 def _turns(axis: int, angles: np.ndarray) -> np.ndarray:

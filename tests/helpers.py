@@ -83,6 +83,6 @@ def transform_trajectory(traj: Trajectory, q: np.ndarray, t: np.ndarray) -> Traj
     """Apply one rigid transform (rotation q, offset t) to every pose."""
     frames = tuple(
         (CameraPose(rotation=q @ p.rotation, translation=q @ p.translation + t), intr)
-        for p, intr in traj
+        for p, intr in traj.frames
     )
     return Trajectory(frames=frames, label=traj.label)

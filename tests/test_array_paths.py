@@ -119,7 +119,7 @@ def _look_rotation(center: np.ndarray, target: np.ndarray, up: np.ndarray) -> np
 
 def _shot_pose(kind: ShotKind, base: CameraPose, lookat: np.ndarray, amount: float) -> CameraPose:
     r0, c0 = base.rotation, base.translation
-    up = -base.down
+    up = -base.rotation[:, 1]
     if kind == ShotKind.ROTATION_LEFT:
         return CameraPose(rotation=r0 @ _rot_y(-amount), translation=c0)
     if kind == ShotKind.ROTATION_RIGHT:
@@ -136,19 +136,19 @@ def _shot_pose(kind: ShotKind, base: CameraPose, lookat: np.ndarray, amount: flo
             return CameraPose(rotation=_look_rotation(center, lookat, up), translation=center)
         return CameraPose(rotation=r0, translation=center)
     if kind == ShotKind.ELEVATION_UP:
-        center = lookat + _axis_rotation(base.right, -amount) @ (c0 - lookat)
+        center = lookat + _axis_rotation(base.rotation[:, 0], -amount) @ (c0 - lookat)
         return CameraPose(rotation=r0, translation=center)
     if kind in (ShotKind.TRANSLATE_DOWN_WITH_ROT, ShotKind.TRANSLATE_UP_WITH_ROT):
         sign = 1.0 if kind == ShotKind.TRANSLATE_DOWN_WITH_ROT else -1.0
-        center = c0 + sign * amount * base.down
+        center = c0 + sign * amount * base.rotation[:, 1]
         return CameraPose(rotation=_look_rotation(center, lookat, up), translation=center)
     assert kind == ShotKind.ZOOM_OUT
-    return CameraPose(rotation=r0, translation=c0 - amount * base.forward)
+    return CameraPose(rotation=r0, translation=c0 - amount * base.rotation[:, 2])
 
 
 def ref_generate_shot(spec: ShotSpec) -> list[CameraPose]:
     base_pose = spec.base.frames[0][0]
-    lookat = base_pose.translation + spec.lookat_depth * base_pose.forward
+    lookat = base_pose.translation + spec.lookat_depth * base_pose.rotation[:, 2]
     poses = [base_pose]
     for i in range(1, spec.frame_count):
         amount = spec.magnitude * i / (spec.frame_count - 1)
@@ -212,7 +212,7 @@ def ref_render(scene, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ref_pose_errors(gt: Trajectory, pred: Trajectory, align: bool):
-    g, p = gt.centers(), pred.centers()
+    g, p = gt.pose_stack[1], pred.pose_stack[1]
     denom = float((p * p).sum())
     scale = (float((p * g).sum()) / denom if denom else 1.0) if align else 1.0
     diffs = ((g - scale * p) ** 2).sum(axis=1)
@@ -307,7 +307,7 @@ def _merge_inputs(rng: np.random.Generator, n: int, frame_count: int, antipodal:
         flip = np.diag([-1.0, 1.0, -1.0])
         first = trajs[0]
         trajs[1] = Trajectory.from_poses(
-            [CameraPose(p.rotation @ flip, p.translation) for p in first.poses],
+            [CameraPose(p.rotation @ flip, p.translation) for p, _ in first.frames],
             first.frames[0][1], label="flip",
         )
         trajs = trajs[:2]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -57,14 +58,6 @@ def test_pose_rejects_non_rotation():
         CameraPose(rotation=reflection, translation=np.zeros(3))
 
 
-def test_pose_axes():
-    rng = np.random.default_rng(7)
-    p = random_pose(rng)
-    assert np.array_equal(p.right, p.rotation[:, 0])
-    assert np.array_equal(p.down, p.rotation[:, 1])
-    assert np.array_equal(p.forward, p.rotation[:, 2])
-
-
 def test_raymap_45_degree_pixel():
     # the center of pixel (149, 49) lies fx = 100 px right of the principal point
     intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=49.5, cy=49.5, width=200, height=100)
@@ -83,14 +76,14 @@ def test_principal_ray_is_forward_axis(seed):
     intr = CameraIntrinsics(fx=k.fx, fy=k.fy, cx=u + 0.5, cy=v + 0.5, width=k.width, height=k.height)
     pose = random_pose(rng)
     rm = plucker_raymap(Trajectory.from_poses([pose], intr))
-    assert np.allclose(rm.rays[0, v, u, :3], pose.forward, atol=1e-12)
+    assert np.allclose(rm.rays[0, v, u, :3], pose.rotation[:, 2], atol=1e-12)
 
 
 def test_raymap_zero_moment_at_origin():
     intr = CameraIntrinsics(fx=8.0, fy=8.0, cx=2.0, cy=1.5, width=4, height=3)
     traj = Trajectory.from_poses([CameraPose(random_rotation(np.random.default_rng(3)), np.zeros(3))], intr)
     rm = plucker_raymap(traj)
-    assert rm.shape == (1, 3, 4, 6)
+    assert rm.rays.shape == (1, 3, 4, 6)
     assert np.all(rm.rays[..., 3:] == 0.0)
 
 
@@ -131,22 +124,10 @@ def test_raymap_rigid_equivariance(seed):
     base = plucker_raymap(traj).rays
     got = plucker_raymap(moved).rays
     want_d = base[..., :3] @ q.T
-    origins = np.stack([q @ p.translation + t for p, _ in traj])
+    origins = np.stack([q @ p.translation + t for p, _ in traj.frames])
     want_m = np.cross(origins[:, None, None, :], want_d)
     assert np.allclose(got[..., :3], want_d, atol=1e-12)
     assert np.allclose(got[..., 3:], want_m, atol=1e-12)
-
-
-def test_raymap_downsample():
-    rng = np.random.default_rng(5)
-    intr = CameraIntrinsics(fx=10.0, fy=10.0, cx=4.0, cy=3.0, width=8, height=6)
-    traj = Trajectory.from_poses([random_pose(rng)], intr)
-    rm = plucker_raymap(traj, downsample=2)
-    assert rm.shape == (1, 3, 4, 6)
-    with pytest.raises(DomainError):
-        plucker_raymap(traj, downsample=5)
-    with pytest.raises(DomainError):
-        plucker_raymap(traj, downsample=0)
 
 
 def test_raymap_type_rejects_bad_rays():
@@ -179,7 +160,7 @@ def test_trajectory_slice_and_label():
     part = traj.slice_frames(1, 4)
     assert len(part) == 3
     assert part.label == "walk"
-    assert np.array_equal(part.centers(), traj.centers()[1:4])
+    assert np.array_equal(part.pose_stack[1], traj.pose_stack[1][1:4])
     with pytest.raises(DomainError):
         traj.slice_frames(3, 3)
     with pytest.raises(DomainError):
@@ -200,7 +181,7 @@ def test_trajectory_round_trip_bit_exact(tmp_path):
     back = load_trajectory(path)
     assert back.label == "precise"
     assert len(back) == len(traj)
-    for (p0, i0), (p1, i1) in zip(traj, back):
+    for (p0, i0), (p1, i1) in zip(traj.frames, back.frames):
         assert np.array_equal(p0.rotation, p1.rotation)
         assert np.array_equal(p0.translation, p1.translation)
         assert i0 == i1
@@ -208,6 +189,20 @@ def test_trajectory_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "t2.json"
     save_trajectory(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_load_trajectory_reads_a_missing_label_as_empty_and_rejects_one_that_is_not_text(tmp_path):
+    path = tmp_path / "t.json"
+    save_trajectory(random_trajectory(np.random.default_rng(23), frame_count=2, label="x"), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["label"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_trajectory(path).label == ""
+    for label in (None, 5, ["a"], {"x": 1}, True):
+        doc["label"] = label
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DomainError, match="'label' must be a str"):
+            load_trajectory(path)
 
 
 def test_load_trajectory_rejects_bad_files(tmp_path):

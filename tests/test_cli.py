@@ -377,6 +377,34 @@ def test_eval_rejects_video_trajectory_outside_its_directory(run_dir, tmp_path, 
     assert not (run / "report.json").exists()
 
 
+@pytest.mark.parametrize("key, value, expect", [
+    ("frame_count", 4, "manifest has 4 frames of 192x108, its trajectory 5 frames of 192x108"),
+    ("width", 96, "manifest has 5 frames of 96x108, its trajectory 5 frames of 192x108"),
+], ids=["frame_count", "width"])
+def test_eval_names_a_video_whose_manifest_disagrees_with_its_trajectory(run_dir, tmp_path, capsys,
+                                                                         key, value, expect):
+    run, video = _copied_video(run_dir, tmp_path)
+    manifest = json.loads((video / "manifest.json").read_text(encoding="utf-8"))
+    manifest[key] = value
+    (video / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
+    assert f"{video}: {expect}" in capsys.readouterr().err
+    assert not (run / "report.json").exists()
+
+
+def test_eval_names_the_bank_manifest_of_an_entry_in_chunk_0(run_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    (run / "report.json").unlink()
+    path = run / "bank" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["entries"][1]["chunk_index"] = 0
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
+    assert f"{path}: entry 1: 'chunk_index' must be a positive int, got 0" in capsys.readouterr().err
+    assert not (run / "report.json").exists()
+
+
 @pytest.mark.parametrize("name", ["frame_0002.rgb", "frame_0002.ids"])
 @pytest.mark.parametrize("change", [-1, 1])
 def test_eval_rejects_frame_file_one_byte_off(run_dir, tmp_path, capsys, name, change):
@@ -656,6 +684,34 @@ def test_mistyped_config_values_exit_4(tmp_path, capsys, args):
     assert not (tmp_path / "run").exists()
 
 
+_RANGE_CASES = [
+    ("simulate", "scene.point_count=0", "point_count must be >= 1, got 0"),
+    ("simulate", "scene.extent=-1", "extent must be positive, got -1.0"),
+    ("simulate", "scene.moving_fraction=2", "moving_fraction must lie in [0, 1], got 2.0"),
+    ("simulate", "shots.rotate_angle=-1", "rotate_angle must be positive, got -1.0"),
+    ("simulate", "shots.lookat_depth=0", "lookat_depth must be positive, got 0.0"),
+    ("simulate", "shots.frame_count=1", "frame_count must be >= 2, got 1"),
+    ("simulate", "sampler.grid_w=0", "sampler grid must be >= 1 in every dimension, got 0x6x8"),
+    ("simulate", "scheduler.k=0", "context size k must be >= 1, got 0"),
+    ("simulate", "retrieval.k=0", "k must be >= 1, got 0"),
+    ("simulate", "retrieval.tie_rule=x", "unknown tie rule 'x'"),
+    ("gen-benchmark", "shots.zoom_distance=-2", "zoom_distance must be positive, got -2.0"),
+]
+
+
+@pytest.mark.parametrize("command, setting, expect", _RANGE_CASES,
+                         ids=[setting for _, setting, _ in _RANGE_CASES])
+def test_out_of_range_config_values_exit_4(tmp_path, capsys, command, setting, expect):
+    out = tmp_path / "run"
+    args = [command, "--out", str(out), *(SIM_ARGS if command == "simulate" else []),
+            "--set", setting]
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    section = setting.split(".")[0]
+    assert f"configuration error: invalid config section {section!r}: " in err and expect in err
+    assert not out.exists()
+
+
 def test_zero_counts_and_empty_shot_lists_reach_their_validators(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path / "run"), "--frames", "0"]) == 2
     assert main(["simulate", "--out", str(tmp_path / "run"), "--shots", ""]) == 2
@@ -918,6 +974,19 @@ def test_simulate_rejects_a_bool_in_a_rotation(tmp_path, capsys):
     assert f"{source}: frame 1: rotation must hold only numbers" in err
 
 
+@pytest.mark.parametrize("label", [None, 5, ["a"], {"x": 1}], ids=["null", "int", "list", "object"])
+def test_simulate_rejects_a_source_label_that_is_not_text(tmp_path, capsys, label):
+    # each used to load as its Python text: 'None', '5', "['a']", "{'x': 1}"
+    source = _source_with(tmp_path, 3, lambda f, intr: None)
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    doc["label"] = label
+    source.write_text(json.dumps(doc), encoding="utf-8")
+    args = ["simulate", "--source", str(source), "--shots", "1", "--out", str(tmp_path / "run"),
+            "--set", "scene.point_count=40"]
+    assert main(args) == 2
+    assert f"{source}: 'label' must be a str, got {label!r}" in capsys.readouterr().err
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_simulate_rejects_a_source_with_one_number_replaced(data):
@@ -954,7 +1023,7 @@ def test_simulate_on_an_image_size_numpy_refuses_exits_2(tmp_path, capsys):
 def test_eval_rejects_a_chunk_video_whose_trajectory_was_edited(run_dir, tmp_path, capsys):
     run, video = _copied_video(run_dir, tmp_path)
     traj = load_trajectory(video / "trajectory.json")
-    poses = list(traj.poses)
+    poses = [p for p, _ in traj.frames]
     poses[2] = CameraPose(poses[2].rotation, poses[2].translation + [0.0, 0.25, 0.0])
     save_trajectory(Trajectory.from_poses(poses, traj.frames[0][1], traj.label),
                     video / "trajectory.json")

@@ -16,7 +16,6 @@ from covis import (
     FrustumParams,
     SamplerConfig,
     build_frustum,
-    contains,
     contains_points,
     frame_covisibility,
     sample_points,
@@ -32,8 +31,8 @@ YAW_90 = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
 
 
 def default_frustum(pose: CameraPose | None = None, **kw) -> Frustum:
-    params = FrustumParams(**kw)
-    return params.build(pose or CameraPose.identity())
+    p = FrustumParams(**kw)
+    return build_frustum(pose or CameraPose.identity(), p.fov_h, p.fov_v, p.near, p.far)
 
 
 def test_default_params():
@@ -69,29 +68,20 @@ def test_axis_follows_pose():
 
 def test_contains_examples():
     fr = default_frustum()
-    assert contains(fr, np.array([0.0, 0.0, 5.0]))
-    assert not contains(fr, np.array([0.0, 0.0, 11.0]))
-    # tan(45 deg) * 5 = 5 lateral boundary, probed from both sides
-    assert contains(fr, np.array([5.0 - 1e-6, 0.0, 5.0]))
-    assert not contains(fr, np.array([5.0 + 1e-6, 0.0, 5.0]))
     y_edge = 5.0 * math.tan(math.pi / 6)
-    assert contains(fr, np.array([0.0, y_edge, 5.0]))
-    assert not contains(fr, np.array([0.0, y_edge + 1e-6, 5.0]))
-    # near = 0: the apex itself is inside, anything behind is not
-    assert contains(fr, np.zeros(3))
-    assert not contains(fr, np.array([0.0, 0.0, -1e-9]))
-    assert contains(fr, np.array([0.0, 0.0, 10.0]))
-
-
-def test_contains_points_matches_scalar():
-    rng = np.random.default_rng(23)
-    fr = default_frustum(random_pose(rng))
-    pts = rng.uniform(-12.0, 12.0, size=(200, 3))
-    mask = contains_points(fr, pts)
-    assert mask.shape == (200,)
+    probes = [
+        ([0.0, 0.0, 5.0], True), ([0.0, 0.0, 11.0], False),
+        # tan(45 deg) * 5 = 5 lateral boundary, probed from both sides
+        ([5.0 - 1e-6, 0.0, 5.0], True), ([5.0 + 1e-6, 0.0, 5.0], False),
+        ([0.0, y_edge, 5.0], True), ([0.0, y_edge + 1e-6, 5.0], False),
+        # near = 0: the apex itself is inside, anything behind is not
+        ([0.0, 0.0, 0.0], True), ([0.0, 0.0, -1e-9], False), ([0.0, 0.0, 10.0], True),
+    ]
+    for point, inside in probes:
+        assert contains_points(fr, np.array(point)[None])[0] == inside, point
+    mask = contains_points(fr, np.array([point for point, _ in probes]))
     assert mask.dtype == np.bool_
-    for p, flag in zip(pts, mask):
-        assert contains(fr, p) == flag
+    assert mask.tolist() == [inside for _, inside in probes]
 
 
 def test_sampler_config_validation():
@@ -252,5 +242,6 @@ def test_stacked_samples_match_per_frame_bits(seed, frames, jitter, default_para
     _world_samples(lattice.T, *stack(poses_s), world)
     local = _view_local(world, *stack(poses_v), np.empty_like(world), np.empty_like(world))
     for f, (ps, pv) in enumerate(zip(poses_s, poses_v)):
-        fs, fv = params.build(ps), params.build(pv)
+        fs, fv = (build_frustum(q, params.fov_h, params.fov_v, params.near, params.far)
+                  for q in (ps, pv))
         assert np.array_equal(local[f], (sample_points(fs, cfg) - fv.apex) @ fv.orientation)

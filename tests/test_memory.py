@@ -11,12 +11,14 @@ from covis import (
     CameraIntrinsics,
     CameraPose,
     DomainError,
+    Frustum,
     FrustumParams,
     MemoryBank,
     MemoryEntry,
     RetrievalResult,
     SamplerConfig,
     Trajectory,
+    build_frustum,
     frame_covisibility,
     pad_context,
     retrieve_top_k,
@@ -83,18 +85,22 @@ def test_similarity_symmetric(seed):
     assert trajectory_similarity(a, b) == trajectory_similarity(b, a)
 
 
+def frustum(params: FrustumParams, pose: CameraPose) -> Frustum:
+    return build_frustum(pose, params.fov_h, params.fov_v, params.near, params.far)
+
+
 def loop_similarity(a, b, cfg, params):
     """Reference: frame_covisibility frame by frame, summed in frame order."""
     total = 0.0
     for (pa, _), (pb, _) in zip(a.frames, b.frames):
-        total += frame_covisibility(params.build(pa), params.build(pb), cfg)
+        total += frame_covisibility(frustum(params, pa), frustum(params, pb), cfg)
     return total / len(a)
 
 
 def paired_trajectory(rng, a: Trajectory, layout: str) -> Trajectory:
     """A partner for a: the same poses, far-off poses, fresh random poses, or a per-frame mix."""
     poses = []
-    for p in a.poses:
+    for p, _ in a.frames:
         kind = rng.choice(["identical", "disjoint", "random"]) if layout == "mixed" else layout
         if kind == "identical":
             poses.append(p)
@@ -136,8 +142,8 @@ def test_similarity_equals_frame_loop_exactly(seed, frames, pool_layouts, jitter
     assert per_frame.shape == (len(pool), frames)
     for b, row, layout in zip(pool, per_frame, pool_layouts):
         assert row.tolist() == [
-            frame_covisibility(ref_params.build(pa), ref_params.build(pb), cfg)
-            for pa, pb in zip(a.poses, b.poses)
+            frame_covisibility(frustum(ref_params, pa), frustum(ref_params, pb), cfg)
+            for (pa, _), (pb, _) in zip(a.frames, b.frames)
         ]
         assert trajectory_similarity(a, b, cfg, params) == loop_similarity(a, b, cfg, ref_params)
         if layout == "identical":
@@ -168,7 +174,7 @@ def test_pose_stack_is_cached_and_read_only():
     rotations, centers = traj.pose_stack
     assert traj.pose_stack[0] is rotations
     assert rotations.shape == (4, 3, 3) and centers.shape == (4, 3)
-    assert np.array_equal(centers, traj.centers())
+    assert np.array_equal(centers, [p.translation for p, _ in traj.frames])
     with pytest.raises(ValueError):
         rotations[0, 0, 0] = 2.0
 
@@ -350,7 +356,7 @@ def test_bank_disk_round_trip(tmp_path):
             e1.video_ref, e1.chunk_index, e1.insert_seq, e1.is_source
         )
         assert e0.trajectory.label == e1.trajectory.label
-        assert np.array_equal(e0.trajectory.centers(), e1.trajectory.centers())
+        assert np.array_equal(e0.trajectory.pose_stack[1], e1.trajectory.pose_stack[1])
 
     target = random_trajectory(rng, 2)
     assert (

@@ -313,7 +313,7 @@ def test_pose_error_report_fields():
     # summation order differs from trans_err's flat sum by at most an ulp
     assert rep.trans_err == pytest.approx(trans_err(gt, pred, align=True), rel=1e-12)
     assert rep.rot_err == pytest.approx(rot_err(gt, pred), rel=1e-12)
-    assert rep.scale == align_scale(gt.centers(), pred.centers())
+    assert rep.scale == align_scale(gt.pose_stack[1], pred.pose_stack[1])
     assert rep.trans_err_mean == rep.trans_err / 4
     assert rep.rot_err_mean == rep.rot_err / 4
     assert len(rep.per_frame) == 4

@@ -117,7 +117,7 @@ def test_rotation_shots_turn_in_place():
 def test_zoom_out_moves_back_along_axis():
     base_pose = random_pose(np.random.default_rng(7))
     end = shot(ShotKind.ZOOM_OUT, 2.0, frames=3, base=base_trajectory(base_pose)).frames[-1][0]
-    assert np.allclose(end.translation, base_pose.translation - 2.0 * base_pose.forward,
+    assert np.allclose(end.translation, base_pose.translation - 2.0 * base_pose.rotation[:, 2],
                        atol=1e-12)
     assert np.array_equal(end.rotation, base_pose.rotation)
 
@@ -125,7 +125,7 @@ def test_zoom_out_moves_back_along_axis():
 def test_azimuth_orbits_without_reaiming():
     traj = shot(ShotKind.AZIMUTH_RIGHT, math.pi / 4, frames=5)
     lookat = np.array([0.0, 0.0, 5.0])
-    for pose, _ in traj:
+    for pose, _ in traj.frames:
         assert np.array_equal(pose.rotation, np.eye(3))
         assert abs(np.linalg.norm(pose.translation - lookat) - 5.0) <= 1e-9
     end = traj.frames[-1][0].translation
@@ -139,10 +139,10 @@ def test_arc_shots_reaim_at_lookat():
     lookat = np.array([0.0, 0.0, 5.0])
     for kind in (ShotKind.ARC_RIGHT_WITH_ROT, ShotKind.ARC_LEFT_WITH_ROT):
         traj = shot(kind, math.pi / 4, frames=5)
-        for pose, _ in list(traj)[1:]:
+        for pose, _ in traj.frames[1:]:
             to_target = lookat - pose.translation
             to_target /= np.linalg.norm(to_target)
-            assert np.allclose(pose.forward, to_target, atol=1e-9), kind
+            assert np.allclose(pose.rotation[:, 2], to_target, atol=1e-9), kind
             assert abs(np.linalg.norm(pose.translation - lookat) - 5.0) <= 1e-9
 
 
@@ -153,7 +153,7 @@ def test_translate_shots_move_and_reaim():
     # identity base: camera down is +y
     assert np.allclose(end.translation, [0.0, 0.5, 0.0], atol=1e-12)
     to_target = lookat - end.translation
-    assert np.allclose(end.forward, to_target / np.linalg.norm(to_target), atol=1e-9)
+    assert np.allclose(end.rotation[:, 2], to_target / np.linalg.norm(to_target), atol=1e-9)
     up = shot(ShotKind.TRANSLATE_UP_WITH_ROT, 0.5, frames=3).frames[-1][0]
     assert np.allclose(up.translation, [0.0, -0.5, 0.0], atol=1e-12)
 
@@ -161,7 +161,7 @@ def test_translate_shots_move_and_reaim():
 def test_elevation_orbits_vertically_keeping_orientation():
     traj = shot(ShotKind.ELEVATION_UP, math.pi / 6, frames=4)
     lookat = np.array([0.0, 0.0, 5.0])
-    for pose, _ in traj:
+    for pose, _ in traj.frames:
         assert np.array_equal(pose.rotation, np.eye(3))
         assert abs(np.linalg.norm(pose.translation - lookat) - 5.0) <= 1e-9
     # up in world is -y for the identity camera
@@ -225,7 +225,7 @@ def test_merge_validation():
 def test_merge_identical_inputs_idempotent():
     traj = random_trajectory(np.random.default_rng(17), frame_count=2)
     merged = merge_trajectories([traj, traj])
-    for (p, i), (q, j) in zip(merged, traj):
+    for (p, i), (q, j) in zip(merged.frames, traj.frames):
         assert np.allclose(p.rotation, q.rotation, atol=1e-12)
         assert np.array_equal(p.translation, q.translation)
         assert i == j
@@ -274,10 +274,10 @@ def test_merge_permutation_invariant():
     trajs = [random_trajectory(rng, frame_count=2, label=str(i)) for i in range(3)]
     for i in range(3):
         # all trajectories must share one image size to merge
-        trajs[i] = Trajectory.from_poses([p for p, _ in trajs[i]], INTR, label=str(i))
+        trajs[i] = Trajectory.from_poses([p for p, _ in trajs[i].frames], INTR, label=str(i))
     m1 = merge_trajectories(trajs)
     m2 = merge_trajectories([trajs[2], trajs[0], trajs[1]])
-    for (p, _), (q, _) in zip(m1, m2):
+    for (p, _), (q, _) in zip(m1.frames, m2.frames):
         assert np.allclose(p.rotation, q.rotation, atol=1e-12)
         assert np.allclose(p.translation, q.translation, atol=1e-12)
 

@@ -78,11 +78,14 @@ def _check_intrinsics(
     _reject(~((fx > 0.0) & (fy > 0.0)), prefix,
             lambda f: f"focal lengths must be positive, got fx={fx[f]}, fy={fy[f]}")
     w, h = sizes[0]
-    for f, (fw, fh) in enumerate(sizes):
-        if not (positive_int(fw) and positive_int(fh)):
-            raise DomainError(prefix.format(f) + f"image size must be integers >= 1, got {fw!r}x{fh!r}")
-        if (fw, fh) != (w, h):
-            raise DomainError(f"frame {f} has image size {fw}x{fh}, expected {w}x{h}")
+    # a good trajectory repeats one size of one type, so only frame 0 needs positive_int
+    if (not (positive_int(w) and positive_int(h))
+            or len(set(map(type, chain.from_iterable(sizes)))) > 1 or sizes.count((w, h)) < len(sizes)):
+        for f, (fw, fh) in enumerate(sizes):
+            if not (positive_int(fw) and positive_int(fh)):
+                raise DomainError(prefix.format(f) + f"image size must be integers >= 1, got {fw!r}x{fh!r}")
+            if (fw, fh) != (w, h):
+                raise DomainError(f"frame {f} has image size {fw}x{fh}, expected {w}x{h}")
     return int(w), int(h)
 
 

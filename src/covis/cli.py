@@ -71,9 +71,9 @@ def _shot_file_name(kind: ShotKind) -> str:
 
 
 def cmd_gen_benchmark(config: EngineConfig, base_path: str | None) -> int:
+    base = _load_base(config, base_path)
     out_dir = Path(config.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = _load_base(config, base_path)
     suite = benchmark_suite(
         base, config.shots.frame_count, config.shots.magnitudes(), config.shots.lookat_depth
     )
@@ -163,7 +163,6 @@ def cmd_simulate(
     bank_path = out_dir / _BANK_DIR
     if (bank_path / MANIFEST).exists():
         raise DomainError(f"{bank_path} already holds a bank; choose a fresh --out directory")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if frame_count is None:
         frame_count = config.shots.frame_count
@@ -180,6 +179,7 @@ def cmd_simulate(
         source, len(source), config.shots.magnitudes(), config.shots.lookat_depth
     )
     suite = [suite_all[int(kind) - 1] for kind in kinds]
+    # the bank makes out_dir; every input is checked first, so a bad one leaves no directory
     bank = MemoryBank(bank_path)
     events: list[dict] = []
     events.append({
@@ -315,8 +315,8 @@ def _stitch_videos(
 ) -> FrameSequence:
     """A shot's per-chunk videos joined along its stitched trajectory traj.
 
-    Each chunk is loaded once, copied minus its overlap frames into buffers
-    sized from traj, and released before the next chunk is loaded.
+    Each chunk's frame files, all but its overlap frames, are read straight
+    into their slots of buffers sized from traj.
     """
     w, h = traj.image_size
     frames = np.empty((len(traj), h, w, 3), dtype=np.uint8)
@@ -324,22 +324,20 @@ def _stitch_videos(
     keys = set()
     pos = 0
     for e, drop in zip(parts, _chunk_drops(parts, overlap)):
-        seq = load_frames(run_dir / e.video_ref)
-        # the video's frames follow its own trajectory, which must be the banked one
-        if seq.trajectory.image_size != e.trajectory.image_size or not all(
-                map(np.array_equal, _arrays(seq.trajectory), _arrays(e.trajectory))):
-            (vw, vh), (cw, ch) = seq.trajectory.image_size, e.trajectory.image_size
+        end = pos + len(e.trajectory) - drop
+        video, key = load_frames(run_dir / e.video_ref, out=(frames[pos:end], ids[pos:end]),
+                                 skip=drop)
+        # the video's frames follow its own trajectory, which must be the banked one;
+        # load_frames has already matched its frame count and image size to the slots
+        if not all(map(np.array_equal, _arrays(video), _arrays(e.trajectory))):
+            (vw, vh), (cw, ch) = video.image_size, e.trajectory.image_size
             raise DomainError(
-                f"{e.video_ref}: its video follows {len(seq.trajectory)} frames of {vw}x{vh}, "
+                f"{e.video_ref}: its video follows {len(video)} frames of {vw}x{vh}, "
                 f"but its bank trajectory has {len(e.trajectory)} frames of {cw}x{ch}; "
                 "the two must be identical"
             )
-        n = len(seq.frames[drop:])
-        frames[pos:pos + n] = seq.frames[drop:]
-        ids[pos:pos + n] = seq.id_map[drop:]
-        pos += n
-        keys.add(seq.scene_key)
-        del seq
+        keys.add(key)
+        pos = end
     frames.setflags(write=False)
     ids.setflags(write=False)
     return FrameSequence(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -134,13 +134,27 @@ def matched_pixels(m: MatchMap) -> int:
     return int((m.confidences >= m.threshold).sum())
 
 
-def _match_mask(ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
-    """Pixels of id map ids_a whose point id appears anywhere in id map ids_b.
+def _match_masks(ids_a: np.ndarray, ids_b: np.ndarray) -> Iterator[np.ndarray]:
+    """Per frame of two (F, H, W) id stacks, the pixels of a whose point id appears anywhere
+    in the same-index frame of b; background pixels of a never match.
 
-    Background pixels of ids_a never match, so background in ids_b needs no
-    filtering.
+    One boolean table over the pair's id range, offset by its smallest id, serves every
+    frame: b's non-background ids are set, a's ids gathered, then b's cleared, so the
+    background entry is never set. A range wider than four frames' pixels falls back to
+    np.isin per frame.
     """
-    return np.isin(ids_a, ids_b) & (ids_a != BACKGROUND_ID)
+    lo = int(min(ids_a.min(), ids_b.min()))
+    span = int(max(ids_a.max(), ids_b.max())) - lo + 1
+    if span > 4 * ids_a[0].size:
+        for fa, fb in zip(ids_a, ids_b):
+            yield np.isin(fa, fb) & (fa != BACKGROUND_ID)
+        return
+    table = np.zeros(span, dtype=bool)
+    for fa, fb in zip(ids_a, ids_b):
+        kb = fb[fb != BACKGROUND_ID] - lo
+        table[kb] = True
+        yield table.take(fa - lo if lo else fa)
+        table[kb] = False
 
 
 def _check_same_scene(a: FrameSequence, b: FrameSequence) -> None:
@@ -161,8 +175,7 @@ def oracle_match(a: FrameSequence, b: FrameSequence) -> list[MatchMap]:
     _check_same_scene(a, b)
     if a.frame_count != b.frame_count:
         raise DomainError(f"frame counts differ ({a.frame_count} vs {b.frame_count})")
-    return [MatchMap(confidences=_match_mask(ids_a, ids_b).astype(np.float64))
-            for ids_a, ids_b in zip(a.id_map, b.id_map)]
+    return [MatchMap(confidences=m.astype(np.float64)) for m in _match_masks(a.id_map, b.id_map)]
 
 
 @dataclass(frozen=True)
@@ -216,10 +229,7 @@ def sync_report(
                 f"({a.frame_count} vs {b.frame_count})"
             )
         _check_same_scene(a, b)
-        counts = [
-            int(np.count_nonzero(_match_mask(ids_a, ids_b)))
-            for ids_a, ids_b in zip(a.id_map, b.id_map)
-        ]
+        counts = [int(np.count_nonzero(m)) for m in _match_masks(a.id_map, b.id_map)]
         rows.append(SyncRow(
             pair=(p, q), frames=a.frame_count,
             mean_matched_pixels=float(np.mean(counts)),

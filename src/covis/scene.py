@@ -17,6 +17,7 @@ measures cover the same region).
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -271,17 +272,24 @@ _MANIFEST_FIELDS = {"width": positive_int, "height": positive_int, "frame_count"
                     "trajectory": str, "scene_key": str | None}
 
 
-def _fill(path: Path, out: np.ndarray) -> bool:
+def _fill(path: str, out: np.ndarray) -> bool:
     """Read file path into the contiguous array out; True iff its size is exactly out.nbytes."""
     with open(path, "rb") as f:
         return f.readinto(memoryview(out).cast("B")) == out.nbytes and not f.read(1)
 
 
-def load_frames(directory: str | Path) -> FrameSequence:
+def load_frames(
+    directory: str | Path, *, out: tuple[np.ndarray, np.ndarray] | None = None, skip: int = 0
+) -> FrameSequence | tuple[Trajectory, str | None]:
     """Load a FrameSequence written by save_frames; exact round trip.
 
     Each frame file is read straight into its slot of the returned arrays.
     The manifest's trajectory must lie inside directory and match its frame count and size.
+
+    With out, two writable C-contiguous arrays shaped (F - skip, H, W, 3) uint8 and
+    (F - skip, H, W) int32, the frames from skip on are read into them instead,
+    and the result is the video's trajectory and scene key. The first skip frames
+    are not read, but each of their files must still have its exact byte length.
     """
     directory = Path(directory)
     path = directory / MANIFEST
@@ -293,12 +301,25 @@ def load_frames(directory: str | Path) -> FrameSequence:
     if (n, (w, h)) != (len(traj), traj.image_size):
         raise DomainError(f"{directory}: manifest has {n} frames of {w}x{h}, its trajectory "
                           "{} frames of {}x{}".format(len(traj), *traj.image_size))
-    frames = np.empty((n, h, w, 3), dtype=np.uint8)
-    ids = np.empty((n, h, w), dtype="<i4")
-    for i in range(n):
-        if not (_fill(directory / f"frame_{i:04d}.rgb", frames[i])
-                and _fill(directory / f"frame_{i:04d}.ids", ids[i])):
+    if out is None:
+        frames = np.empty((n, h, w, 3), dtype=np.uint8)
+        ids = np.empty((n, h, w), dtype="<i4")
+    else:
+        frames, ids = out
+        if (frames.shape, ids.shape) != ((n - skip, h, w, 3), (n - skip, h, w)):
+            raise DomainError(f"{directory}: {n} frames of {w}x{h}, {skip} skipped, "
+                              f"do not fit a destination of {len(frames)} frames")
+    prefix = f"{directory}{os.sep}frame_"
+    for i in range(skip):
+        if (os.stat(f"{prefix}{i:04d}.rgb").st_size, os.stat(f"{prefix}{i:04d}.ids").st_size) != (
+                h * w * 3, h * w * 4):
             raise DomainError(f"{directory}: frame {i} has unexpected byte length")
+    for i in range(skip, n):
+        if not (_fill(f"{prefix}{i:04d}.rgb", frames[i - skip])
+                and _fill(f"{prefix}{i:04d}.ids", ids[i - skip])):
+            raise DomainError(f"{directory}: frame {i} has unexpected byte length")
+    if out is not None:
+        return traj, manifest.get("scene_key")
     frames.setflags(write=False)
     ids.setflags(write=False)
     return FrameSequence(

@@ -22,6 +22,7 @@ from covis import (
     CameraIntrinsics,
     CameraPose,
     MemoryBank,
+    MemoryEntry,
     Trajectory,
     load_trajectory,
     save_config,
@@ -32,7 +33,7 @@ from covis import (
 import covis.cli
 from covis.cli import main
 from covis.config import apply_overrides, default_config
-from covis.scene import FrameSequence, load_frames
+from covis.scene import FrameSequence, load_frames, save_frames
 from covis.trajectory_ops import ShotKind
 from helpers import aimed_trajectory
 
@@ -262,9 +263,9 @@ def test_eval_streams_at_most_two_videos(full_run, monkeypatch, n_shots):
     loads, live_before_stitch, stitched, same_as_at_once = [], [], [], []
     load, stitch = covis.cli.load_frames, covis.cli._stitch_videos
 
-    def counting_load(directory):
+    def counting_load(directory, **kwargs):
         loads.append(Path(directory).relative_to(full_run).as_posix())
-        return load(directory)
+        return load(directory, **kwargs)
 
     def tracking_stitch(*args, **kwargs):
         gc.collect()
@@ -299,6 +300,64 @@ def test_eval_streams_at_most_two_videos(full_run, monkeypatch, n_shots):
     assert len(doc["poses"]) == n_shots
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_stitched_video_equals_the_concatenated_chunk_videos(data):
+    overlap = data.draw(st.integers(0, 3), label="overlap")
+    lengths = data.draw(st.lists(st.integers(overlap + 1, overlap + 4), min_size=1, max_size=4),
+                        label="chunk lengths")
+    w, h = data.draw(st.integers(1, 5), label="width"), data.draw(st.integers(1, 5), label="height")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    intr = CameraIntrinsics.from_fov(1.2, 0.9, w, h)
+    with tempfile.TemporaryDirectory() as tmp:
+        run, parts = Path(tmp), []
+        for m, n in enumerate(lengths, start=1):
+            traj = Trajectory.from_poses(
+                [CameraPose(np.eye(3), rng.normal(size=3)) for _ in range(n)], intr, "tilt_up")
+            save_frames(FrameSequence(
+                frames=rng.integers(0, 256, (n, h, w, 3), dtype=np.uint8),
+                id_map=rng.integers(-2**31, 2**31, (n, h, w), dtype=np.int32),
+                trajectory=traj, scene_key="scene-test"), run / f"videos/c{m:02d}")
+            parts.append(MemoryEntry(traj, f"videos/c{m:02d}", m, m))
+        stitched = covis.cli._stitch_videos(
+            run, parts, covis.cli._stitch_trajectory(parts, overlap, "tilt_up"), overlap)
+        whole = [load_frames(run / e.video_ref) for e in parts]
+        drops = [0] + [overlap] * (len(parts) - 1)
+    for name in ("frames", "id_map"):
+        want = np.concatenate([getattr(s, name)[d:] for s, d in zip(whole, drops)])
+        got = getattr(stitched, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert not got.flags.writeable
+    assert stitched.scene_key == "scene-test"
+
+
+@pytest.mark.parametrize("name", ["frame_0001.ids", "frame_0001.rgb"])
+def test_eval_checks_the_length_of_a_dropped_overlap_frame(full_run, tmp_path, capsys, name):
+    # chunk 2 starts with the 3 frames chunk 1 already holds; eval never reads them
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    (run / "report.json").unlink(missing_ok=True)
+    video = run / _generated_refs(run, [ShotKind.ROTATION_LEFT])["rotation_left"][1]
+    path = video / name
+    path.write_bytes(path.read_bytes()[:-1])
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
+    assert f"{video}: frame 1 has unexpected byte length" in capsys.readouterr().err
+    assert not (run / "report.json").exists()
+
+
+def test_eval_names_a_chunk_video_shorter_than_its_bank_entry(run_dir, tmp_path, capsys):
+    run, video = _copied_video(run_dir, tmp_path)
+    traj = load_trajectory(video / "trajectory.json")
+    save_trajectory(traj.slice_frames(0, len(traj) - 1), video / "trajectory.json")
+    manifest = json.loads((video / "manifest.json").read_text(encoding="utf-8"))
+    manifest["frame_count"] = len(traj) - 1
+    (video / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
+    assert f"{video}: 4 frames of 192x108, 0 skipped, do not fit a destination of 5 frames" in (
+        capsys.readouterr().err)
+    assert not (run / "report.json").exists()
+
+
 def test_eval_rejects_video_outside_run(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["simulate", "--out", str(run), "--seed", "5", *SIM_ARGS]) == 0
@@ -318,13 +377,9 @@ def test_eval_rejects_video_outside_run(tmp_path, capsys):
 def test_eval_rejects_chunk_video_of_wrong_length(run_dir, monkeypatch, capsys):
     load = covis.cli.load_frames
 
-    def short_load(directory):
-        seq = load(directory)
-        return FrameSequence(
-            frames=seq.frames[1:], id_map=seq.id_map[1:],
-            trajectory=seq.trajectory.slice_frames(1, seq.frame_count),
-            scene_key=seq.scene_key,
-        )
+    def short_load(directory, **kwargs):
+        traj, key = load(directory, **kwargs)
+        return traj.slice_frames(1, len(traj)), key
 
     monkeypatch.setattr(covis.cli, "load_frames", short_load)
     assert main(["eval", "--run", str(run_dir), "--n-shots", "3"]) == 2
@@ -334,12 +389,9 @@ def test_eval_rejects_chunk_video_of_wrong_length(run_dir, monkeypatch, capsys):
 def test_eval_rejects_chunks_of_different_scenes(full_run, monkeypatch, capsys):
     load = covis.cli.load_frames
 
-    def relabelled_load(directory):
-        seq = load(directory)
-        if not str(directory).endswith("_c02"):
-            return seq
-        return FrameSequence(frames=seq.frames, id_map=seq.id_map,
-                             trajectory=seq.trajectory, scene_key="another scene")
+    def relabelled_load(directory, **kwargs):
+        traj, key = load(directory, **kwargs)
+        return traj, "another scene" if str(directory).endswith("_c02") else key
 
     monkeypatch.setattr(covis.cli, "load_frames", relabelled_load)
     assert main(["eval", "--run", str(full_run), "--n-shots", "3"]) == 2
@@ -939,11 +991,13 @@ def _source_with(tmp_path: Path, frames: int, edit) -> Path:
     ("width", "true", [0, 1, 2], "frame 0: image size must be integers >= 1, got Truex12"),
     ("width", "[192]", [1], "frame 1: image size must be integers >= 1, got [192]x12"),
     ("height", '{"h": 12}', [2], "frame 2: image size must be integers >= 1, got 16x{'h': 12}"),
+    ("width", "16.0", [2], "frame 2: image size must be integers >= 1, got 16.0x12"),
+    ("width", "17", [1], "frame 1 has image size 17x12, expected 16x12"),
     ("fy", "1" + "0" * 400, [1], "malformed trajectory record (int too large to convert to float)"),
     ("fx", '"96"', [0], "frame 0: intrinsics must hold only numbers, got ('96', 8, 8, 6)"),
     ("cy", "true", [2], "frame 2: intrinsics must hold only numbers, got (8, 8, 8, True)"),
 ], ids=["nan_cx", "inf_fx", "float_width", "bool_width", "list_width", "object_height",
-     "huge_int_fy", "string_fx", "bool_cy"])
+     "huge_int_fy", "string_fx", "bool_cy", "float_width_equal_to_frame_0", "other_width"])
 def test_simulate_rejects_bad_intrinsics_naming_the_frame(tmp_path, capsys, key, value, frames,
                                                           expect):
     def edit(f, intr):
@@ -959,6 +1013,19 @@ def test_simulate_rejects_bad_intrinsics_naming_the_frame(tmp_path, capsys, key,
     err = capsys.readouterr().err
     assert expect in err and str(source) in err
     assert not (out / "bank" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["simulate", "--shots", ""], 2),
+    (["simulate", "--source", "{missing}"], 3),
+    (["gen-benchmark", "--base", "{missing}"], 3),
+], ids=["simulate_empty_shots", "simulate_missing_source", "gen_benchmark_missing_base"])
+def test_a_rejected_input_leaves_no_output_directory(tmp_path, capsys, args, code):
+    out = tmp_path / "out"
+    args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]
+    assert main([*args, "--out", str(out)]) == code
+    assert capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_rejects_a_bool_in_a_rotation(tmp_path, capsys):

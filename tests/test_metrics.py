@@ -304,6 +304,41 @@ def test_sync_report_counts_equal_reference_loop(pair):
         assert want == [int((ids != BACKGROUND_ID).sum()) for ids in pair[0]]
 
 
+@st.composite
+def int32_id_pair(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Two id stacks over a narrow range anywhere in int32, or over all of int32.
+
+    A range of at most 4 ids is within four frames' pixels, so sync_report counts it with
+    its id table; a wider one falls back to isin. Any frame of either video may be blank.
+    """
+    f, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        lo = draw(st.sampled_from([-2**31, -3, -1, 0, 1, 2**31 - 4]) | st.integers(-2**31, 2**31 - 4))
+        values = st.integers(lo, lo + 3)
+    else:
+        values = st.one_of(st.just(BACKGROUND_ID), st.sampled_from([-2**31, 2**31 - 1]),
+                           st.integers(-3, 3), st.integers(-2**31, 2**31 - 1))
+    stacks = []
+    for _ in range(2):
+        ids = np.array(draw(st.lists(values, min_size=f * h * w, max_size=f * h * w)),
+                       dtype=np.int32).reshape(f, h, w)
+        ids[draw(st.lists(st.booleans(), min_size=f, max_size=f))] = BACKGROUND_ID
+        stacks.append(ids)
+    return stacks[0], stacks[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(int32_id_pair())
+def test_sync_report_counts_equal_isin_on_any_int32_ids(pair):
+    a, b = seq_from_ids(pair[0]), seq_from_ids(pair[1])
+    want = [int(np.count_nonzero(np.isin(fa, fb) & (fa != BACKGROUND_ID)))
+            for fa, fb in zip(pair[0], pair[1])]
+    assert [matched_pixels(m) for m in oracle_match(a, b)] == want
+    rep = sync_report({ShotKind.TILT_UP: a, ShotKind.TILT_DOWN: b},
+                      [(ShotKind.TILT_UP, ShotKind.TILT_DOWN)])
+    assert rep.rows[0].mean_matched_pixels == float(np.mean(want))
+
+
 def test_pose_error_report_fields():
     rng = np.random.default_rng(23)
     gt = random_trajectory(rng, 4)

@@ -6,8 +6,10 @@ an optional least-squares scale alignment of the predicted centers:
     s = sum_i <T_pred_i, T_gt_i> / sum_i <T_pred_i, T_pred_i>   (1 if the
     denominator is 0), then TransErr = sum_i ||T_gt_i - s T_pred_i||^2.
 
-Rotation error is the sum over frames of geodesic angles,
-arccos((trace(R_gt R_pred^T) - 1) / 2) with the cosine clamped to [-1, 1].
+Rotation error is the sum over frames of geodesic angles: with
+M = R_gt R_pred^T, atan2(||vee(M - M^T)|| / 2, (trace(M) - 1) / 2), which
+stays exact near 0 and pi where arccos of the cosine alone loses half its
+digits (identical rotations give exactly 0).
 
 Synchronization between two generated videos of one scene is measured by an
 oracle matcher on rendered id maps: a pixel of video a matches (confidence
@@ -87,10 +89,13 @@ def pose_error_report(gt: Trajectory, pred: Trajectory, align: bool = True) -> P
     g, p = gt.pose_stack[1], pred.pose_stack[1]
     scale = align_scale(g, p) if align else 1.0
     diffs = ((g - scale * p) ** 2).sum(axis=1)
-    # trace(R_gt R_pred^T) per frame, one batched matmul; acos stays per frame, as math.acos
-    traces = np.trace(np.matmul(gt.pose_stack[0], pred.pose_stack[0].transpose(0, 2, 1)),
-                      axis1=1, axis2=2)
-    angles = [math.acos(min(1.0, max(-1.0, (t - 1.0) / 2.0))) for t in traces.tolist()]
+    # per frame M = R_gt R_pred^T: sin of its angle from M's skew part, cos from its trace;
+    # atan2 stays per frame, as math.atan2
+    m = np.matmul(gt.pose_stack[0], pred.pose_stack[0].transpose(0, 2, 1))
+    skew = m - m.transpose(0, 2, 1)
+    sines = np.linalg.norm(skew[:, [2, 0, 1], [1, 2, 0]], axis=1) / 2.0
+    cosines = (np.trace(m, axis1=1, axis2=2) - 1.0) / 2.0
+    angles = list(map(math.atan2, sines.tolist(), cosines.tolist()))
     return PoseErrorReport(
         trans_err=float(diffs.sum()),
         rot_err=float(sum(angles)),

@@ -192,6 +192,7 @@ def test_criterion_5_metric_identities():
         rng = np.random.default_rng(55)
         t = random_trajectory(rng, 3)
         assert trans_err(t, t) == 0.0
+        assert rot_err(t, t) <= 1e-9
         for s in (0.1, 2.0, 10.0):
             scaled = Trajectory(
                 frames=tuple(

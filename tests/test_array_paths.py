@@ -218,8 +218,10 @@ def ref_pose_errors(gt: Trajectory, pred: Trajectory, align: bool):
     diffs = ((g - scale * p) ** 2).sum(axis=1)
     angles = []
     for (pg, _), (pp, _) in zip(gt.frames, pred.frames):
-        cos = (float(np.trace(pg.rotation @ pp.rotation.T)) - 1.0) / 2.0
-        angles.append(math.acos(min(1.0, max(-1.0, cos))))
+        m = pg.rotation @ pp.rotation.T
+        x, y, z = (m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1])
+        cos = (float(np.trace(m)) - 1.0) / 2.0
+        angles.append(math.atan2(math.sqrt(x * x + y * y + z * z) / 2.0, cos))
     return float(diffs.sum()), float(sum(angles)), scale, [(float(d), a) for d, a in zip(diffs, angles)]
 
 

@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -197,64 +198,74 @@ def cmd_simulate(
         ],
     })
 
-    for m, chunk in enumerate(schedule.chunks, start=1):
-        sub = source.slice_frames(chunk.start, chunk.end)
-        seq = render(scene, sub)
-        ref = f"{_VIDEO_DIR}/source_c{m:02d}"
-        save_frames(seq, out_dir / ref)
-        bank.append(sub, ref, m, is_source=True, video_frame_count=seq.frame_count)
-        events.append({"event": "banked", "ref": ref, "chunk": m, "source": True})
+    # One writer thread saves each video's frame files while the next video is
+    # retrieved and rendered; the bank, run log and config stay on this thread.
+    with ThreadPoolExecutor(1) as writer:
+        in_flight: list[Future] = []
 
-    model_k = config.scheduler.k
-    for v, m in generation_order(len(suite), len(schedule.chunks)):
-        chunk = schedule.chunks[m - 1]
-        target = suite[v - 1].slice_frames(chunk.start, chunk.end)
-        result = _retrieve(config, bank, target, config.retrieval.k, m)
-        retrieved = {
-            "event": "retrieve", "view": v, "chunk": m, "shot": target.label,
-            "scores": [[i, s] for i, s in result.ranked],
-        }
-        if result.skipped:
-            retrieved["skipped"] = result.skipped
-        events.append(retrieved)
-        if len(result.ranked) > model_k:
-            items = [(bank.entries[i], s) for i, s in reversed(result.ranked)]
-            plan = plan_divide_conquer(items, model_k, target, bank.source_entry(m))
-            events.append({
-                "event": "plan", "view": v, "chunk": m,
-                "trace": [[l, mm] for l, mm in plan.trace],
-                "steps": [
-                    {"produces": s.produces, "context": [str(r) for r in s.context],
-                     "final": s.is_final}
-                    for s in plan.steps
-                ],
-                "notes": list(plan.notes),
-            })
-            # render is pure, so an unbanked intermediate is never drawn, and the
-            # final step, whose target is target, is drawn below like any other view
-            if config.output.bank_intermediates:
-                for step in plan.steps[:-1]:
-                    step_seq = render(scene, step.target)
-                    iref = (
-                        f"{_VIDEO_DIR}/s{v:02d}_{target.label}_c{m:02d}_"
-                        f"{step.produces.replace(':', '')}"
-                    )
-                    save_frames(step_seq, out_dir / iref)
-                    bank.append(step.target, iref, m, video_frame_count=step_seq.frame_count)
-                    events.append({"event": "banked", "ref": iref, "chunk": m, "source": False})
-        else:
-            selected = [bank.entries[i] for i, _ in result.ranked]
-            context = pad_context(selected, model_k, bank.source_entry(m))
-            events.append({
-                "event": "context", "view": v, "chunk": m,
-                "refs": [e.insert_seq for e in context],
-            })
-        seq = render(scene, target)
-        ref = f"{_VIDEO_DIR}/s{v:02d}_{target.label}_c{m:02d}"
-        save_frames(seq, out_dir / ref)
-        bank.append(target, ref, m, video_frame_count=seq.frame_count)
-        events.append({"event": "banked", "ref": ref, "chunk": m, "source": False})
+        def bank_video(seq: FrameSequence, traj: Trajectory, ref: str, m: int,
+                       is_source: bool = False) -> None:
+            """Hand seq to the writer, once the previous video is written, and bank traj."""
+            for done in in_flight:
+                done.result()  # re-raises the previous video's write error
+            in_flight[:] = [writer.submit(save_frames, seq, out_dir / ref)]
+            bank.append(traj, ref, m, is_source=is_source, video_frame_count=seq.frame_count)
+            events.append({"event": "banked", "ref": ref, "chunk": m, "source": is_source})
 
+        for m, chunk in enumerate(schedule.chunks, start=1):
+            sub = source.slice_frames(chunk.start, chunk.end)
+            seq = render(scene, sub)
+            ref = f"{_VIDEO_DIR}/source_c{m:02d}"
+            bank_video(seq, sub, ref, m, is_source=True)
+
+        model_k = config.scheduler.k
+        for v, m in generation_order(len(suite), len(schedule.chunks)):
+            chunk = schedule.chunks[m - 1]
+            target = suite[v - 1].slice_frames(chunk.start, chunk.end)
+            result = _retrieve(config, bank, target, config.retrieval.k, m)
+            retrieved = {
+                "event": "retrieve", "view": v, "chunk": m, "shot": target.label,
+                "scores": [[i, s] for i, s in result.ranked],
+            }
+            if result.skipped:
+                retrieved["skipped"] = result.skipped
+            events.append(retrieved)
+            if len(result.ranked) > model_k:
+                items = [(bank.entries[i], s) for i, s in reversed(result.ranked)]
+                plan = plan_divide_conquer(items, model_k, target, bank.source_entry(m))
+                events.append({
+                    "event": "plan", "view": v, "chunk": m,
+                    "trace": [[l, mm] for l, mm in plan.trace],
+                    "steps": [
+                        {"produces": s.produces, "context": [str(r) for r in s.context],
+                         "final": s.is_final}
+                        for s in plan.steps
+                    ],
+                    "notes": list(plan.notes),
+                })
+                # render is pure, so an unbanked intermediate is never drawn, and the
+                # final step, whose target is target, is drawn below like any other view
+                if config.output.bank_intermediates:
+                    for step in plan.steps[:-1]:
+                        step_seq = render(scene, step.target)
+                        iref = (
+                            f"{_VIDEO_DIR}/s{v:02d}_{target.label}_c{m:02d}_"
+                            f"{step.produces.replace(':', '')}"
+                        )
+                        bank_video(step_seq, step.target, iref, m)
+            else:
+                selected = [bank.entries[i] for i, _ in result.ranked]
+                context = pad_context(selected, model_k, bank.source_entry(m))
+                events.append({
+                    "event": "context", "view": v, "chunk": m,
+                    "refs": [e.insert_seq for e in context],
+                })
+            seq = render(scene, target)
+            ref = f"{_VIDEO_DIR}/s{v:02d}_{target.label}_c{m:02d}"
+            bank_video(seq, target, ref, m)
+
+        for done in in_flight:
+            done.result()
     write_json(out_dir / _RUN_LOG, {"events": events})
     save_config(config, out_dir / _RESOLVED_CONFIG)
     print(

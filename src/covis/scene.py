@@ -273,8 +273,11 @@ _MANIFEST_FIELDS = {"width": positive_int, "height": positive_int, "frame_count"
 
 
 def _fill(path: str, out: np.ndarray) -> bool:
-    """Read file path into the contiguous array out; True iff its size is exactly out.nbytes."""
-    with open(path, "rb") as f:
+    """Read file path into the contiguous array out; True iff its size is exactly out.nbytes.
+
+    Unbuffered: one read(2) fills out, as Linux fills regular-file reads of up to 2 GiB.
+    """
+    with open(path, "rb", buffering=0) as f:
         return f.readinto(memoryview(out).cast("B")) == out.nbytes and not f.read(1)
 
 

@@ -10,6 +10,8 @@ import json
 import os
 import shutil
 import tempfile
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -791,7 +793,9 @@ def test_failed_bank_write_leaves_the_last_manifest_whole(tmp_path, monkeypatch,
 
     monkeypatch.setattr(os, "replace", failing_replace)
     d = tmp_path / "run"
+    threads = threading.active_count()
     assert main(["simulate", "--out", str(d), *SIM_ARGS]) == 3
+    assert threading.active_count() == threads  # the frame writer was joined
     manifest = json.loads((d / "bank" / "manifest.json").read_text(encoding="utf-8"))
     assert [e["insert_seq"] for e in manifest["entries"]] == list(range(1, n))
 
@@ -810,7 +814,9 @@ def test_failed_trajectory_write_leaves_no_partial_trajectory_file(tmp_path, mon
 
     monkeypatch.setattr(os, "replace", failing_replace)
     d = tmp_path / "run"
+    threads = threading.active_count()
     assert main(["simulate", "--out", str(d), *SIM_ARGS]) == 3
+    assert threading.active_count() == threads  # the frame writer was joined
     manifest = json.loads((d / "bank" / "manifest.json").read_text(encoding="utf-8"))
     assert [e["insert_seq"] for e in manifest["entries"]] == list(range(1, n))
     # the n-th trajectory never lands, whole or in part; each banked one parses
@@ -818,6 +824,57 @@ def test_failed_trajectory_write_leaves_no_partial_trajectory_file(tmp_path, mon
         e["trajectory"] for e in manifest["entries"]
     ]
     MemoryBank.open(d / "bank")
+
+
+# SIM_ARGS writes four videos: the source chunk, then shots 1, 2 and 3
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_failed_frame_write_exits_3_and_leaves_no_run_log(tmp_path, monkeypatch, capsys, n):
+    save_frames = covis.cli.save_frames
+    calls = []
+
+    def failing_save(seq, directory):
+        calls.append(directory)
+        if len(calls) == n:
+            directory.mkdir(parents=True)
+            (directory / "frame_0000.rgb").write_bytes(b"")
+            raise OSError("no space left on device")
+        return save_frames(seq, directory)
+
+    monkeypatch.setattr(covis.cli, "save_frames", failing_save)
+    d = tmp_path / "run"
+    threads = threading.active_count()
+    assert main(["simulate", "--out", str(d), *SIM_ARGS]) == 3
+    assert threading.active_count() == threads
+    assert "I/O error: no space left on device" in capsys.readouterr().err
+    # the error surfaces before the next video is handed over, or at the final wait
+    assert len(calls) == n
+    assert not (d / "run_log.json").exists()
+    assert not (d / "config_resolved.json").exists()
+    assert not (calls[-1] / "manifest.json").exists()
+    assert all((c / "manifest.json").exists() for c in calls[:-1])
+
+
+def test_simulate_waits_for_every_frame_write(tmp_path, monkeypatch):
+    save_frames = covis.cli.save_frames
+
+    def slow_save(seq, directory):
+        time.sleep(0.05)
+        return save_frames(seq, directory)
+
+    monkeypatch.setattr(covis.cli, "save_frames", slow_save)
+    d = tmp_path / "run"
+    threads = threading.active_count()
+    assert main(["simulate", "--out", str(d), *SIM_ARGS, "--set", "scheduler.chunk_frames=4",
+                 "--set", "scheduler.overlap_latent=1",
+                 "--set", "scheduler.temporal_compression=2"]) == 0
+    assert threading.active_count() == threads
+    entries = json.loads((d / "bank" / "manifest.json").read_text(encoding="utf-8"))["entries"]
+    assert len(entries) == 8  # two chunks of a source and three shots
+    for e in entries:
+        video = d / e["video_ref"]
+        n = json.loads((video / "manifest.json").read_text(encoding="utf-8"))["frame_count"]
+        assert sorted(p.name for p in video.glob("frame_*")) == sorted(
+            f"frame_{i:04d}.{ext}" for i in range(n) for ext in ("rgb", "ids"))
 
 
 # two chunks, [0, 6) and [3, 8), a non-default shot magnitude and overlap

@@ -151,6 +151,16 @@ def _parse_shot_list(text: str | None) -> list[ShotKind]:
     return sorted(kinds)
 
 
+def _write_video(box: list[FrameSequence], directory: Path) -> None:
+    """save_frames the one video in box, taking it out first.
+
+    The executor keeps its arguments until after the future completes; with
+    the box emptied, the writer holds no reference to the video once its
+    write returns, so the caller's reference is the last.
+    """
+    save_frames(box.pop(), directory)
+
+
 def cmd_simulate(
     config: EngineConfig, source_path: str | None, shots_text: str | None,
     frame_count: int | None,
@@ -198,25 +208,29 @@ def cmd_simulate(
         ],
     })
 
-    # One writer thread saves each video's frame files while the next video is
-    # retrieved and rendered; the bank, run log and config stay on this thread.
-    with ThreadPoolExecutor(1) as writer:
-        in_flight: list[Future] = []
+    # Two writer threads save frame files, each video's in its own directory, while
+    # the next video is retrieved and rendered: file creates serialize within one
+    # directory and overlap across two. Before each render the oldest write is
+    # awaited until one is left, so at most two videos are alive at once. A video is
+    # let go here once its write is done, so it is freed on this thread at a fixed
+    # point, not by a writer in mid-render, where each run would fragment the heap,
+    # and so the peak RSS, differently. The bank, run log and config stay here too.
+    with ThreadPoolExecutor(2) as writers:
+        in_flight: list[tuple[Future, FrameSequence]] = []
 
-        def bank_video(seq: FrameSequence, traj: Trajectory, ref: str, m: int,
-                       is_source: bool = False) -> None:
-            """Hand seq to the writer, once the previous video is written, and bank traj."""
-            for done in in_flight:
-                done.result()  # re-raises the previous video's write error
-            in_flight[:] = [writer.submit(save_frames, seq, out_dir / ref)]
+        def bank_video(traj: Trajectory, ref: str, m: int, is_source: bool = False) -> None:
+            """Render traj, hand its video to a writer and bank traj."""
+            while len(in_flight) > 1:
+                in_flight[0][0].result()  # re-raises that video's write error
+                del in_flight[0]
+            seq = render(scene, traj)
+            in_flight.append((writers.submit(_write_video, [seq], out_dir / ref), seq))
             bank.append(traj, ref, m, is_source=is_source, video_frame_count=seq.frame_count)
             events.append({"event": "banked", "ref": ref, "chunk": m, "source": is_source})
 
         for m, chunk in enumerate(schedule.chunks, start=1):
-            sub = source.slice_frames(chunk.start, chunk.end)
-            seq = render(scene, sub)
-            ref = f"{_VIDEO_DIR}/source_c{m:02d}"
-            bank_video(seq, sub, ref, m, is_source=True)
+            bank_video(source.slice_frames(chunk.start, chunk.end),
+                       f"{_VIDEO_DIR}/source_c{m:02d}", m, is_source=True)
 
         model_k = config.scheduler.k
         for v, m in generation_order(len(suite), len(schedule.chunks)):
@@ -247,12 +261,11 @@ def cmd_simulate(
                 # final step, whose target is target, is drawn below like any other view
                 if config.output.bank_intermediates:
                     for step in plan.steps[:-1]:
-                        step_seq = render(scene, step.target)
                         iref = (
                             f"{_VIDEO_DIR}/s{v:02d}_{target.label}_c{m:02d}_"
                             f"{step.produces.replace(':', '')}"
                         )
-                        bank_video(step_seq, step.target, iref, m)
+                        bank_video(step.target, iref, m)
             else:
                 selected = [bank.entries[i] for i, _ in result.ranked]
                 context = pad_context(selected, model_k, bank.source_entry(m))
@@ -260,11 +273,9 @@ def cmd_simulate(
                     "event": "context", "view": v, "chunk": m,
                     "refs": [e.insert_seq for e in context],
                 })
-            seq = render(scene, target)
-            ref = f"{_VIDEO_DIR}/s{v:02d}_{target.label}_c{m:02d}"
-            bank_video(seq, target, ref, m)
+            bank_video(target, f"{_VIDEO_DIR}/s{v:02d}_{target.label}_c{m:02d}", m)
 
-        for done in in_flight:
+        for done, _ in in_flight:
             done.result()
     write_json(out_dir / _RUN_LOG, {"events": events})
     save_config(config, out_dir / _RESOLVED_CONFIG)

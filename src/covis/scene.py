@@ -250,10 +250,11 @@ def save_frames(seq: FrameSequence, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_trajectory(seq.trajectory, directory / _TRAJ_NAME)
+    # each frame is written from the sequence's own memory, without a copy
     for i in range(seq.frame_count):
-        (directory / f"frame_{i:04d}.rgb").write_bytes(np.ascontiguousarray(seq.frames[i]).tobytes())
+        (directory / f"frame_{i:04d}.rgb").write_bytes(np.ascontiguousarray(seq.frames[i]))
         (directory / f"frame_{i:04d}.ids").write_bytes(
-            np.ascontiguousarray(seq.id_map[i].astype("<i4")).tobytes()
+            np.ascontiguousarray(seq.id_map[i], dtype="<i4")
         )
     w, h = seq.trajectory.image_size
     write_json(directory / MANIFEST, {

@@ -846,12 +846,58 @@ def test_failed_frame_write_exits_3_and_leaves_no_run_log(tmp_path, monkeypatch,
     assert main(["simulate", "--out", str(d), *SIM_ARGS]) == 3
     assert threading.active_count() == threads
     assert "I/O error: no space left on device" in capsys.readouterr().err
-    # the error surfaces before the next video is handed over, or at the final wait
-    assert len(calls) == n
+    # the error surfaces at the render after the next video is handed over, or at the
+    # final wait, so exactly one more video is handed over when there is one
+    assert len(calls) == min(n + 1, 4)
     assert not (d / "run_log.json").exists()
     assert not (d / "config_resolved.json").exists()
-    assert not (calls[-1] / "manifest.json").exists()
-    assert all((c / "manifest.json").exists() for c in calls[:-1])
+    assert not (calls[n - 1] / "manifest.json").exists()
+    assert all((c / "manifest.json").exists() for i, c in enumerate(calls) if i != n - 1)
+
+
+def test_two_frame_writes_overlap(tmp_path, monkeypatch):
+    save_frames = covis.cli.save_frames
+    # one writer would wait here alone until the timeout breaks the barrier
+    barrier = threading.Barrier(2, timeout=10)
+    calls = []
+
+    def meeting_save(seq, directory):
+        calls.append(directory)
+        if len(calls) <= 2:
+            barrier.wait()
+        return save_frames(seq, directory)
+
+    monkeypatch.setattr(covis.cli, "save_frames", meeting_save)
+    assert main(["simulate", "--out", str(tmp_path / "run"), *SIM_ARGS]) == 0
+    assert len(calls) == 4 and not barrier.broken
+
+
+def test_simulate_holds_at_most_one_earlier_video_and_frees_each_on_the_calling_thread(
+        tmp_path, monkeypatch):
+    render, save_frames = covis.cli.render, covis.cli.save_frames
+    rendered = []  # weak references: a FrameSequence is unhashable, so no WeakSet
+    earlier = []
+    freed_on = []
+
+    def tracked_render(scene, traj):
+        earlier.append(sum(r() is not None for r in rendered))
+        seq = render(scene, traj)
+        rendered.append(weakref.ref(seq))
+        weakref.finalize(seq, lambda: freed_on.append(threading.current_thread().name))
+        return seq
+
+    def slow_save(seq, directory):
+        time.sleep(0.05)  # keep each write in flight across the next render
+        return save_frames(seq, directory)
+
+    monkeypatch.setattr(covis.cli, "render", tracked_render)
+    monkeypatch.setattr(covis.cli, "save_frames", slow_save)
+    assert main(["simulate", "--out", str(tmp_path / "run"), *SIM_ARGS,
+                 "--set", "scheduler.chunk_frames=4", "--set", "scheduler.overlap_latent=1",
+                 "--set", "scheduler.temporal_compression=2"]) == 0
+    assert len(earlier) == 8 and max(earlier) <= 1
+    # a writer that freed a video would do so at varying points of the next render
+    assert freed_on == [threading.current_thread().name] * 8
 
 
 def test_simulate_waits_for_every_frame_write(tmp_path, monkeypatch):

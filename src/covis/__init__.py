@@ -15,7 +15,7 @@ from .camera import (
     plucker_raymap,
     save_trajectory,
 )
-from .config import EngineConfig, default_config, load_config, save_config
+from .config import EngineConfig, load_config, save_config
 from .errors import ConfigError, DomainError
 from .frustum import (
     Frustum,
@@ -71,7 +71,6 @@ from .scheduler import (
 )
 from .trajectory_ops import (
     ShotKind,
-    ShotSpec,
     benchmark_suite,
     generate_shot,
     merge_trajectories,

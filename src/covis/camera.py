@@ -116,7 +116,7 @@ class CameraIntrinsics:
         return cls(fx=fx, fy=fy, cx=width / 2.0, cy=height / 2.0, width=width, height=height)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CameraPose:
     """Camera-to-world pose: rotation (3, 3) and camera center (3,)."""
 
@@ -226,7 +226,7 @@ def _trusted(
     return traj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PluckerRayMap:
     """Per-pixel Plücker rays, shape (F, H, W, 6) as (direction, moment)."""
 

@@ -20,6 +20,7 @@ All artifacts written by a run are deterministic byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,14 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import CameraIntrinsics, CameraPose, Trajectory, load_trajectory, save_trajectory
-from .config import (
-    EngineConfig,
-    apply_overrides,
-    config_to_dict,
-    default_config,
-    load_config,
-    save_config,
-)
+from .config import EngineConfig, apply_overrides, load_config, save_config
 from .errors import ConfigError, DomainError
 from .memory import MemoryBank, MemoryEntry, RetrievalResult, pad_context, retrieve_top_k
 from .metrics import SyncReport, SyncRow, pose_error_report, sync_report
@@ -219,13 +213,13 @@ def cmd_simulate(
         in_flight: list[tuple[Future, FrameSequence]] = []
 
         def bank_video(traj: Trajectory, ref: str, m: int, is_source: bool = False) -> None:
-            """Render traj, hand its video to a writer and bank traj."""
+            """Render traj at chunk m's scene time, hand its video to a writer and bank traj."""
             while len(in_flight) > 1:
                 in_flight[0][0].result()  # re-raises that video's write error
                 del in_flight[0]
-            seq = render(scene, traj)
+            seq = render(scene, traj, schedule.chunks[m - 1].start)
             in_flight.append((writers.submit(_write_video, [seq], out_dir / ref), seq))
-            bank.append(traj, ref, m, is_source=is_source, video_frame_count=seq.frame_count)
+            bank.append(traj, ref, m, is_source=is_source)
             events.append({"event": "banked", "ref": ref, "chunk": m, "source": is_source})
 
         for m, chunk in enumerate(schedule.chunks, start=1):
@@ -509,7 +503,7 @@ def cmd_report(config: EngineConfig, run_dir_text: str | None) -> int:
     else:
         run_config = _run_config(run_dir)
         print("resolved configuration:")
-        print(json.dumps(config_to_dict(run_config), indent=2, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(run_config), indent=2, sort_keys=True))
         groups = _group_shots(run_dir, MemoryBank.open(run_dir / _BANK_DIR))
         # the source, then every shot by label, each stitched once for the table and the SVG
         trajs = [
@@ -568,7 +562,7 @@ def cmd_report(config: EngineConfig, run_dir_text: str | None) -> int:
 
 def _resolve_config(args: argparse.Namespace) -> EngineConfig:
     path = args.config or os.environ.get("ENGINE_CONFIG")
-    config = load_config(path) if path else default_config()
+    config = load_config(path) if path else EngineConfig()
     overrides = list(args.set or [])
     if args.seed is not None:
         overrides.append(f"scene.seed={args.seed}")

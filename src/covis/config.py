@@ -101,14 +101,6 @@ _SECTIONS = get_type_hints(EngineConfig)
 _FIELD_TYPES = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
 
 
-def default_config() -> EngineConfig:
-    return EngineConfig()
-
-
-def config_to_dict(config: EngineConfig) -> dict[str, Any]:
-    return dataclasses.asdict(config)
-
-
 def config_from_dict(doc: dict[str, Any]) -> EngineConfig:
     """Build a config from a (possibly partial) nested dict; unknown keys and wrong types fail."""
     check_fields("config root", doc, {}, ConfigError)
@@ -143,7 +135,7 @@ def load_config(path: str | Path) -> EngineConfig:
 
 
 def save_config(config: EngineConfig, path: str | Path) -> None:
-    write_json(path, config_to_dict(config))
+    write_json(path, dataclasses.asdict(config))
 
 
 def _parse_value(text: str, kind: Any) -> Any:
@@ -164,7 +156,7 @@ def _parse_value(text: str, kind: Any) -> Any:
 
 def apply_overrides(config: EngineConfig, overrides: list[str]) -> EngineConfig:
     """Apply --set style overrides like "retrieval.k=2" to a config."""
-    doc = config_to_dict(config)
+    doc = dataclasses.asdict(config)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")

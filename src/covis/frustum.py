@@ -51,7 +51,7 @@ def _check_frustum_params(fov_h: float, fov_v: float, near: float, far: float) -
         raise DomainError(f"need 0 <= near < far, got near={near}, far={far}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frustum:
     """View frustum: apex, world orientation (camera-to-world), FOVs, depth range."""
 

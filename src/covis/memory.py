@@ -108,7 +108,6 @@ class MemoryBank:
 
     def __init__(self, directory: str | Path | None = None):
         self._entries: list[MemoryEntry] = []
-        self._source_idx: dict[int, int] = {}
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -135,18 +134,20 @@ class MemoryBank:
         video_ref: str,
         chunk_index: int,
         is_source: bool = False,
-        video_frame_count: int | None = None,
     ) -> MemoryEntry:
-        """Append an entry, assigning the next insert_seq; persists if disk-backed.
+        """Append an entry, assigning the next insert_seq; persists if disk-backed."""
+        entry = self._add(trajectory, video_ref, chunk_index, is_source)
+        if self.directory is not None:
+            self._persist(entry)
+        return entry
 
-        video_frame_count, when known, must equal the trajectory frame count.
-        """
-        if video_frame_count is not None and video_frame_count != len(trajectory):
-            raise DomainError(
-                f"video has {video_frame_count} frames but trajectory has {len(trajectory)}"
-            )
-        if is_source and chunk_index in self._source_idx:
-            raise DomainError(f"chunk {chunk_index} already has a source entry")
+    def _add(
+        self, trajectory: Trajectory, video_ref: str, chunk_index: int, is_source: bool,
+        where: str = "",
+    ) -> MemoryEntry:
+        """Add the next entry, numbered by its position; where prefixes a second source's error."""
+        if is_source and any(e.is_source and e.chunk_index == chunk_index for e in self._entries):
+            raise DomainError(f"{where}chunk {chunk_index} already has a source entry")
         entry = MemoryEntry(
             trajectory=trajectory,
             video_ref=video_ref,
@@ -155,18 +156,14 @@ class MemoryBank:
             is_source=is_source,
         )
         self._entries.append(entry)
-        if is_source:
-            self._source_idx[chunk_index] = len(self._entries) - 1
-        if self.directory is not None:
-            self._persist(entry)
         return entry
 
     def source_entry(self, chunk_index: int) -> MemoryEntry:
         """The designated source entry of a chunk."""
-        idx = self._source_idx.get(chunk_index)
-        if idx is None:
-            raise DomainError(f"chunk {chunk_index} has no source entry")
-        return self._entries[idx]
+        for e in self._entries:
+            if e.is_source and e.chunk_index == chunk_index:
+                return e
+        raise DomainError(f"chunk {chunk_index} has no source entry")
 
     def _traj_name(self, insert_seq: int) -> str:
         return f"traj_{insert_seq:06d}.json"
@@ -200,18 +197,8 @@ class MemoryBank:
             seq, name = n + 1, self._traj_name(n + 1)
             if (rec["insert_seq"], rec["trajectory"]) != (seq, name):
                 raise DomainError(f"{path}: entry {n} needs insert_seq {seq} and trajectory {name}")
-            entry = MemoryEntry(
-                trajectory=load_trajectory(traj_path),
-                video_ref=rec["video_ref"],
-                chunk_index=rec["chunk_index"],
-                insert_seq=seq,
-                is_source=rec["is_source"],
-            )
-            if entry.is_source:
-                if entry.chunk_index in self._source_idx:
-                    raise DomainError(f"{path}: chunk {entry.chunk_index} has two source entries")
-                self._source_idx[entry.chunk_index] = len(self._entries)
-            self._entries.append(entry)
+            self._add(load_trajectory(traj_path), rec["video_ref"], rec["chunk_index"],
+                      rec["is_source"], where=f"{path}: entry {n}: ")
 
 
 def check_retrieval(k: int, tie_rule: str) -> None:

@@ -114,7 +114,7 @@ def rot_err(gt: Trajectory, pred: Trajectory) -> float:
     return pose_error_report(gt, pred, align=False).rot_err
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchMap:
     """Per-pixel match confidences in [0, 1] with an inclusive threshold."""
 

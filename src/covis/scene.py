@@ -4,8 +4,8 @@ This module is the ground-truth side of the package: scenes are clouds of
 uniquely id'd colored points (optionally drifting at constant velocity), and
 render() produces pixel-exact RGB frames plus per-pixel id maps by splatting
 each point into the single pixel its projection lands in, nearest depth
-winning. Everything is a pure function of (scene, trajectory), so repeated
-renders are bit-identical.
+winning. Everything is a pure function of (scene, trajectory, start frame), so
+repeated renders are bit-identical.
 
 covisible_fraction() is the point-visibility oracle used to validate frustum
 retrieval: per frame, the fraction |visible in both| / |visible in either|
@@ -35,7 +35,7 @@ BACKGROUND_RGB = (128, 128, 128)
 DEFAULT_SCENE_CENTER = (0.0, 0.0, 5.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneModel:
     """Point scene: parallel arrays of ids (> 0, unique), positions, colors, velocities."""
 
@@ -124,7 +124,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameSequence:
     """Rendered video: RGB frames (F, H, W, 3) uint8 and id maps (F, H, W) int32.
 
@@ -173,13 +173,17 @@ def _project(
     return u, v, z
 
 
-def render(scene: SceneModel, traj: Trajectory) -> FrameSequence:
+def render(scene: SceneModel, traj: Trajectory, start: int = 0) -> FrameSequence:
     """Render the scene along a trajectory with a 1-pixel splat depth buffer.
 
     Points at or behind the camera plane and projections outside the image
     are skipped. When several points land in one pixel the nearest depth
     wins; exact depth ties go to the smallest point id. Unhit pixels keep
     the background id 0 and mid-gray color.
+
+    traj's frame f shows the scene at time start + f, so a chunk of a longer
+    trajectory, rendered from the chunk's start frame, equals those frames of
+    a render of the whole trajectory.
     """
     w, h = traj.image_size
     n_frames = len(traj)
@@ -187,7 +191,7 @@ def render(scene: SceneModel, traj: Trajectory) -> FrameSequence:
     id_map = np.full((n_frames, h, w), BACKGROUND_ID, dtype=np.int32)
     rotations, centers = traj.pose_stack
     for f, (rot, center, k) in enumerate(zip(rotations, centers, traj.intrinsics_stack.tolist())):
-        u, v, z = _project(scene.positions_at(f), rot, center, k)
+        u, v, z = _project(scene.positions_at(start + f), rot, center, k)
         valid = z > 0.0
         ui = np.floor(u[valid]).astype(np.int64)
         vi = np.floor(v[valid]).astype(np.int64)

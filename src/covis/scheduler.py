@@ -132,6 +132,9 @@ def overlap_condition_mask(chunk: Chunk, cfg: SchedulerConfig | None = None) -> 
     return mask
 
 
+_PATCH = 2  # the latent tokenizer's spatial patch size
+
+
 @dataclass(frozen=True)
 class TokenLayout:
     """Sequence accounting for one denoising call: (k+1) videos of f latent frames."""
@@ -139,11 +142,9 @@ class TokenLayout:
     context_count: int
     latent_frames_per_video: int
     spatial_tokens: int
-    channels: int
 
     def __post_init__(self) -> None:
-        if min(self.context_count, self.latent_frames_per_video,
-               self.spatial_tokens, self.channels) < 1:
+        if min(self.context_count, self.latent_frames_per_video, self.spatial_tokens) < 1:
             raise DomainError("token layout dimensions must all be >= 1")
 
     @property
@@ -157,15 +158,12 @@ def token_layout(
     height: int,
     width: int,
     cfg: SchedulerConfig | None = None,
-    patch: int = 2,
-    channels: int = 16,
 ) -> TokenLayout:
     """Token layout of k context videos plus one target, each decoded_frames long.
 
     decoded_frames must be 1 mod temporal_compression (an anchor frame plus
     whole latent groups): f = 1 + (decoded_frames - 1) / temporal_compression.
-    height and width must be divisible by the spatial patch size. channels is
-    the latent channel count, carried for accounting only.
+    height and width must be divisible by the spatial patch size, 2.
     """
     cfg = cfg or SchedulerConfig()
     if k < 0:
@@ -178,13 +176,12 @@ def token_layout(
             f"decoded_frames {decoded_frames} is not 1 + a multiple of "
             f"temporal_compression {tc}"
         )
-    if height % patch or width % patch:
-        raise DomainError(f"image size {width}x{height} not divisible by patch {patch}")
+    if height % _PATCH or width % _PATCH:
+        raise DomainError(f"image size {width}x{height} not divisible by patch {_PATCH}")
     return TokenLayout(
         context_count=k + 1,
         latent_frames_per_video=1 + (decoded_frames - 1) // tc,
-        spatial_tokens=(height // patch) * (width // patch),
-        channels=channels,
+        spatial_tokens=(height // _PATCH) * (width // _PATCH),
     )
 
 

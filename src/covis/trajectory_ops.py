@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,29 +69,11 @@ SHOT_FAMILIES: dict[str, tuple[float, tuple[ShotKind, ...]]] = {
     "zoom_distance": (2.0, (ShotKind.ZOOM_OUT,)),
 }
 
-DEFAULT_MAGNITUDES: dict[ShotKind, float] = {
-    kind: default for default, kinds in SHOT_FAMILIES.values() for kind in kinds
-}
-
 DEFAULT_LOOKAT_DEPTH = 5.0
 
 
-@dataclass(frozen=True)
-class ShotSpec:
-    """One requested shot: kind, magnitude (radians or world units), frames, base."""
-
-    kind: ShotKind
-    magnitude: float
-    frame_count: int
-    base: Trajectory
-    lookat_depth: float = DEFAULT_LOOKAT_DEPTH
-
-    def __post_init__(self) -> None:
-        check_shot(self.frame_count, magnitude=self.magnitude, lookat_depth=self.lookat_depth)
-
-
 def check_shot(frame_count: int, **positive: float) -> None:
-    """ShotSpec's rules, also ShotsConfig's: 2+ frames and every named angle or distance positive."""
+    """generate_shot's and ShotsConfig's rules: 2+ frames, each named angle or distance positive."""
     if frame_count < 2:
         raise DomainError(f"frame_count must be >= 2, got {frame_count}")
     for name, value in positive.items():
@@ -170,40 +151,41 @@ def _shot_stack(
     return np.broadcast_to(r0, (n, 3, 3)), centers
 
 
-def generate_shot(spec: ShotSpec) -> Trajectory:
+def generate_shot(
+    kind: ShotKind,
+    magnitude: float,
+    frame_count: int,
+    base: Trajectory,
+    lookat_depth: float = DEFAULT_LOOKAT_DEPTH,
+) -> Trajectory:
     """Generate the F-frame trajectory of one shot from its base's first pose.
 
-    The shot parameter (angle or distance) is interpolated linearly over
-    frames, so frame i sits at i/(F-1) of the magnitude; frame 1 is the base
-    pose itself, bit for bit. Every frame is computed in one batched pass.
+    magnitude is in radians or world units. The shot parameter (angle or
+    distance) is interpolated linearly over frames, so frame i sits at
+    i/(F-1) of the magnitude; frame 1 is the base pose itself, bit for bit.
+    Every frame is computed in one batched pass.
     """
-    rotations, centers = spec.base.pose_stack
+    check_shot(frame_count, magnitude=magnitude, lookat_depth=lookat_depth)
+    rotations, centers = base.pose_stack
     r0, c0 = rotations[0], centers[0]
-    lookat = c0 + spec.lookat_depth * r0[:, 2]
-    amounts = spec.magnitude * np.arange(1, spec.frame_count) / (spec.frame_count - 1)
-    rots, cens = _shot_stack(spec.kind, r0, c0, lookat, amounts)
+    lookat = c0 + lookat_depth * r0[:, 2]
+    amounts = magnitude * np.arange(1, frame_count) / (frame_count - 1)
+    rots, cens = _shot_stack(kind, r0, c0, lookat, amounts)
     return Trajectory.from_stacks(
         np.concatenate([r0[None], rots]), np.concatenate([c0[None], cens]),
-        np.broadcast_to(spec.base.intrinsics_stack[0], (spec.frame_count, 4)),
-        spec.base.image_size, label=spec.kind.slug,
+        np.broadcast_to(base.intrinsics_stack[0], (frame_count, 4)),
+        base.image_size, label=kind.slug,
     )
 
 
 def benchmark_suite(
     base: Trajectory,
-    frame_count: int = 93,
-    magnitudes: Mapping[ShotKind, float] | None = None,
-    lookat_depth: float = DEFAULT_LOOKAT_DEPTH,
+    frame_count: int,
+    magnitudes: Mapping[ShotKind, float],
+    lookat_depth: float,
 ) -> list[Trajectory]:
     """All twelve shots, in canonical order, generated from one base trajectory."""
-    mags = dict(DEFAULT_MAGNITUDES)
-    if magnitudes:
-        mags.update(magnitudes)
-    return [
-        generate_shot(ShotSpec(kind=k, magnitude=mags[k], frame_count=frame_count,
-                               base=base, lookat_depth=lookat_depth))
-        for k in ShotKind
-    ]
+    return [generate_shot(k, magnitudes[k], frame_count, base, lookat_depth) for k in ShotKind]
 
 
 _SYNC_PAIRS: dict[int, list[tuple[ShotKind, ShotKind]]] = {

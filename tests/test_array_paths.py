@@ -23,7 +23,6 @@ from covis import (
     CameraPose,
     DomainError,
     ShotKind,
-    ShotSpec,
     Trajectory,
     generate_shot,
     load_trajectory,
@@ -146,13 +145,15 @@ def _shot_pose(kind: ShotKind, base: CameraPose, lookat: np.ndarray, amount: flo
     return CameraPose(rotation=r0, translation=c0 - amount * base.rotation[:, 2])
 
 
-def ref_generate_shot(spec: ShotSpec) -> list[CameraPose]:
-    base_pose = spec.base.frames[0][0]
-    lookat = base_pose.translation + spec.lookat_depth * base_pose.rotation[:, 2]
+def ref_generate_shot(
+    kind: ShotKind, magnitude: float, frame_count: int, base: Trajectory, lookat_depth: float = 5.0
+) -> list[CameraPose]:
+    base_pose = base.frames[0][0]
+    lookat = base_pose.translation + lookat_depth * base_pose.rotation[:, 2]
     poses = [base_pose]
-    for i in range(1, spec.frame_count):
-        amount = spec.magnitude * i / (spec.frame_count - 1)
-        poses.append(_shot_pose(spec.kind, base_pose, lookat, amount))
+    for i in range(1, frame_count):
+        amount = magnitude * i / (frame_count - 1)
+        poses.append(_shot_pose(kind, base_pose, lookat, amount))
     return poses
 
 
@@ -277,11 +278,10 @@ def test_save_load_round_trip_matches_per_pose_bytes(tmp_path_factory, seed, fra
 def test_generate_shot_matches_per_pose_reference(seed, kind, frame_count):
     rng = np.random.default_rng(seed)
     base = Trajectory.from_poses([random_pose(rng)], random_intrinsics(rng), label="base")
-    spec = ShotSpec(kind=kind, magnitude=float(rng.uniform(0.01, 3.0)), frame_count=frame_count,
-                    base=base, lookat_depth=float(rng.uniform(0.1, 10.0)))
+    args = (kind, float(rng.uniform(0.01, 3.0)), frame_count, base, float(rng.uniform(0.1, 10.0)))
     intr = base.frames[0][1]
-    want = [(p, intr) for p in ref_generate_shot(spec)]
-    got = generate_shot(spec)
+    want = [(p, intr) for p in ref_generate_shot(*args)]
+    got = generate_shot(*args)
     assert got.label == kind.slug
     assert_frames_equal(got, want)
 
@@ -290,9 +290,9 @@ def test_every_shot_matches_reference_on_a_long_suite():
     rng = np.random.default_rng(3)
     base = Trajectory.from_poses([random_pose(rng)], random_intrinsics(rng))
     for kind in ShotKind:
-        spec = ShotSpec(kind=kind, magnitude=0.7, frame_count=465, base=base)
+        args = (kind, 0.7, 465, base)
         intr = base.frames[0][1]
-        assert_frames_equal(generate_shot(spec), [(p, intr) for p in ref_generate_shot(spec)])
+        assert_frames_equal(generate_shot(*args), [(p, intr) for p in ref_generate_shot(*args)])
 
 
 def _merge_inputs(rng: np.random.Generator, n: int, frame_count: int, antipodal: bool):

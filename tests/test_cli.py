@@ -34,7 +34,7 @@ from covis import (
 )
 import covis.cli
 from covis.cli import main
-from covis.config import apply_overrides, default_config
+from covis.config import EngineConfig, apply_overrides
 from covis.scene import FrameSequence, load_frames, save_frames
 from covis.trajectory_ops import ShotKind
 from helpers import aimed_trajectory
@@ -565,7 +565,7 @@ def test_retrieve_and_plan_cli(tmp_path, capsys):
 
 
 def test_env_config_fallback(tmp_path, monkeypatch):
-    cfg = apply_overrides(default_config(), ["shots.frame_count=3"])
+    cfg = apply_overrides(EngineConfig(), ["shots.frame_count=3"])
     cfg_path = tmp_path / "engine.json"
     save_config(cfg, cfg_path)
     monkeypatch.setenv("ENGINE_CONFIG", str(cfg_path))
@@ -609,9 +609,9 @@ def test_cross_chunk_with_short_tail_chunk(tmp_path):
 def test_simulate_renders_only_kept_videos(tmp_path, monkeypatch, keep):
     rendered = []
 
-    def counting_render(scene, traj):
+    def counting_render(scene, traj, start):
         rendered.append(traj)
-        return render(scene, traj)
+        return render(scene, traj, start)
 
     render = covis.cli.render
     monkeypatch.setattr(covis.cli, "render", counting_render)
@@ -646,6 +646,17 @@ def test_retrieve_rejects_trajectory_outside_bank(tmp_path, capsys):
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["retrieve", "--bank", str(bank_dir), "--target", str(target)]) == 2
     assert "outside the bank" in capsys.readouterr().err
+
+
+def test_retrieve_names_the_manifest_entry_of_a_second_source(tmp_path, capsys):
+    bank_dir, target = _write_bank(tmp_path)
+    manifest_path = bank_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["entries"][1]["is_source"] = True
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["retrieve", "--bank", str(bank_dir), "--target", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest_path}: entry 1: chunk 1 already has a source entry" in err
 
 
 _MANIFEST_KEYS = ["trajectory", "video_ref", "chunk_index", "insert_seq", "is_source"]
@@ -875,14 +886,14 @@ def test_two_frame_writes_overlap(tmp_path, monkeypatch):
 def test_simulate_holds_at_most_one_earlier_video_and_frees_each_on_the_calling_thread(
         tmp_path, monkeypatch):
     render, save_frames = covis.cli.render, covis.cli.save_frames
-    rendered = []  # weak references: a FrameSequence is unhashable, so no WeakSet
+    rendered = weakref.WeakSet()
     earlier = []
     freed_on = []
 
-    def tracked_render(scene, traj):
-        earlier.append(sum(r() is not None for r in rendered))
-        seq = render(scene, traj)
-        rendered.append(weakref.ref(seq))
+    def tracked_render(scene, traj, start):
+        earlier.append(len(rendered))
+        seq = render(scene, traj, start)
+        rendered.add(seq)
         weakref.finalize(seq, lambda: freed_on.append(threading.current_thread().name))
         return seq
 

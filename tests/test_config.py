@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -9,21 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covis import ConfigError, DomainError, default_config, load_config, save_config
+from covis import ConfigError, DomainError, EngineConfig, load_config, save_config
 from covis.config import (
     _FIELD_TYPES,
     RetrievalConfig,
     ShotsConfig,
     apply_overrides,
     config_from_dict,
-    config_to_dict,
 )
 from covis.records import check_fields
-from covis.trajectory_ops import DEFAULT_MAGNITUDES, SHOT_FAMILIES, ShotKind
+from covis.trajectory_ops import SHOT_FAMILIES, ShotKind
 
 
 def test_default_values():
-    cfg = default_config()
+    cfg = EngineConfig()
     assert cfg.retrieval.k == 4
     assert cfg.retrieval.tie_rule == "recent_first"
     assert cfg.retrieval.cross_chunk is False
@@ -48,8 +48,8 @@ def test_default_values():
 
 
 def test_dict_round_trip():
-    cfg = default_config()
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    cfg = EngineConfig()
+    assert config_from_dict(dataclasses.asdict(cfg)) == cfg
     partial = config_from_dict({"retrieval": {"k": 7}})
     assert partial.retrieval.k == 7
     assert partial.scene == cfg.scene
@@ -70,7 +70,7 @@ def test_config_from_dict_rejects_unknowns():
 
 
 def test_file_round_trip(tmp_path):
-    cfg = apply_overrides(default_config(), ["scene.seed=9", "shots.frame_count=11"])
+    cfg = apply_overrides(EngineConfig(), ["scene.seed=9", "shots.frame_count=11"])
     path = tmp_path / "engine.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
@@ -81,7 +81,7 @@ def test_file_round_trip(tmp_path):
 
 
 def test_apply_overrides_scalar_parsing():
-    cfg = apply_overrides(default_config(), [
+    cfg = apply_overrides(EngineConfig(), [
         "retrieval.k=2",
         "output.emit_svg=false",
         "shots.rotate_angle=0.5",
@@ -96,11 +96,11 @@ def test_apply_overrides_scalar_parsing():
     assert cfg.sampler.jitter_seed is None
     assert cfg.output.directory == "runs/elsewhere"
     # the input config is not mutated
-    assert default_config().retrieval.k == 4
+    assert EngineConfig().retrieval.k == 4
 
 
 def test_apply_overrides_rejects_bad_keys():
-    cfg = default_config()
+    cfg = EngineConfig()
     with pytest.raises(ConfigError):
         apply_overrides(cfg, ["retrieval.k"])
     with pytest.raises(ConfigError):
@@ -135,7 +135,7 @@ def test_shots_config_magnitudes():
 
 
 def test_apply_overrides_reads_each_value_as_its_declared_type():
-    cfg = apply_overrides(default_config(), [
+    cfg = apply_overrides(EngineConfig(), [
         "shots.rotate_angle=1",
         "output.directory=2024",
         "output.emit_svg=True",
@@ -162,7 +162,7 @@ def test_apply_overrides_reads_each_value_as_its_declared_type():
 ])
 def test_apply_overrides_rejects_values_of_another_type(override):
     with pytest.raises(ConfigError, match="must be"):
-        apply_overrides(default_config(), [override])
+        apply_overrides(EngineConfig(), [override])
 
 
 @pytest.mark.parametrize("doc", [
@@ -195,7 +195,7 @@ def test_an_int_for_a_float_is_stored_as_the_float_set_would_store(tmp_path):
     from_file = load_config(path)
     assert type(from_file.shots.rotate_angle) is float
     save_config(from_file, tmp_path / "a.json")
-    save_config(apply_overrides(default_config(), ["shots.rotate_angle=1"]), tmp_path / "b.json")
+    save_config(apply_overrides(EngineConfig(), ["shots.rotate_angle=1"]), tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     with pytest.raises(ConfigError, match="too large"):
         config_from_dict({"frustum": {"far": 10 ** 400}})
@@ -213,10 +213,10 @@ _TEXTS = (
 def test_apply_overrides_gives_a_typed_config_or_config_error(key, text):
     section, name = key
     try:
-        cfg = apply_overrides(default_config(), [f"{section}.{name}={text}"])
+        cfg = apply_overrides(EngineConfig(), [f"{section}.{name}={text}"])
     except ConfigError:
         return
-    doc = config_to_dict(cfg)
+    doc = dataclasses.asdict(cfg)
     for section, fields in _FIELD_TYPES.items():
         check_fields(section, doc[section], fields, ConfigError)
         assert all(math.isfinite(doc[section][k]) for k, kind in fields.items() if kind is float)
@@ -226,7 +226,7 @@ def test_apply_overrides_gives_a_typed_config_or_config_error(key, text):
 @given(st.lists(st.tuples(st.sampled_from(_KEYS), _TEXTS), max_size=4))
 def test_a_saved_config_loads_back_to_the_same_bytes(tmp_path_factory, overrides):
     try:
-        cfg = apply_overrides(default_config(), [f"{s}.{n}={text}" for (s, n), text in overrides])
+        cfg = apply_overrides(EngineConfig(), [f"{s}.{n}={text}" for (s, n), text in overrides])
     except ConfigError:
         return
     d = tmp_path_factory.mktemp("cfg")
@@ -240,5 +240,6 @@ def test_shot_families_derive_the_magnitude_tables():
     shots = ShotsConfig()
     for family, (default, kinds) in SHOT_FAMILIES.items():
         assert getattr(shots, family) == default
-        assert all(DEFAULT_MAGNITUDES[k] == default for k in kinds)
-    assert shots.magnitudes() == DEFAULT_MAGNITUDES
+    assert shots.magnitudes() == {
+        kind: default for default, kinds in SHOT_FAMILIES.values() for kind in kinds
+    }

@@ -201,14 +201,12 @@ def test_bank_append_sequencing():
         bank.source_entry(2)
 
 
-def test_bank_rejects_second_source_and_frame_mismatch():
+def test_bank_rejects_second_source():
     rng = np.random.default_rng(11)
     bank = MemoryBank()
     bank.append(random_trajectory(rng), "v1", 1, is_source=True)
     with pytest.raises(DomainError):
         bank.append(random_trajectory(rng), "v2", 1, is_source=True)
-    with pytest.raises(DomainError):
-        bank.append(random_trajectory(rng, frame_count=3), "v3", 1, video_frame_count=4)
 
 
 def test_retrieval_result_requires_sorted_scores():

@@ -4,21 +4,29 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from covis import (
     CameraIntrinsics,
     CameraPose,
     DomainError,
     FrameSequence,
+    MatchMap,
     SceneModel,
+    SchedulerConfig,
     Trajectory,
+    build_frustum,
+    chunk_schedule,
     covisible_fraction,
     load_frames,
     make_scene,
+    plucker_raymap,
     render,
     save_frames,
 )
@@ -156,6 +164,26 @@ def test_render_moving_point_advances():
     cols = [int(np.argwhere(seq.id_map[f])[0][1]) for f in range(3)]
     assert cols[0] == int(INTR.cx)
     assert cols[0] < cols[1] < cols[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.integers(2, 40),
+    st.integers(2, 12), st.integers(1, 3), st.integers(1, 3),
+)
+def test_a_chunk_rendered_from_its_start_equals_those_frames_of_one_render(
+        seed, moving_fraction, total, chunk_frames, overlap_latent, compression):
+    assume(1 + (overlap_latent - 1) * compression < chunk_frames)
+    cfg = SchedulerConfig(chunk_frames=chunk_frames, overlap_latent=overlap_latent,
+                          temporal_compression=compression)
+    rng = np.random.default_rng(seed)
+    scene = make_scene(seed, point_count=300, moving_fraction=moving_fraction, velocity_scale=0.1)
+    traj = aimed_trajectory(rng, frame_count=total, width=24, height=18)
+    whole = render(scene, traj)
+    for c in chunk_schedule(total, cfg).chunks:
+        part = render(scene, traj.slice_frames(c.start, c.end), c.start)
+        assert np.array_equal(part.frames, whole.frames[c.start:c.end])
+        assert np.array_equal(part.id_map, whole.id_map[c.start:c.end])
 
 
 def test_render_matches_bruteforce_depth_oracle():
@@ -383,3 +411,21 @@ def test_save_frames_writes_its_manifest_last(tmp_path, monkeypatch):
         ["manifest.json", "trajectory.json"]
         + [f"frame_{i:04d}.{ext}" for i in range(seq.frame_count) for ext in ("rgb", "ids")]
     )
+
+
+_ARRAY_HOLDERS = {
+    "CameraPose": CameraPose.identity,
+    "SceneModel": lambda: make_scene(0, point_count=5),
+    "FrameSequence": lambda: render(make_scene(0, point_count=5), IDENTITY_TRAJ),
+    "Frustum": lambda: build_frustum(CameraPose.identity()),
+    "MatchMap": lambda: MatchMap(np.zeros((2, 2))),
+    "PluckerRayMap": lambda: plucker_raymap(IDENTITY_TRAJ),
+}
+
+
+@pytest.mark.parametrize("make", _ARRAY_HOLDERS.values(), ids=_ARRAY_HOLDERS)
+def test_array_holding_dataclasses_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b  # equal but distinct arrays: compared by identity, no ValueError
+    assert hash(a) != hash(b)
+    assert a in weakref.WeakSet([a])

@@ -160,7 +160,6 @@ def test_token_layout_constants():
     assert layout.context_count == 5
     assert layout.total_frame_dim == 120
     assert layout.spatial_tokens == (108 // 2) * (192 // 2)
-    assert layout.channels == 16
     # source-only call: frame dim is just f
     assert token_layout(0, 93, 108, 192).total_frame_dim == 24
 

@@ -16,7 +16,6 @@ from covis import (
     DomainError,
     SamplerConfig,
     ShotKind,
-    ShotSpec,
     Trajectory,
     benchmark_suite,
     generate_shot,
@@ -25,6 +24,7 @@ from covis import (
     trajectory_similarity,
 )
 
+from covis.config import ShotsConfig
 from helpers import random_pose, random_rotation, random_trajectory
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -63,8 +63,12 @@ def base_trajectory(pose: CameraPose | None = None) -> Trajectory:
 
 def shot(kind: ShotKind, magnitude: float, frames: int = 2,
          base: Trajectory | None = None) -> Trajectory:
-    return generate_shot(ShotSpec(kind=kind, magnitude=magnitude, frame_count=frames,
-                                  base=base or base_trajectory()))
+    return generate_shot(kind, magnitude, frames, base or base_trajectory())
+
+
+def default_suite(frames: int) -> list[Trajectory]:
+    shots = ShotsConfig()
+    return benchmark_suite(base_trajectory(), frames, shots.magnitudes(), shots.lookat_depth)
 
 
 def test_shot_kind_order_and_slugs():
@@ -76,22 +80,21 @@ def test_shot_kind_order_and_slugs():
         ShotKind.from_slug("dolly_zoom")
 
 
-def test_shot_spec_validation():
+def test_generate_shot_validation():
     base = base_trajectory()
     with pytest.raises(DomainError):
-        ShotSpec(kind=ShotKind.ZOOM_OUT, magnitude=0.0, frame_count=2, base=base)
+        generate_shot(ShotKind.ZOOM_OUT, 0.0, 2, base)
     with pytest.raises(DomainError):
-        ShotSpec(kind=ShotKind.ZOOM_OUT, magnitude=1.0, frame_count=1, base=base)
+        generate_shot(ShotKind.ZOOM_OUT, 1.0, 1, base)
     with pytest.raises(DomainError):
-        ShotSpec(kind=ShotKind.ZOOM_OUT, magnitude=1.0, frame_count=2, base=base,
-                 lookat_depth=0.0)
+        generate_shot(ShotKind.ZOOM_OUT, 1.0, 2, base, lookat_depth=0.0)
 
 
 def test_every_shot_starts_at_base_pose():
     base_pose = random_pose(np.random.default_rng(3))
     base = base_trajectory(base_pose)
     for kind in ShotKind:
-        traj = generate_shot(ShotSpec(kind=kind, magnitude=0.4, frame_count=4, base=base))
+        traj = generate_shot(kind, 0.4, 4, base)
         p0 = traj.frames[0][0]
         assert np.array_equal(p0.rotation, base_pose.rotation), kind
         assert np.array_equal(p0.translation, base_pose.translation), kind
@@ -169,7 +172,7 @@ def test_elevation_orbits_vertically_keeping_orientation():
 
 
 def test_benchmark_suite_order_and_magnitudes():
-    suite = benchmark_suite(base_trajectory(), frame_count=3)
+    suite = default_suite(3)
     assert [t.label for t in suite] == SUITE_ORDER
     assert all(len(t) == 3 for t in suite)
     # default magnitudes: pi/4 turns, pi/6 tilts, 0.5 translate, 2.0 zoom
@@ -308,7 +311,7 @@ def test_merge_antipodal_falls_back_with_warning():
 def test_merged_suite_covers_inputs():
     # sanity on the co-located 12-shot suite: the merged trajectory is at
     # least as co-visible with each input as the worst input pair
-    suite = benchmark_suite(base_trajectory(), frame_count=5)
+    suite = default_suite(5)
     merged = merge_trajectories(suite)
     cfg = SamplerConfig(grid_w=4, grid_h=3, depth_slices=4)
     pairwise = [

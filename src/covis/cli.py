@@ -326,62 +326,78 @@ def _stitch_trajectory(parts: list[MemoryEntry], overlap: int, label: str) -> Tr
     return Trajectory.from_stacks(*map(np.concatenate, zip(*map(_arrays, kept))), sizes[0], label)
 
 
-def _stitch_videos(
-    run_dir: Path, parts: list[MemoryEntry], traj: Trajectory, overlap: int
-) -> FrameSequence:
-    """A shot's per-chunk videos joined along its stitched trajectory traj.
+def _load_chunk(run_dir: Path, e: MemoryEntry, drop: int) -> FrameSequence:
+    """Chunk video e without its first drop frames, the overlap it loses when stitched.
 
-    Each chunk's frame files, all but its overlap frames, are read straight
-    into their slots of buffers sized from traj.
+    Its frame files from drop on are read straight into buffers sized from
+    e's bank trajectory, which the video's own trajectory must equal.
     """
+    traj = e.trajectory.slice_frames(drop, len(e.trajectory))
     w, h = traj.image_size
     frames = np.empty((len(traj), h, w, 3), dtype=np.uint8)
     ids = np.empty((len(traj), h, w), dtype=np.int32)
-    keys = set()
-    pos = 0
-    for e, drop in zip(parts, _chunk_drops(parts, overlap)):
-        end = pos + len(e.trajectory) - drop
-        video, key = load_frames(run_dir / e.video_ref, out=(frames[pos:end], ids[pos:end]),
-                                 skip=drop)
-        # the video's frames follow its own trajectory, which must be the banked one;
-        # load_frames has already matched its frame count and image size to the slots
-        if not all(map(np.array_equal, _arrays(video), _arrays(e.trajectory))):
-            (vw, vh), (cw, ch) = video.image_size, e.trajectory.image_size
-            raise DomainError(
-                f"{e.video_ref}: its video follows {len(video)} frames of {vw}x{vh}, "
-                f"but its bank trajectory has {len(e.trajectory)} frames of {cw}x{ch}; "
-                "the two must be identical"
-            )
-        keys.add(key)
-        pos = end
+    video, key = load_frames(run_dir / e.video_ref, out=(frames, ids), skip=drop)
+    # load_frames has already matched the video's frame count and image size to the buffers
+    if not all(map(np.array_equal, _arrays(video), _arrays(e.trajectory))):
+        (vw, vh), (cw, ch) = video.image_size, e.trajectory.image_size
+        raise DomainError(
+            f"{e.video_ref}: its video follows {len(video)} frames of {vw}x{vh}, "
+            f"but its bank trajectory has {len(e.trajectory)} frames of {cw}x{ch}; "
+            "the two must be identical"
+        )
     frames.setflags(write=False)
     ids.setflags(write=False)
-    return FrameSequence(
-        frames=frames, id_map=ids, trajectory=traj,
-        scene_key=keys.pop() if len(keys) == 1 else None,
-    )
+    return FrameSequence(frames=frames, id_map=ids, trajectory=traj, scene_key=key)
 
 
 def _stream_sync(
     run_dir: Path, parts: dict[str, list[MemoryEntry]],
-    generated: dict[ShotKind, Trajectory], pairs: list[tuple[ShotKind, ShotKind]],
-    overlap: int,
+    pairs: list[tuple[ShotKind, ShotKind]], overlap: int,
 ) -> SyncReport:
-    """sync_report over pairs, holding a shot's video only from its first pair to its last.
+    """sync_report over pairs, scored one chunk at a time.
 
-    With the sync_pairs order no more than two stitched videos are alive at once.
+    Chunks are the outer loop and pairs the inner one. A shot's chunk video is
+    loaded for the first pair that names it and dropped after the last, so with
+    the sync_pairs order no more than two chunk videos are alive at once, and
+    each chunk video is loaded once. A pair's row sums its chunks' exact
+    matched-pixel totals. Both shots of a pair must have the same chunks, and
+    every chunk of a shot the scene of its first.
     """
-    last_use = {kind: i for i, pair in enumerate(pairs) for kind in pair}
-    videos: dict[ShotKind, FrameSequence] = {}
-    rows: list[SyncRow] = []
-    for i, pair in enumerate(pairs):
-        for kind in pair:
-            if kind not in videos:
-                videos[kind] = _stitch_videos(run_dir, parts[kind.slug], generated[kind], overlap)
-        rows.extend(sync_report(videos, [pair]).rows)
-        for kind in pair:
-            if last_use[kind] == i:
-                del videos[kind]
+    chunks = {kind: list(zip(parts[kind.slug], _chunk_drops(parts[kind.slug], overlap)))
+              for pair in pairs for kind in pair}
+    for p, q in pairs:
+        spans = [[(e.chunk_index, len(e.trajectory) - drop) for e, drop in chunks[k]]
+                 for k in (p, q)]
+        if spans[0] != spans[1]:
+            raise DomainError(
+                f"pair ({p.slug}, {q.slug}) has unequal chunks: (chunk, frames) "
+                f"{spans[0]} vs {spans[1]}"
+            )
+    scene_keys: dict[ShotKind, str | None] = {}
+    rows = [SyncRow(pair=pair, frames=0, matched_pixels=0) for pair in pairs]
+    for c in range(max(map(len, chunks.values()))):
+        scored = [i for i, (p, _) in enumerate(pairs) if c < len(chunks[p])]
+        last_use = {kind: i for i in scored for kind in pairs[i]}
+        videos: dict[ShotKind, FrameSequence] = {}
+        for i in scored:
+            for kind in pairs[i]:
+                if kind in videos:
+                    continue
+                e, drop = chunks[kind][c]
+                videos[kind] = _load_chunk(run_dir, e, drop)
+                key = videos[kind].scene_key
+                first = scene_keys.setdefault(kind, key)
+                if key != first:
+                    raise DomainError(
+                        f"{e.video_ref}: chunk {e.chunk_index} of {kind.slug!r} comes from "
+                        f"scene {key!r}, its first chunk from {first!r}"
+                    )
+            (row,) = sync_report(videos, [pairs[i]]).rows
+            rows[i] = SyncRow(pair=row.pair, frames=rows[i].frames + row.frames,
+                              matched_pixels=rows[i].matched_pixels + row.matched_pixels)
+            for kind in pairs[i]:
+                if last_use[kind] == i:
+                    del videos[kind]
     return SyncReport(rows=tuple(rows))
 
 
@@ -406,7 +422,7 @@ def cmd_eval(config: EngineConfig, run_dir_text: str | None, n_shots: int) -> in
         base, total_frames, run_config.shots.magnitudes(), run_config.shots.lookat_depth
     )
 
-    sync = _stream_sync(run_dir, groups, generated, pairs, overlap)
+    sync = _stream_sync(run_dir, groups, pairs, overlap)
     poses = []
     for kind in kinds:
         rep = pose_error_report(requested[int(kind) - 1], generated[kind], align=True)

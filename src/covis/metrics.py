@@ -185,11 +185,16 @@ def oracle_match(a: FrameSequence, b: FrameSequence) -> list[MatchMap]:
 
 @dataclass(frozen=True)
 class SyncRow:
-    """Synchronization result for one shot pair."""
+    """Synchronization result for one shot pair: its matched pixels summed over its frames."""
 
     pair: tuple[ShotKind, ShotKind]
     frames: int
-    mean_matched_pixels: float
+    matched_pixels: int
+
+    @property
+    def mean_matched_pixels(self) -> float:
+        # an exact integer total over a correctly rounded division: float(np.mean(counts))
+        return self.matched_pixels / self.frames
 
     @property
     def mean_matched_kpx(self) -> float:
@@ -215,7 +220,7 @@ def sync_report(
     videos: Mapping[ShotKind, FrameSequence],
     pairs: Sequence[tuple[ShotKind, ShotKind]],
 ) -> SyncReport:
-    """Mean matched pixels per shot pair over same-index frames.
+    """Matched pixels per shot pair, summed over same-index frames.
 
     Each frame pair counts the pixels oracle_match would give confidence 1.0:
     non-background pixels of the first video whose id appears in the paired
@@ -234,9 +239,6 @@ def sync_report(
                 f"({a.frame_count} vs {b.frame_count})"
             )
         _check_same_scene(a, b)
-        counts = [int(np.count_nonzero(m)) for m in _match_masks(a.id_map, b.id_map)]
-        rows.append(SyncRow(
-            pair=(p, q), frames=a.frame_count,
-            mean_matched_pixels=float(np.mean(counts)),
-        ))
+        total = sum(int(np.count_nonzero(m)) for m in _match_masks(a.id_map, b.id_map))
+        rows.append(SyncRow(pair=(p, q), frames=a.frame_count, matched_pixels=total))
     return SyncReport(rows=tuple(rows))

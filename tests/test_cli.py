@@ -12,6 +12,7 @@ import shutil
 import tempfile
 import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -262,33 +263,39 @@ def test_eval_streams_at_most_two_videos(full_run, monkeypatch, n_shots):
     refs = _generated_refs(full_run, shots)
     assert all(len(chunk_refs) == 3 for chunk_refs in refs.values())
     at_once = _stitched_at_once(full_run, shots)
-    loads, live_before_stitch, stitched, same_as_at_once = [], [], [], []
-    load, stitch = covis.cli.load_frames, covis.cli._stitch_videos
+    loads, live_before_load, loaded, same_as_at_once = [], [], [], []
+    offsets = dict.fromkeys(shots, 0)  # frames of each shot's stitched video loaded so far
+    load, load_chunk = covis.cli.load_frames, covis.cli._load_chunk
 
     def counting_load(directory, **kwargs):
         loads.append(Path(directory).relative_to(full_run).as_posix())
         return load(directory, **kwargs)
 
-    def tracking_stitch(*args, **kwargs):
+    def tracking_load_chunk(*args, **kwargs):
         gc.collect()
-        live_before_stitch.append(sum(ref() is not None for ref in stitched))
-        seq = stitch(*args, **kwargs)
-        stitched.append(weakref.ref(seq))
-        ref = at_once[ShotKind.from_slug(seq.trajectory.label)]
+        live_before_load.append(sum(ref() is not None for ref in loaded))
+        seq = load_chunk(*args, **kwargs)
+        loaded.append(weakref.ref(seq))
+        kind = ShotKind.from_slug(seq.trajectory.label)
+        ref, start = at_once[kind], offsets[kind]
+        end = offsets[kind] = start + seq.frame_count
         same_as_at_once.append(
-            np.array_equal(seq.frames, ref.frames) and np.array_equal(seq.id_map, ref.id_map)
+            np.array_equal(seq.frames, ref.frames[start:end])
+            and np.array_equal(seq.id_map, ref.id_map[start:end])
             and seq.scene_key == ref.scene_key
         )
         return seq
 
     monkeypatch.setattr(covis.cli, "load_frames", counting_load)
-    monkeypatch.setattr(covis.cli, "_stitch_videos", tracking_stitch)
+    monkeypatch.setattr(covis.cli, "_load_chunk", tracking_load_chunk)
     assert main(["eval", "--run", str(full_run), "--n-shots", str(n_shots)]) == 0
 
+    # every chunk video is loaded once, and at most one other is alive when it is
     assert sorted(loads) == sorted(r for chunk_refs in refs.values() for r in chunk_refs)
-    assert len(stitched) == len(shots)
-    assert max(live_before_stitch) <= 1
+    assert len(loaded) == 3 * len(shots)
+    assert max(live_before_load) <= 1
     assert all(same_as_at_once)
+    assert offsets == {kind: at_once[kind].frame_count for kind in shots}
 
     expected = sync_report(at_once, pairs)
     doc = json.loads((full_run / "report.json").read_text(encoding="utf-8"))
@@ -304,7 +311,7 @@ def test_eval_streams_at_most_two_videos(full_run, monkeypatch, n_shots):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_stitched_video_equals_the_concatenated_chunk_videos(data):
+def test_chunk_loads_join_to_the_concatenated_chunk_videos(data):
     overlap = data.draw(st.integers(0, 3), label="overlap")
     lengths = data.draw(st.lists(st.integers(overlap + 1, overlap + 4), min_size=1, max_size=4),
                         label="chunk lengths")
@@ -321,16 +328,20 @@ def test_stitched_video_equals_the_concatenated_chunk_videos(data):
                 id_map=rng.integers(-2**31, 2**31, (n, h, w), dtype=np.int32),
                 trajectory=traj, scene_key="scene-test"), run / f"videos/c{m:02d}")
             parts.append(MemoryEntry(traj, f"videos/c{m:02d}", m, m))
-        stitched = covis.cli._stitch_videos(
-            run, parts, covis.cli._stitch_trajectory(parts, overlap, "tilt_up"), overlap)
+        drops = covis.cli._chunk_drops(parts, overlap)
+        assert drops == [0] + [overlap] * (len(parts) - 1)
+        chunks = [covis.cli._load_chunk(run, e, d) for e, d in zip(parts, drops)]
         whole = [load_frames(run / e.video_ref) for e in parts]
-        drops = [0] + [overlap] * (len(parts) - 1)
+    stitched = covis.cli._stitch_trajectory(parts, overlap, "tilt_up")
     for name in ("frames", "id_map"):
         want = np.concatenate([getattr(s, name)[d:] for s, d in zip(whole, drops)])
-        got = getattr(stitched, name)
+        got = np.concatenate([getattr(c, name) for c in chunks])
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-        assert not got.flags.writeable
-    assert stitched.scene_key == "scene-test"
+        assert not any(getattr(c, name).flags.writeable for c in chunks)
+    for got, want in zip(zip(*(covis.cli._arrays(c.trajectory) for c in chunks)),
+                         covis.cli._arrays(stitched)):
+        assert np.array_equal(np.concatenate(got), want)
+    assert all(c.scene_key == "scene-test" for c in chunks)
 
 
 @pytest.mark.parametrize("name", ["frame_0001.ids", "frame_0001.rgb"])
@@ -397,7 +408,48 @@ def test_eval_rejects_chunks_of_different_scenes(full_run, monkeypatch, capsys):
 
     monkeypatch.setattr(covis.cli, "load_frames", relabelled_load)
     assert main(["eval", "--run", str(full_run), "--n-shots", "3"]) == 2
-    assert "different scenes (None vs None)" in capsys.readouterr().err
+    # both shots of a pair agree on chunk 2, but each disagrees with its own chunk 1
+    assert "_c02: chunk 2 of 'rotation_left' comes from scene 'another scene', its first chunk " \
+        "from 'scene-" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_pair_whose_shots_have_different_chunks(full_run, tmp_path, monkeypatch,
+                                                                capsys):
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    (run / "report.json").unlink(missing_ok=True)
+    group = covis.cli._group_shots
+
+    def without_last_chunk(*args):
+        groups = group(*args)
+        groups["azimuth_right"] = groups["azimuth_right"][:-1]
+        return groups
+
+    monkeypatch.setattr(covis.cli, "_group_shots", without_last_chunk)
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
+    assert ("pair (rotation_left, azimuth_right) has unequal chunks: (chunk, frames) "
+            "[(1, 6), (2, 3), (3, 1)] vs [(1, 6), (2, 3)]") in capsys.readouterr().err
+    assert not (run / "report.json").exists()
+
+
+def test_eval_traced_peak_stays_below_one_stitched_video(tmp_path):
+    # ten 192x108 chunks of at most 6 frames, each after the first overlapping the last by 3
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run), "--seed", "3", "--frames", "31",
+                 "--shots", "1,2,3", "--set", "scene.point_count=40",
+                 "--set", "scheduler.chunk_frames=6", "--set", "scheduler.overlap_latent=2",
+                 "--set", "scheduler.temporal_compression=2"]) == 0
+    events = json.loads((run / "run_log.json").read_text(encoding="utf-8"))["events"]
+    assert len(events[0]["chunks"]) == 10
+    stitched_bytes = 31 * 108 * 192 * (3 + 4)  # one shot's rgb and int32 ids, all 31 frames
+    # tracemalloc sees numpy's array buffers, and its peak does not depend on the host's RSS
+    tracemalloc.start()
+    try:
+        assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stitched_bytes
 
 
 def _copied_video(run_dir: Path, tmp_path: Path) -> tuple[Path, Path]:

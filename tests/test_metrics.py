@@ -305,13 +305,13 @@ def test_sync_report_counts_equal_reference_loop(pair):
 
 
 @st.composite
-def int32_id_pair(draw) -> tuple[np.ndarray, np.ndarray]:
+def int32_id_pair(draw, max_frames: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """Two id stacks over a narrow range anywhere in int32, or over all of int32.
 
     A range of at most 4 ids is within four frames' pixels, so sync_report counts it with
     its id table; a wider one falls back to isin. Any frame of either video may be blank.
     """
-    f, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    f, h, w = draw(st.integers(1, max_frames)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
     if draw(st.booleans()):
         lo = draw(st.sampled_from([-2**31, -3, -1, 0, 1, 2**31 - 4]) | st.integers(-2**31, 2**31 - 4))
         values = st.integers(lo, lo + 3)
@@ -337,6 +337,34 @@ def test_sync_report_counts_equal_isin_on_any_int32_ids(pair):
     rep = sync_report({ShotKind.TILT_UP: a, ShotKind.TILT_DOWN: b},
                       [(ShotKind.TILT_UP, ShotKind.TILT_DOWN)])
     assert rep.rows[0].mean_matched_pixels == float(np.mean(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sync_rows_summed_over_chunks_equal_the_joined_stacks(data):
+    pair = data.draw(int32_id_pair(max_frames=8), label="id stacks")
+    f = len(pair[0])
+    cuts = sorted(data.draw(st.sets(st.integers(1, f - 1), max_size=f - 1), label="cuts")) \
+        if f > 1 else []
+    bounds = list(zip([0, *cuts], [*cuts, f]))
+    kinds = (ShotKind.TILT_UP, ShotKind.TILT_DOWN)
+    whole = sync_report(dict(zip(kinds, map(seq_from_ids, pair))), [kinds]).rows[0]
+    rows = [sync_report({k: seq_from_ids(ids[i:j]) for k, ids in zip(kinds, pair)}, [kinds]).rows[0]
+            for i, j in bounds]
+    summed = SyncRow(kinds, sum(r.frames for r in rows), sum(r.matched_pixels for r in rows))
+    counts = [int(np.count_nonzero(np.isin(fa, fb) & (fa != BACKGROUND_ID)))
+              for fa, fb in zip(*pair)]
+    assert summed == whole
+    assert (whole.frames, whole.matched_pixels) == (f, sum(counts))
+    assert summed.mean_matched_pixels == whole.mean_matched_pixels == float(np.mean(counts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=2000))
+def test_sync_row_mean_equals_numpy_mean_of_its_counts(counts):
+    row = SyncRow((ShotKind.TILT_UP, ShotKind.TILT_DOWN), len(counts), sum(counts))
+    assert row.mean_matched_pixels == float(np.mean(counts))
+    assert row.mean_matched_kpx == float(np.mean(counts)) / 1000.0
 
 
 def test_pose_error_report_fields():

@@ -159,7 +159,7 @@ def cmd_simulate(
     config: EngineConfig, source_path: str | None, shots_text: str | None,
     frame_count: int | None,
 ) -> int:
-    # both would fail only after the first bank write, and that bank would block a rerun
+    # both would fail only after the first frame writes; checked here, they write nothing
     if not config.retrieval.include_source:
         raise DomainError("retrieval.include_source=false leaves chunk 1 nothing to retrieve")
     if config.scheduler.k == 1 and config.retrieval.k != 1:
@@ -184,8 +184,8 @@ def cmd_simulate(
         source, len(source), config.shots.magnitudes(), config.shots.lookat_depth
     )
     suite = [suite_all[int(kind) - 1] for kind in kinds]
-    # the bank makes out_dir; every input is checked first, so a bad one leaves no directory
-    bank = MemoryBank(bank_path)
+    # the first frame write makes out_dir; every input is checked first, so a bad one leaves none
+    bank = MemoryBank()
     events: list[dict] = []
     events.append({
         "event": "schedule",
@@ -208,7 +208,7 @@ def cmd_simulate(
     # awaited until one is left, so at most two videos are alive at once. A video is
     # let go here once its write is done, so it is freed on this thread at a fixed
     # point, not by a writer in mid-render, where each run would fragment the heap,
-    # and so the peak RSS, differently. The bank, run log and config stay here too.
+    # and so the peak RSS, differently.
     with ThreadPoolExecutor(2) as writers:
         in_flight: list[tuple[Future, FrameSequence]] = []
 
@@ -273,6 +273,9 @@ def cmd_simulate(
             done.result()
     write_json(out_dir / _RUN_LOG, {"events": events})
     save_config(config, out_dir / _RESOLVED_CONFIG)
+    # the bank's manifest is the last file written, so a failed run leaves none and a rerun
+    # into the same directory is not refused
+    bank.save(bank_path)
     print(
         f"simulated {len(suite)} views over {len(schedule.chunks)} chunks "
         f"({schedule.total_frames} frames); bank has {len(bank)} entries"

@@ -76,10 +76,10 @@ class Frustum:
 
 def build_frustum(
     pose: CameraPose,
-    fov_h: float = math.pi / 2,
-    fov_v: float = math.pi / 3,
-    near: float = 0.0,
-    far: float = 10.0,
+    fov_h: float = FrustumParams.fov_h,
+    fov_v: float = FrustumParams.fov_v,
+    near: float = FrustumParams.near,
+    far: float = FrustumParams.far,
 ) -> Frustum:
     """Frustum of a camera pose; apex is the camera center."""
     return Frustum(
@@ -166,13 +166,12 @@ def _local_lattice(
     return pts
 
 
-def sample_points(fr: Frustum, cfg: SamplerConfig | None = None) -> np.ndarray:
+def sample_points(fr: Frustum, cfg: SamplerConfig = SamplerConfig()) -> np.ndarray:
     """Stratified sample of P points inside the frustum, shape (P, 3).
 
     Deterministic for a given (frustum, cfg): repeated calls return identical
     arrays, and every returned point satisfies contains_points().
     """
-    cfg = cfg or SamplerConfig()
     local = _local_lattice(
         cfg.grid_w, cfg.grid_h, cfg.depth_slices, cfg.jitter_seed,
         fr.fov_h, fr.fov_v, fr.near, fr.far,
@@ -180,9 +179,8 @@ def sample_points(fr: Frustum, cfg: SamplerConfig | None = None) -> np.ndarray:
     return fr.apex + local @ fr.orientation.T
 
 
-def frame_covisibility(a: Frustum, b: Frustum, cfg: SamplerConfig | None = None) -> float:
+def frame_covisibility(a: Frustum, b: Frustum, cfg: SamplerConfig = SamplerConfig()) -> float:
     """Symmetric co-visibility score of two frustums in [0, 1]."""
-    cfg = cfg or SamplerConfig()
     in_b = int(contains_points(b, sample_points(a, cfg)).sum())
     in_a = int(contains_points(a, sample_points(b, cfg)).sum())
     return (in_b + in_a) / (2.0 * cfg.point_count)
@@ -196,7 +194,7 @@ _BLOCK_SAMPLES = 12288
 
 def pool_covisibility(
     rot_a: np.ndarray, cen_a: np.ndarray, stacks: list[tuple[np.ndarray, np.ndarray]],
-    cfg: SamplerConfig | None = None, params: FrustumParams | None = None,
+    cfg: SamplerConfig = SamplerConfig(), params: FrustumParams = FrustumParams(),
 ) -> np.ndarray:
     """Per-frame co-visibility of stack a against each (rotations, centers) stack, (E, F).
 
@@ -205,8 +203,6 @@ def pool_covisibility(
     bit for bit (see _view_local). Blocks of frames are the outer loop, so a's
     world samples are built once per block for the whole pool. Scratch is per call.
     """
-    cfg = cfg or SamplerConfig()
-    params = params or FrustumParams()
     shape = (params.fov_h, params.fov_v, params.near, params.far)
     lattice = _local_lattice(cfg.grid_w, cfg.grid_h, cfg.depth_slices, cfg.jitter_seed, *shape).T
     step = max(1, _BLOCK_SAMPLES // cfg.point_count)

@@ -15,10 +15,11 @@ entry, so nothing is stacked per call. Each entry's per-frame scores are
 summed in frame order, so every score equals a Python loop over
 frame_covisibility bit for bit.
 
-The bank is single-process and single-threaded: one caller appends (covis
-simulate, chunk by chunk) and nothing guards concurrent appends or a
-reader running beside a writer. Two processes must not share a bank
-directory.
+The bank is a plain in-memory value, appended to by one thread (covis
+simulate, chunk by chunk); nothing guards concurrent appends. save writes
+it to a directory, every trajectory file first and the manifest last, and
+open reads it back. simulate saves its bank once, after every other file
+of the run, so a bank manifest marks a finished run.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import DomainError
 from .frustum import FrustumParams, SamplerConfig, pool_covisibility
 # Unused here; kept because perfbench/tracer.py wraps covis.memory.frame_covisibility.
 from .frustum import frame_covisibility  # noqa: F401
-from .records import MANIFEST, check_fields, inside, positive_int, read_json, write_json
+from .records import MANIFEST, check_fields, positive_int, read_json, write_json
 
 # Every manifest record field and its JSON type.
 _RECORD_FIELDS = {"trajectory": str, "video_ref": str, "chunk_index": positive_int, "insert_seq": int,
@@ -65,8 +66,8 @@ class MemoryEntry:
 def trajectory_similarity(
     a: Trajectory,
     b: Trajectory,
-    cfg: SamplerConfig | None = None,
-    params: FrustumParams | None = None,
+    cfg: SamplerConfig = SamplerConfig(),
+    params: FrustumParams = FrustumParams(),
 ) -> float:
     """Mean per-frame frustum co-visibility of two equal-length trajectories."""
     if len(a) != len(b):
@@ -99,27 +100,52 @@ class RetrievalResult:
 
 
 class MemoryBank:
-    """Append-only memory of trajectory/video entries, optionally disk-backed.
+    """Append-only in-memory list of trajectory/video entries.
 
-    When a directory is given, every append persists the entry's trajectory
-    and rewrites the manifest, so reopening the directory reproduces the
-    bank exactly (same order, same insert_seq, same retrieval results).
+    save(directory) writes every entry's trajectory and then the manifest, so
+    a directory with a manifest holds a whole bank, and open(directory)
+    reproduces it exactly (same order, same insert_seq, same retrieval results).
     """
 
-    def __init__(self, directory: str | Path | None = None):
+    def __init__(self) -> None:
         self._entries: list[MemoryEntry] = []
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            if (self.directory / MANIFEST).exists():
-                self._load()
 
     @classmethod
     def open(cls, directory: str | Path) -> "MemoryBank":
-        directory = Path(directory)
-        if not (directory / MANIFEST).exists():
+        """The bank that save wrote to directory, each record checked."""
+        path = Path(directory) / MANIFEST
+        if not path.exists():
             raise DomainError(f"{directory}: no bank manifest found")
-        return cls(directory)
+        manifest = check_fields(str(path), read_json(path, "bank manifest"), {"entries": list})
+        bank = cls()
+        for n, rec in enumerate(manifest["entries"]):
+            check_fields(f"{path}: entry {n}", rec, _RECORD_FIELDS)
+            # save's numbering and naming; a bare name also keeps each trajectory in directory
+            seq, name = n + 1, _traj_name(n + 1)
+            if (rec["insert_seq"], rec["trajectory"]) != (seq, name):
+                raise DomainError(f"{path}: entry {n} needs insert_seq {seq} and trajectory {name}")
+            bank._add(load_trajectory(path.parent / name), rec["video_ref"], rec["chunk_index"],
+                      rec["is_source"], where=f"{path}: entry {n}: ")
+        return bank
+
+    def save(self, directory: str | Path) -> None:
+        """Write every entry's trajectory file, then the manifest that names them all."""
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        for e in self._entries:
+            save_trajectory(e.trajectory, directory / _traj_name(e.insert_seq))
+        write_json(directory / MANIFEST, {
+            "entries": [
+                {
+                    "trajectory": _traj_name(e.insert_seq),
+                    "video_ref": e.video_ref,
+                    "chunk_index": e.chunk_index,
+                    "insert_seq": e.insert_seq,
+                    "is_source": e.is_source,
+                }
+                for e in self._entries
+            ]
+        })
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -135,11 +161,8 @@ class MemoryBank:
         chunk_index: int,
         is_source: bool = False,
     ) -> MemoryEntry:
-        """Append an entry, assigning the next insert_seq; persists if disk-backed."""
-        entry = self._add(trajectory, video_ref, chunk_index, is_source)
-        if self.directory is not None:
-            self._persist(entry)
-        return entry
+        """Append an entry, assigning the next insert_seq."""
+        return self._add(trajectory, video_ref, chunk_index, is_source)
 
     def _add(
         self, trajectory: Trajectory, video_ref: str, chunk_index: int, is_source: bool,
@@ -165,40 +188,9 @@ class MemoryBank:
                 return e
         raise DomainError(f"chunk {chunk_index} has no source entry")
 
-    def _traj_name(self, insert_seq: int) -> str:
-        return f"traj_{insert_seq:06d}.json"
 
-    def _persist(self, entry: MemoryEntry) -> None:
-        assert self.directory is not None
-        save_trajectory(entry.trajectory, self.directory / self._traj_name(entry.insert_seq))
-        write_json(self.directory / MANIFEST, {
-            "entries": [
-                {
-                    "trajectory": self._traj_name(e.insert_seq),
-                    "video_ref": e.video_ref,
-                    "chunk_index": e.chunk_index,
-                    "insert_seq": e.insert_seq,
-                    "is_source": e.is_source,
-                }
-                for e in self._entries
-            ]
-        })
-
-    def _load(self) -> None:
-        assert self.directory is not None
-        path = self.directory / MANIFEST
-        manifest = check_fields(str(path), read_json(path, "bank manifest"), {"entries": list})
-        for n, rec in enumerate(manifest["entries"]):
-            check_fields(f"{path}: entry {n}", rec, _RECORD_FIELDS)
-            traj_path = inside(
-                self.directory, rec["trajectory"], f"{path}: entry {n} trajectory", "the bank"
-            )
-            # append's numbering and naming; anything else lets a later append reuse a seq or file
-            seq, name = n + 1, self._traj_name(n + 1)
-            if (rec["insert_seq"], rec["trajectory"]) != (seq, name):
-                raise DomainError(f"{path}: entry {n} needs insert_seq {seq} and trajectory {name}")
-            self._add(load_trajectory(traj_path), rec["video_ref"], rec["chunk_index"],
-                      rec["is_source"], where=f"{path}: entry {n}: ")
+def _traj_name(insert_seq: int) -> str:
+    return f"traj_{insert_seq:06d}.json"
 
 
 def check_retrieval(k: int, tie_rule: str) -> None:
@@ -214,8 +206,8 @@ def retrieve_top_k(
     target: Trajectory,
     k: int,
     chunk_index: int,
-    cfg: SamplerConfig | None = None,
-    params: FrustumParams | None = None,
+    cfg: SamplerConfig = SamplerConfig(),
+    params: FrustumParams = FrustumParams(),
     include_source: bool = True,
     cross_chunk: bool = False,
     tie_rule: str = "recent_first",

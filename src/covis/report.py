@@ -30,9 +30,8 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def top_down_svg(trajectories: Sequence[Trajectory], params: FrustumParams | None = None) -> str:
+def top_down_svg(trajectories: Sequence[Trajectory], params: FrustumParams = FrustumParams()) -> str:
     """SVG document with one polyline per trajectory, top-down view."""
-    params = params or FrustumParams()
     half_depth = params.far / 2.0
     tan_h = math.tan(params.fov_h / 2.0)
 

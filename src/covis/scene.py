@@ -26,7 +26,7 @@ import numpy as np
 
 from .camera import Trajectory, load_trajectory, save_trajectory
 from .errors import DomainError
-from .records import MANIFEST, check_fields, inside, positive_int, read_json, write_json
+from .records import MANIFEST, check_fields, positive_int, read_json, write_json
 
 BACKGROUND_ID = 0
 BACKGROUND_RGB = (128, 128, 128)
@@ -292,7 +292,7 @@ def load_frames(
     """Load a FrameSequence written by save_frames; exact round trip.
 
     Each frame file is read straight into its slot of the returned arrays.
-    The manifest's trajectory must lie inside directory and match its frame count and size.
+    The manifest must name trajectory.json, whose trajectory must match its frame count and size.
 
     With out, two writable C-contiguous arrays shaped (F - skip, H, W, 3) uint8 and
     (F - skip, H, W) int32, the frames from skip on are read into them instead,
@@ -303,9 +303,10 @@ def load_frames(
     path = directory / MANIFEST
     manifest = check_fields(str(path), read_json(path, "frame-sequence manifest"), _MANIFEST_FIELDS)
     w, h, n = manifest["width"], manifest["height"], manifest["frame_count"]
-    traj = load_trajectory(
-        inside(directory, manifest["trajectory"], f"{path}: trajectory", "its directory")
-    )
+    ref = manifest["trajectory"]
+    if ref != _TRAJ_NAME:
+        raise DomainError(f"{path}: 'trajectory' must be {_TRAJ_NAME!r}, got {ref!r}")
+    traj = load_trajectory(directory / _TRAJ_NAME)
     if (n, (w, h)) != (len(traj), traj.image_size):
         raise DomainError(f"{directory}: manifest has {n} frames of {w}x{h}, its trajectory "
                           "{} frames of {}x{}".format(len(traj), *traj.image_size))

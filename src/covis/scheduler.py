@@ -79,7 +79,7 @@ class ChunkSchedule:
     chunks: tuple[Chunk, ...]
 
 
-def chunk_schedule(total_frames: int, cfg: SchedulerConfig | None = None) -> ChunkSchedule:
+def chunk_schedule(total_frames: int, cfg: SchedulerConfig = SchedulerConfig()) -> ChunkSchedule:
     """Split total_frames into overlapping chunks.
 
     The first chunk covers [0, min(chunk_frames, total)); each later chunk
@@ -87,7 +87,6 @@ def chunk_schedule(total_frames: int, cfg: SchedulerConfig | None = None) -> Chu
     would add no new frame beyond the overlap (length < overlap_frames + 1)
     is merged into the previous chunk. Chunks cover [0, total) exactly.
     """
-    cfg = cfg or SchedulerConfig()
     if total_frames < 1:
         raise DomainError(f"total_frames must be >= 1, got {total_frames}")
     chunks = [Chunk(0, min(cfg.chunk_frames, total_frames), 0)]
@@ -157,7 +156,7 @@ def token_layout(
     decoded_frames: int,
     height: int,
     width: int,
-    cfg: SchedulerConfig | None = None,
+    cfg: SchedulerConfig = SchedulerConfig(),
 ) -> TokenLayout:
     """Token layout of k context videos plus one target, each decoded_frames long.
 
@@ -165,7 +164,6 @@ def token_layout(
     whole latent groups): f = 1 + (decoded_frames - 1) / temporal_compression.
     height and width must be divisible by the spatial patch size, 2.
     """
-    cfg = cfg or SchedulerConfig()
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     if decoded_frames < 1:

@@ -479,7 +479,8 @@ def test_eval_rejects_video_trajectory_outside_its_directory(run_dir, tmp_path, 
     (video / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert (video / manifest["trajectory"]).resolve() == tmp_path / "outside_traj.json"
     assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
-    assert "lies outside its directory" in capsys.readouterr().err
+    assert (f"{video / 'manifest.json'}: 'trajectory' must be 'trajectory.json', "
+            "got '../../../outside_traj.json'") in capsys.readouterr().err
     assert not (run / "report.json").exists()
 
 
@@ -593,10 +594,11 @@ def test_report_on_empty_directory(tmp_path, capsys):
 
 def test_retrieve_and_plan_cli(tmp_path, capsys):
     rng = np.random.default_rng(3)
-    bank = MemoryBank(tmp_path / "bank")
+    bank = MemoryBank()
     bank.append(aimed_trajectory(rng, 2, label="src"), "v0", 1, is_source=True)
     for i in range(4):
         bank.append(aimed_trajectory(rng, 2, label=f"e{i}"), f"v{i + 1}", 1)
+    bank.save(tmp_path / "bank")
     target_path = tmp_path / "target.json"
     save_trajectory(aimed_trajectory(rng, 2, label="tgt"), target_path)
 
@@ -681,9 +683,10 @@ def test_simulate_renders_only_kept_videos(tmp_path, monkeypatch, keep):
 
 def _write_bank(root: Path) -> tuple[Path, Path]:
     rng = np.random.default_rng(53)
-    bank = MemoryBank(root / "bank")
+    bank = MemoryBank()
     bank.append(aimed_trajectory(rng, 2, label="src"), "v0", 1, is_source=True)
     bank.append(aimed_trajectory(rng, 2, label="e1"), "v1", 1)
+    bank.save(root / "bank")
     target = root / "target.json"
     save_trajectory(aimed_trajectory(rng, 2, label="tgt"), target)
     return root / "bank", target
@@ -697,7 +700,7 @@ def test_retrieve_rejects_trajectory_outside_bank(tmp_path, capsys):
     manifest["entries"][1]["trajectory"] = "../target.json"
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["retrieve", "--bank", str(bank_dir), "--target", str(target)]) == 2
-    assert "outside the bank" in capsys.readouterr().err
+    assert "entry 1 needs insert_seq 2 and trajectory traj_000002.json" in capsys.readouterr().err
 
 
 def test_retrieve_names_the_manifest_entry_of_a_second_source(tmp_path, capsys):
@@ -754,7 +757,7 @@ def test_retrieve_on_damaged_manifest_exits_2_or_3(damage):
 @pytest.mark.parametrize("field, value", [("insert_seq", 5), ("trajectory", "traj_000003.json")],
                          ids=["seq_gap", "misnamed_file"])
 def test_retrieve_on_bank_out_of_sequence_exits_2(tmp_path, capsys, field, value):
-    # an append would give either bank seq 3 in traj_000003.json: after
+    # an append and save would give either bank seq 3 in traj_000003.json: after
     # [1, 5] it no longer reopens, and entry 2's file would be overwritten
     bank_dir, target = _write_bank(tmp_path)
     manifest_path = bank_dir / "manifest.json"
@@ -842,51 +845,70 @@ def test_zero_counts_and_empty_shot_lists_reach_their_validators(tmp_path, capsy
     assert capsys.readouterr().err.count("k must be >= 1, got 0") == 3
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_failed_bank_write_leaves_the_last_manifest_whole(tmp_path, monkeypatch, n):
-    replace = os.replace
-    bank_writes = []
+@pytest.fixture(scope="module")
+def fresh_run(tmp_path_factory) -> Path:
+    d = tmp_path_factory.mktemp("fresh") / "run"
+    assert main(["simulate", "--out", str(d), *SIM_ARGS]) == 0
+    return d
+
+
+def _run_files(run: Path) -> dict[str, object]:
+    """Every file under run by relative path: its bytes, or for the resolved config its
+    JSON without output.directory, the one value that names the run's place."""
+    files = {p.relative_to(run).as_posix(): p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    config = json.loads(files["config_resolved.json"])
+    del config["output"]["directory"]
+    files["config_resolved.json"] = config
+    return files
+
+
+# SIM_ARGS writes four videos and banks four entries. Each case fails the n-th video's
+# frame write, or the n-th replace of a file whose path in the run starts with a prefix.
+_FAILED_WRITES = {
+    "frames-1": ("frames", 1), "frames-2": ("frames", 2), "frames-4": ("frames", 4),
+    "traj-1": ("bank/traj_", 1), "traj-4": ("bank/traj_", 4),
+    "manifest-1": ("bank/manifest.json", 1), "run_log-1": ("run_log.json", 1),
+    "config_resolved-1": ("config_resolved.json", 1),
+}
+
+
+@pytest.mark.parametrize("what, n", list(_FAILED_WRITES.values()), ids=list(_FAILED_WRITES))
+def test_failed_simulate_leaves_no_bank_and_reruns_in_place(tmp_path, monkeypatch, fresh_run,
+                                                            what, n):
+    d = tmp_path / "run"
+    save_frames, replace = covis.cli.save_frames, os.replace
+    writes = []
+
+    def failing_save(seq, directory):
+        writes.append(directory)
+        if len(writes) == n:
+            directory.mkdir(parents=True)
+            (directory / "frame_0000.rgb").write_bytes(b"")
+            raise OSError("no space left on device")
+        return save_frames(seq, directory)
 
     def failing_replace(src, dst):
-        if Path(dst).parent.name == "bank" and Path(dst).name == "manifest.json":
-            bank_writes.append(dst)
-            if len(bank_writes) == n:
+        if Path(dst).relative_to(d).as_posix().startswith(what):
+            writes.append(dst)
+            if len(writes) == n:
                 raise OSError("no space left on device")
         return replace(src, dst)
 
-    monkeypatch.setattr(os, "replace", failing_replace)
-    d = tmp_path / "run"
+    if what == "frames":
+        monkeypatch.setattr(covis.cli, "save_frames", failing_save)
+    else:
+        monkeypatch.setattr(os, "replace", failing_replace)
     threads = threading.active_count()
     assert main(["simulate", "--out", str(d), *SIM_ARGS]) == 3
-    assert threading.active_count() == threads  # the frame writer was joined
-    manifest = json.loads((d / "bank" / "manifest.json").read_text(encoding="utf-8"))
-    assert [e["insert_seq"] for e in manifest["entries"]] == list(range(1, n))
+    assert len(writes) >= n
+    assert threading.active_count() == threads  # both frame writers were joined
+    assert not (d / "bank" / "manifest.json").exists()
+    for path in (d / "bank").glob("traj_*.json"):
+        load_trajectory(path)
 
-
-@pytest.mark.parametrize("n", [2, 4])
-def test_failed_trajectory_write_leaves_no_partial_trajectory_file(tmp_path, monkeypatch, n):
-    replace = os.replace
-    traj_writes = []
-
-    def failing_replace(src, dst):
-        if Path(dst).parent.name == "bank" and Path(dst).name.startswith("traj_"):
-            traj_writes.append(dst)
-            if len(traj_writes) == n:
-                raise OSError("no space left on device")
-        return replace(src, dst)
-
-    monkeypatch.setattr(os, "replace", failing_replace)
-    d = tmp_path / "run"
-    threads = threading.active_count()
-    assert main(["simulate", "--out", str(d), *SIM_ARGS]) == 3
-    assert threading.active_count() == threads  # the frame writer was joined
-    manifest = json.loads((d / "bank" / "manifest.json").read_text(encoding="utf-8"))
-    assert [e["insert_seq"] for e in manifest["entries"]] == list(range(1, n))
-    # the n-th trajectory never lands, whole or in part; each banked one parses
-    assert sorted(p.name for p in (d / "bank").glob("traj_*.json")) == [
-        e["trajectory"] for e in manifest["entries"]
-    ]
-    MemoryBank.open(d / "bank")
+    monkeypatch.undo()
+    assert main(["simulate", "--out", str(d), *SIM_ARGS]) == 0
+    assert _run_files(d) == _run_files(fresh_run)
 
 
 # SIM_ARGS writes four videos: the source chunk, then shots 1, 2 and 3

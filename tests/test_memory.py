@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covis import (
@@ -138,18 +141,20 @@ def test_similarity_equals_frame_loop_exactly(seed, frames, pool_layouts, jitter
     pool = [paired_trajectory(rng, a, layout) for layout in pool_layouts]
     cfg = SamplerConfig(*grid, jitter_seed=jitter)
     ref_params = params or FrustumParams()
-    per_frame = pool_covisibility(*a.pose_stack, [b.pose_stack for b in pool], cfg, params)
+    # a drawn None stands for the default case, which omits the argument
+    kw = {} if params is None else {"params": params}
+    per_frame = pool_covisibility(*a.pose_stack, [b.pose_stack for b in pool], cfg, **kw)
     assert per_frame.shape == (len(pool), frames)
     for b, row, layout in zip(pool, per_frame, pool_layouts):
         assert row.tolist() == [
             frame_covisibility(frustum(ref_params, pa), frustum(ref_params, pb), cfg)
             for (pa, _), (pb, _) in zip(a.frames, b.frames)
         ]
-        assert trajectory_similarity(a, b, cfg, params) == loop_similarity(a, b, cfg, ref_params)
+        assert trajectory_similarity(a, b, cfg, **kw) == loop_similarity(a, b, cfg, ref_params)
         if layout == "identical":
-            assert trajectory_similarity(a, b, cfg, params) == 1.0
+            assert trajectory_similarity(a, b, cfg, **kw) == 1.0
         if layout == "disjoint":
-            assert trajectory_similarity(a, b, cfg, params) == 0.0
+            assert trajectory_similarity(a, b, cfg, **kw) == 0.0
 
     # retrieval ranks the same scores, most recent first on ties, and skips
     # entries of another frame count wherever they sit in the bank
@@ -159,9 +164,9 @@ def test_similarity_equals_frame_loop_exactly(seed, frames, pool_layouts, jitter
             bank.append(random_trajectory(rng, frame_count=frames + 1), f"skip{j}", 1)
         if j < len(pool):
             bank.append(pool[j], f"v{j}", 1)
-    result = retrieve_top_k(bank, a, len(bank), 1, cfg, params)
+    result = retrieve_top_k(bank, a, len(bank), 1, cfg, **kw)
     expected = sorted(
-        ((i, trajectory_similarity(a, e.trajectory, cfg, params))
+        ((i, trajectory_similarity(a, e.trajectory, cfg, **kw))
          for i, e in enumerate(bank.entries) if len(e.trajectory) == frames),
         key=lambda r: (-r[1], -bank.entries[r[0]].insert_seq),
     )
@@ -340,30 +345,59 @@ def test_pad_context():
         pad_context(entries, 3, source)
 
 
-def test_bank_disk_round_trip(tmp_path):
-    rng = np.random.default_rng(41)
-    bank = MemoryBank(tmp_path / "bank")
-    bank.append(random_trajectory(rng, 2, label="src"), "videos/a", 1, is_source=True)
-    bank.append(random_trajectory(rng, 2, label="one"), "videos/b", 1)
-    bank.append(random_trajectory(rng, 2, label="two"), "videos/c", 2, is_source=True)
+# (chunk index, source flag, label, video ref, frames) per entry; only the first
+# flagged entry of a chunk becomes its source
+bank_specs = st.lists(
+    st.tuples(st.integers(1, 5), st.booleans(), st.text(), st.text(), st.integers(1, 4)),
+    max_size=30,
+)
 
-    reopened = MemoryBank.open(tmp_path / "bank")
-    assert len(reopened) == 3
-    for e0, e1 in zip(bank.entries, reopened.entries):
-        assert (e0.video_ref, e0.chunk_index, e0.insert_seq, e0.is_source) == (
-            e1.video_ref, e1.chunk_index, e1.insert_seq, e1.is_source
-        )
-        assert e0.trajectory.label == e1.trajectory.label
-        assert np.array_equal(e0.trajectory.pose_stack[1], e1.trajectory.pose_stack[1])
 
-    target = random_trajectory(rng, 2)
-    assert (
-        retrieve_top_k(bank, target, 2, chunk_index=1).ranked
-        == retrieve_top_k(reopened, target, 2, chunk_index=1).ranked
-    )
-    # appends after reopening continue the sequence and persist
-    reopened.append(random_trajectory(rng, 2, label="three"), "videos/d", 2)
-    assert MemoryBank.open(tmp_path / "bank").entries[-1].insert_seq == 4
+def _retrieval(bank, target, chunk_index, cross_chunk):
+    """retrieve_top_k's ranking and skip count over the whole pool, or its error message."""
+    try:
+        result = retrieve_top_k(bank, target, max(1, len(bank)), chunk_index,
+                                cross_chunk=cross_chunk)
+    except DomainError as e:
+        return str(e)
+    return result.ranked, result.skipped
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, bank_specs, st.integers(1, 4), st.integers(1, 5), st.booleans())
+@example(41, [(1, True, "src", "videos/a", 2), (1, False, "one", "videos/b", 2),
+              (2, True, "two", "videos/c", 2)], 2, 1, False)
+def test_bank_save_open_round_trip(seed, spec, target_frames, chunk_index, cross_chunk):
+    rng = np.random.default_rng(seed)
+    bank, sourced = MemoryBank(), set()
+    for chunk, flag, label, ref, frames in spec:
+        is_source = flag and chunk not in sourced
+        if is_source:
+            sourced.add(chunk)
+        bank.append(random_trajectory(rng, frames, label=label), ref, chunk, is_source=is_source)
+    target = random_trajectory(rng, target_frames)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        bank.save(first)
+        reopened = MemoryBank.open(first)
+        assert len(reopened) == len(bank)
+        for e0, e1 in zip(bank.entries, reopened.entries):
+            assert (e1.video_ref, e1.chunk_index, e1.insert_seq, e1.is_source) == (
+                e0.video_ref, e0.chunk_index, e0.insert_seq, e0.is_source
+            )
+            t0, t1 = e0.trajectory, e1.trajectory
+            assert (t1.label, t1.image_size) == (t0.label, t0.image_size)
+            for a, b in zip((*t0.pose_stack, t0.intrinsics_stack),
+                            (*t1.pose_stack, t1.intrinsics_stack)):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert _retrieval(reopened, target, chunk_index, cross_chunk) == _retrieval(
+            bank, target, chunk_index, cross_chunk)
+        reopened.save(second)
+        assert _files(second) == _files(first)
 
 
 def test_bank_open_requires_manifest(tmp_path):

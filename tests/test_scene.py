@@ -388,8 +388,9 @@ def test_load_frames_rejects_trajectory_outside_directory(tmp_path):
     for ref in ("../../outside_traj.json", str(tmp_path / "outside_traj.json")):
         manifest["trajectory"] = ref
         path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(DomainError, match="lies outside its directory"):
+        with pytest.raises(DomainError) as e:
             load_frames(tmp_path / "a" / "seq")
+        assert str(e.value) == f"{path}: 'trajectory' must be 'trajectory.json', got {ref!r}"
 
 
 def test_save_frames_writes_its_manifest_last(tmp_path, monkeypatch):

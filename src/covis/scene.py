@@ -20,7 +20,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -155,22 +155,55 @@ class FrameSequence:
         return int(self.frames.shape[0])
 
 
-def _project(
-    pts: np.ndarray, rotation: np.ndarray, center: np.ndarray, k: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Continuous image coordinates (u, v) and depth for points in front of the camera.
+# Points per projection block: a block holds max(1, _BLOCK_POINTS // N) frames
+# of an N-point scene, so its scratch is bounded by the budget, not by the
+# video's length. 16,384 is 16 frames of the default 1,000-point scene; 4,096
+# rendered a 93-frame video about 15% slower, 8,192 to 32,768 alike.
+_BLOCK_POINTS = 16384
 
-    rotation and center are a camera-to-world pose and k its fx, fy, cx, cy.
-    Returns (u, v, z) with z <= 0 wherever the point is at or behind the
-    camera plane; u, v are only meaningful where z > 0.
+# One RGB pixel as a single 3-byte item, so a color scatter moves whole pixels.
+_RGB = np.dtype((np.void, 3))
+
+
+def _projected_blocks(
+    scene: SceneModel, traj: Trajectory, start: int
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per block of traj's frames: its slice and the scene's image coordinates u, v and depth z.
+
+    Each of u, v, z is (B, N) and is overwritten by the next block. Row f is
+    the scene at time start + f seen by camera f, computed as
+    (scene.positions_at(start + f) - center) @ rotation per frame would be:
+    the same (N, 3) @ (3, 3) operand order, so bit for bit. z <= 0 wherever
+    a point is at or behind the camera plane; u, v are only meaningful where
+    z > 0.
     """
-    local = (pts - center) @ rotation
-    z = local[:, 2]
-    fx, fy, cx, cy = k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = fx * local[:, 0] / z + cx
-        v = fy * local[:, 1] / z + cy
-    return u, v, z
+    rotations, centers = traj.pose_stack
+    intrinsics = traj.intrinsics_stack
+    n = len(scene.ids)
+    step = max(1, _BLOCK_POINTS // n)
+    b = min(step, len(traj))
+    bufs, uvs = np.empty((2, b, n, 3)), np.empty((2, b, n))
+    for f in range(0, len(traj), step):
+        blk = slice(f, min(f + step, len(traj)))
+        pts, local = bufs[:, :blk.stop - f]
+        u, v = uvs[:, :blk.stop - f]
+        times = np.arange(start + f, start + blk.stop).astype(np.float64)
+        flat = pts.reshape(len(pts), -1)
+        np.multiply(times[:, None], scene.velocities.reshape(-1), out=flat)
+        flat += scene.positions.reshape(-1)
+        for axis in range(3):
+            pts[..., axis] -= centers[blk, axis, None]
+        np.matmul(pts, rotations[blk], out=local)
+        z = local[..., 2]
+        fx, fy, cx, cy = intrinsics[blk].T[:, :, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(fx, local[..., 0], out=u)
+            np.multiply(fy, local[..., 1], out=v)
+            u /= z
+            v /= z
+        u += cx
+        v += cy
+        yield blk, u, v, z
 
 
 def render(scene: SceneModel, traj: Trajectory, start: int = 0) -> FrameSequence:
@@ -189,35 +222,60 @@ def render(scene: SceneModel, traj: Trajectory, start: int = 0) -> FrameSequence
     n_frames = len(traj)
     frames = np.full((n_frames, h, w, 3), BACKGROUND_RGB[0], dtype=np.uint8)
     id_map = np.full((n_frames, h, w), BACKGROUND_ID, dtype=np.int32)
-    rotations, centers = traj.pose_stack
-    for f, (rot, center, k) in enumerate(zip(rotations, centers, traj.intrinsics_stack.tolist())):
-        u, v, z = _project(scene.positions_at(start + f), rot, center, k)
-        valid = z > 0.0
-        ui = np.floor(u[valid]).astype(np.int64)
-        vi = np.floor(v[valid]).astype(np.int64)
-        inside = (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
-        if not inside.any():
-            continue
-        cand = np.flatnonzero(valid)[inside]
-        pix = vi[inside] * w + ui[inside]
-        # Sort by pixel, then depth, then id; first record per pixel wins.
-        order = np.lexsort((scene.ids[cand], z[cand], pix))
-        pix_sorted = pix[order]
-        first = np.unique(pix_sorted, return_index=True)[1]
-        winners = cand[order[first]]
-        id_map[f].reshape(-1)[pix_sorted[first]] = scene.ids[winners]
-        frames[f].reshape(-1, 3)[pix_sorted[first]] = scene.colors[winners]
+    for blk, u, v, z in _projected_blocks(scene, traj, start):
+        _splat(scene, u, v, z, id_map[blk], frames[blk])
     frames.setflags(write=False)
     id_map.setflags(write=False)
     return FrameSequence(frames=frames, id_map=id_map, trajectory=traj, scene_key=scene.scene_key)
 
 
+def _splat(
+    scene: SceneModel, u: np.ndarray, v: np.ndarray, z: np.ndarray,
+    id_map: np.ndarray, frames: np.ndarray,
+) -> None:
+    """Write the winning point's id and color into each hit pixel of a block of frames.
+
+    u, v, z are the block's (B, N) projections, id_map its (B, H, W) ids and
+    frames its (B, H, W, 3) RGB. The scratch is freed on return, so render's
+    peak is one block's whatever the video's length.
+    """
+    h, w = id_map.shape[1:]
+    # w and h are integers, so floor(u) lies in [0, w) exactly when u does
+    keep = z > 0.0
+    keep &= (u >= 0.0) & (u < w) & (v >= 0.0) & (v < h)
+    fi, pi = np.nonzero(keep)
+    # u, v >= 0 here, so truncation is floor
+    pix = fi * (h * w)
+    pix += v[keep].astype(np.int64) * w
+    pix += u[keep].astype(np.int64)
+    # Scatter each candidate's index and read it back: a pixel keeps one of
+    # its candidates' indices, so every other candidate there sees it lost.
+    flat_ids = id_map.reshape(-1)
+    idx = np.arange(len(pix), dtype=np.int32)
+    flat_ids[pix] = idx
+    rep = flat_ids[pix]
+    shared = rep != idx
+    if shared.any():
+        shared[rep[shared]] = True  # the candidate whose index was kept collided too
+        # Among each collided pixel's candidates the nearest win, then the smallest id.
+        s = np.flatnonzero(shared)
+        z_s, rep_s = z[fi[s], pi[s]], rep[s]
+        nearest = np.full(len(pix), np.inf)
+        np.minimum.at(nearest, rep_s, z_s)
+        near = s[z_s == nearest[rep_s]]
+        ids_n, rep_n = scene.ids[pi[near]], rep[near]
+        least = np.full(len(pix), np.iinfo(np.int32).max, dtype=np.int32)
+        np.minimum.at(least, rep_n, ids_n)
+        shared[near[ids_n == least[rep_n]]] = False
+        pix, pi = pix[~shared], pi[~shared]
+    flat_ids[pix] = scene.ids[pi]
+    frames.view(_RGB).reshape(-1)[pix] = scene.colors.view(_RGB)[pi, 0]
+
+
 def _visible_masks(scene: SceneModel, traj: Trajectory, far: float) -> Iterator[np.ndarray]:
-    """Per frame, the points of scene that traj's camera sees within depth far."""
+    """Per block of frames, the (B, N) mask of the points traj's camera sees within depth far."""
     w, h = traj.image_size
-    rotations, centers = traj.pose_stack
-    for f, (rot, center, k) in enumerate(zip(rotations, centers, traj.intrinsics_stack.tolist())):
-        u, v, z = _project(scene.positions_at(f), rot, center, k)
+    for _, u, v, z in _projected_blocks(scene, traj, 0):
         yield (z > 0.0) & (z <= far) & (u >= 0.0) & (u < w) & (v >= 0.0) & (v < h)
 
 
@@ -233,9 +291,10 @@ def covisible_fraction(scene: SceneModel, a: Trajectory, b: Trajectory, far: flo
         raise DomainError(f"frame counts differ: {len(a)} vs {len(b)}")
     total = 0.0
     for va, vb in zip(_visible_masks(scene, a, far), _visible_masks(scene, b, far)):
-        union = int((va | vb).sum())
-        if union:
-            total += int((va & vb).sum()) / union
+        unions = np.count_nonzero(va | vb, axis=1).tolist()
+        for inter, union in zip(np.count_nonzero(va & vb, axis=1).tolist(), unions):
+            if union:
+                total += inter / union
     return total / len(a)
 
 

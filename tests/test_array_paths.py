@@ -12,16 +12,19 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covis.scene
 from covis import (
     CameraIntrinsics,
     CameraPose,
     DomainError,
+    SceneModel,
     ShotKind,
     Trajectory,
     generate_shot,
@@ -32,7 +35,9 @@ from covis import (
     render,
     save_trajectory,
 )
-from covis.scene import BACKGROUND_ID, BACKGROUND_RGB
+from covis.cli import main
+from covis.config import EngineConfig
+from covis.scene import BACKGROUND_ID, BACKGROUND_RGB, load_frames
 
 from helpers import aimed_trajectory, random_intrinsics, random_pose, random_rotation
 
@@ -184,13 +189,13 @@ def ref_merge(trajs: list[Trajectory]) -> list[tuple[CameraPose, CameraIntrinsic
     return frames
 
 
-def ref_render(scene, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+def ref_render(scene, traj: Trajectory, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     w, h = traj.image_size
     n_frames = len(traj)
     frames = np.full((n_frames, h, w, 3), BACKGROUND_RGB[0], dtype=np.uint8)
     id_map = np.full((n_frames, h, w), BACKGROUND_ID, dtype=np.int32)
     for f, (pose, intr) in enumerate(traj.frames):
-        local = (scene.positions_at(f) - pose.translation) @ pose.rotation
+        local = (scene.positions_at(start + f) - pose.translation) @ pose.rotation
         z = local[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             u = intr.fx * local[:, 0] / z + intr.cx
@@ -344,17 +349,97 @@ def test_merge_of_eight_or_more_keeps_the_per_frame_add_order(n):
     assert_frames_equal(merge_trajectories(trajs), ref_merge(trajs))
 
 
+def _assert_renders_match(scene: SceneModel, traj: Trajectory, start: int) -> None:
+    seq = render(scene, traj, start)
+    frames, ids = ref_render(scene, traj, start)
+    assert seq.frames.tobytes() == frames.tobytes()
+    assert seq.id_map.tobytes() == ids.tobytes()
+
+
 @settings(max_examples=15, deadline=None)
-@given(seeds, st.integers(min_value=1, max_value=6))
-def test_render_matches_per_pose_reference(seed, frame_count):
+@given(seeds, st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=9))
+def test_render_matches_per_pose_reference(seed, frame_count, start):
     rng = np.random.default_rng(seed)
     scene = make_scene(seed % 1000, point_count=300, moving_fraction=0.3)
     traj = aimed_trajectory(rng, frame_count, width=int(rng.integers(4, 40)),
                             height=int(rng.integers(4, 30)))
-    seq = render(scene, traj)
-    frames, ids = ref_render(scene, traj)
-    assert np.array_equal(seq.frames, frames)
-    assert np.array_equal(seq.id_map, ids)
+    _assert_renders_match(scene, traj, start)
+
+
+@st.composite
+def collision_renders(draw) -> tuple[SceneModel, Trajectory, int, int]:
+    """A scene, trajectory, start frame and block budget that crowd render's collision path.
+
+    Points lie on a half-unit lattice, many of them duplicated, and the
+    camera is often the identity with fx = fy = 1 and the principal point at
+    the image center: then points land exactly on the image borders and on
+    the camera plane, and duplicates tie in depth exactly. Ids are unsorted.
+    The frame count lies on either side of a multiple of the block's frames.
+    """
+    rng = np.random.default_rng(draw(seeds))
+    n = draw(st.sampled_from([1, 2]) | st.integers(min_value=3, max_value=60))
+    w, h = draw(st.just((4, 3)) | st.tuples(st.integers(1, 8), st.integers(1, 6)))
+    budget = draw(st.integers(min_value=1, max_value=3 * n))  # below n: one frame per block
+    step = max(1, budget // n)
+    frame_count = max(1, step * draw(st.integers(1, 3)) + draw(st.integers(-1, 1)))
+    positions = 0.5 * np.stack([rng.integers(-w, w + 1, n), rng.integers(-h, h + 1, n),
+                                rng.integers(-1, 5, n)], axis=1)
+    dup = rng.random(n) < 0.4
+    positions[dup] = positions[rng.integers(0, n, n)[dup]]
+    velocities = 0.5 * rng.integers(-1, 2, (n, 3)) * (rng.random((n, 1)) < 0.5)
+    scene = SceneModel(
+        ids=rng.choice(np.arange(1, 10 * n + 1), n, replace=False).astype(np.int32),
+        positions=positions, colors=rng.integers(0, 256, (n, 3)), velocities=velocities,
+        seed=0,
+    )
+    fx = draw(st.sampled_from([1.0, w / 2.0]))
+    intr = CameraIntrinsics(fx=fx, fy=fx, cx=w / 2.0, cy=h / 2.0, width=w, height=h)
+    poses = [
+        CameraPose.identity() if rng.random() < 0.5 else CameraPose(
+            rotation=random_rotation(rng) if rng.random() < 0.2 else np.eye(3),
+            translation=0.5 * rng.integers(-2, 3, 3).astype(np.float64))
+        for _ in range(frame_count)
+    ]
+    return scene, Trajectory.from_poses(poses, intr), draw(st.integers(0, 5)), budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(collision_renders())
+def test_render_matches_per_pose_reference_where_points_collide(case):
+    scene, traj, start, budget = case
+    with mock.patch.object(covis.scene, "_BLOCK_POINTS", budget):
+        _assert_renders_match(scene, traj, start)
+
+
+@pytest.mark.parametrize("points,blocks,extra", [
+    (1000, 1, -1), (1000, 1, 0), (1000, 1, 1), (1000, 2, 1),
+    (covis.scene._BLOCK_POINTS + 1, 3, 0),  # more points than the budget: one frame per block
+])
+def test_render_matches_per_pose_reference_at_the_block_budget(points, blocks, extra):
+    step = max(1, covis.scene._BLOCK_POINTS // points)
+    rng = np.random.default_rng(points + blocks + extra)
+    scene = make_scene(points, point_count=points, moving_fraction=0.3)
+    _assert_renders_match(scene, aimed_trajectory(rng, step * blocks + extra, width=48, height=27), 7)
+
+
+def test_every_simulated_video_equals_the_reference_render(tmp_path, monkeypatch):
+    # the default config over 165 frames, as in acceptance criterion 8, with three shots
+    monkeypatch.delenv("ENGINE_CONFIG", raising=False)
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run), "--frames", "165", "--shots", "1,2,3"]) == 0
+    events = json.loads((run / "run_log.json").read_text(encoding="utf-8"))["events"]
+    starts = {c["index"]: c["start"] for c in events[0]["chunks"]}
+    cfg = EngineConfig().scene
+    scene = make_scene(cfg.seed, cfg.point_count, cfg.extent, cfg.moving_fraction,
+                       velocity_scale=cfg.velocity_scale)
+    banked = [e for e in events if e["event"] == "banked"]
+    assert len(banked) == 2 * (1 + 3)
+    for event in banked:
+        seq = load_frames(run / event["ref"])
+        assert seq.scene_key == scene.scene_key
+        frames, ids = ref_render(scene, seq.trajectory, starts[event["chunk"]])
+        assert seq.frames.tobytes() == frames.tobytes()
+        assert seq.id_map.tobytes() == ids.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

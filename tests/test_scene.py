@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -154,6 +155,27 @@ def test_render_is_bit_identical():
     b = render(scene, traj)
     assert np.array_equal(a.frames, b.frames)
     assert np.array_equal(a.id_map, b.id_map)
+
+
+def test_render_scratch_does_not_grow_with_the_video():
+    # frames are rendered in blocks of a fixed point budget, so a longer video
+    # adds only to the two output arrays; identical frames make every block equal
+    scene = make_scene(3, point_count=1000)
+    intr = CameraIntrinsics.from_fov(math.pi / 2, math.pi / 3, 192, 108)
+    scratch = []
+    for n in (31, 93):
+        traj = Trajectory.from_poses([CameraPose.identity()] * n, intr)
+        render(scene, traj)  # first calls fill numpy's and the interpreter's caches
+        tracemalloc.start()
+        try:
+            seq = render(scene, traj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scratch.append(peak - seq.frames.nbytes - seq.id_map.nbytes)
+    # numpy's cache of small shape buffers moves the peak by a few hundred bytes
+    # per call; one more frame of scratch would add at least one float64 per point
+    assert abs(scratch[1] - scratch[0]) < 8 * 1000
 
 
 def test_render_moving_point_advances():

@@ -251,15 +251,6 @@ def cmd_simulate(
                     ],
                     "notes": list(plan.notes),
                 })
-                # render is pure, so an unbanked intermediate is never drawn, and the
-                # final step, whose target is target, is drawn below like any other view
-                if config.output.bank_intermediates:
-                    for step in plan.steps[:-1]:
-                        iref = (
-                            f"{_VIDEO_DIR}/s{v:02d}_{target.label}_c{m:02d}_"
-                            f"{step.produces.replace(':', '')}"
-                        )
-                        bank_video(step.target, iref, m)
             else:
                 selected = [bank.entries[i] for i, _ in result.ranked]
                 context = pad_context(selected, model_k, bank.source_entry(m))
@@ -295,8 +286,8 @@ def _run_config(run_dir: Path) -> EngineConfig:
 def _group_shots(run_dir: Path, bank: MemoryBank) -> dict[str, list[MemoryEntry]]:
     """Bank entries by shot label, source entries as "source", each in chunk order.
 
-    Banked merge intermediates (output.bank_intermediates) are no shot and
-    are left out. Every kept entry's video must lie inside run_dir.
+    An entry of any other label, which only a hand-edited bank holds, is no
+    shot and is left out. Every kept entry's video must lie inside run_dir.
     """
     labels = {"source"} | {kind.slug for kind in ShotKind}
     shots: dict[str, list[MemoryEntry]] = {}
@@ -327,30 +318,6 @@ def _stitch_trajectory(parts: list[MemoryEntry], overlap: int, label: str) -> Tr
     if len(sizes) > 1:
         raise DomainError(f"shot {label!r}: chunk image sizes differ: {sizes}")
     return Trajectory.from_stacks(*map(np.concatenate, zip(*map(_arrays, kept))), sizes[0], label)
-
-
-def _load_chunk(run_dir: Path, e: MemoryEntry, drop: int) -> FrameSequence:
-    """Chunk video e without its first drop frames, the overlap it loses when stitched.
-
-    Its frame files from drop on are read straight into buffers sized from
-    e's bank trajectory, which the video's own trajectory must equal.
-    """
-    traj = e.trajectory.slice_frames(drop, len(e.trajectory))
-    w, h = traj.image_size
-    frames = np.empty((len(traj), h, w, 3), dtype=np.uint8)
-    ids = np.empty((len(traj), h, w), dtype=np.int32)
-    video, key = load_frames(run_dir / e.video_ref, out=(frames, ids), skip=drop)
-    # load_frames has already matched the video's frame count and image size to the buffers
-    if not all(map(np.array_equal, _arrays(video), _arrays(e.trajectory))):
-        (vw, vh), (cw, ch) = video.image_size, e.trajectory.image_size
-        raise DomainError(
-            f"{e.video_ref}: its video follows {len(video)} frames of {vw}x{vh}, "
-            f"but its bank trajectory has {len(e.trajectory)} frames of {cw}x{ch}; "
-            "the two must be identical"
-        )
-    frames.setflags(write=False)
-    ids.setflags(write=False)
-    return FrameSequence(frames=frames, id_map=ids, trajectory=traj, scene_key=key)
 
 
 def _stream_sync(
@@ -387,7 +354,7 @@ def _stream_sync(
                 if kind in videos:
                     continue
                 e, drop = chunks[kind][c]
-                videos[kind] = _load_chunk(run_dir, e, drop)
+                videos[kind] = load_frames(run_dir / e.video_ref, skip=drop, expect=e.trajectory)
                 key = videos[kind].scene_key
                 first = scene_keys.setdefault(kind, key)
                 if key != first:

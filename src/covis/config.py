@@ -79,9 +79,6 @@ class ShotsConfig:
 class OutputConfig:
     directory: str = "runs/run"
     emit_svg: bool = True
-    # Merged intermediate videos are planning scaffolding; banking them is
-    # opt-in for study.
-    bank_intermediates: bool = False
 
 
 @dataclass(frozen=True)

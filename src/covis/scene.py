@@ -346,17 +346,20 @@ def _fill(path: str, out: np.ndarray) -> bool:
 
 
 def load_frames(
-    directory: str | Path, *, out: tuple[np.ndarray, np.ndarray] | None = None, skip: int = 0
-) -> FrameSequence | tuple[Trajectory, str | None]:
-    """Load a FrameSequence written by save_frames; exact round trip.
+    directory: str | Path, *, skip: int = 0, expect: Trajectory | None = None
+) -> FrameSequence:
+    """Load the FrameSequence save_frames wrote to directory, from frame skip on.
 
-    Each frame file is read straight into its slot of the returned arrays.
-    The manifest must name trajectory.json, whose trajectory must match its frame count and size.
+    The manifest must name trajectory.json, whose trajectory must match its
+    frame count and size. The result holds frames skip to F - 1, each file
+    read straight into its slot, paired with that slice of the trajectory;
+    skip must lie in [0, F). The first skip frames are not read, but each of
+    their files must still have its exact byte length. With skip 0 the load
+    is an exact round trip.
 
-    With out, two writable C-contiguous arrays shaped (F - skip, H, W, 3) uint8 and
-    (F - skip, H, W) int32, the frames from skip on are read into them instead,
-    and the result is the video's trajectory and scene key. The first skip frames
-    are not read, but each of their files must still have its exact byte length.
+    With expect, the video's whole trajectory must equal it: every pose and
+    intrinsic, the frame count and the image size. This is checked before any
+    frame buffer is allocated.
     """
     directory = Path(directory)
     path = directory / MANIFEST
@@ -369,14 +372,15 @@ def load_frames(
     if (n, (w, h)) != (len(traj), traj.image_size):
         raise DomainError(f"{directory}: manifest has {n} frames of {w}x{h}, its trajectory "
                           "{} frames of {}x{}".format(len(traj), *traj.image_size))
-    if out is None:
-        frames = np.empty((n, h, w, 3), dtype=np.uint8)
-        ids = np.empty((n, h, w), dtype="<i4")
-    else:
-        frames, ids = out
-        if (frames.shape, ids.shape) != ((n - skip, h, w, 3), (n - skip, h, w)):
-            raise DomainError(f"{directory}: {n} frames of {w}x{h}, {skip} skipped, "
-                              f"do not fit a destination of {len(frames)} frames")
+    kept = traj.slice_frames(skip, n)
+    if expect is not None and not (traj.image_size == expect.image_size and all(map(
+            np.array_equal, (*traj.pose_stack, traj.intrinsics_stack),
+            (*expect.pose_stack, expect.intrinsics_stack)))):
+        raise DomainError(f"{directory}: its video follows {n} frames of {w}x{h}, but the "
+                          "trajectory expected of it has {} frames of {}x{}; the two must be "
+                          "identical".format(len(expect), *expect.image_size))
+    frames = np.empty((n - skip, h, w, 3), dtype=np.uint8)
+    ids = np.empty((n - skip, h, w), dtype="<i4")
     prefix = f"{directory}{os.sep}frame_"
     for i in range(skip):
         if (os.stat(f"{prefix}{i:04d}.rgb").st_size, os.stat(f"{prefix}{i:04d}.ids").st_size) != (
@@ -386,10 +390,8 @@ def load_frames(
         if not (_fill(f"{prefix}{i:04d}.rgb", frames[i - skip])
                 and _fill(f"{prefix}{i:04d}.ids", ids[i - skip])):
             raise DomainError(f"{directory}: frame {i} has unexpected byte length")
-    if out is not None:
-        return traj, manifest.get("scene_key")
     frames.setflags(write=False)
     ids.setflags(write=False)
     return FrameSequence(
-        frames=frames, id_map=ids, trajectory=traj, scene_key=manifest.get("scene_key")
+        frames=frames, id_map=ids, trajectory=kept, scene_key=manifest.get("scene_key")
     )

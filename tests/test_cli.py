@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from covis import (
     CameraIntrinsics,
     CameraPose,
+    DomainError,
     MemoryBank,
     MemoryEntry,
     Trajectory,
@@ -265,16 +267,13 @@ def test_eval_streams_at_most_two_videos(full_run, monkeypatch, n_shots):
     at_once = _stitched_at_once(full_run, shots)
     loads, live_before_load, loaded, same_as_at_once = [], [], [], []
     offsets = dict.fromkeys(shots, 0)  # frames of each shot's stitched video loaded so far
-    load, load_chunk = covis.cli.load_frames, covis.cli._load_chunk
+    load = covis.cli.load_frames
 
-    def counting_load(directory, **kwargs):
+    def tracking_load(directory, **kwargs):
         loads.append(Path(directory).relative_to(full_run).as_posix())
-        return load(directory, **kwargs)
-
-    def tracking_load_chunk(*args, **kwargs):
         gc.collect()
         live_before_load.append(sum(ref() is not None for ref in loaded))
-        seq = load_chunk(*args, **kwargs)
+        seq = load(directory, **kwargs)
         loaded.append(weakref.ref(seq))
         kind = ShotKind.from_slug(seq.trajectory.label)
         ref, start = at_once[kind], offsets[kind]
@@ -286,8 +285,7 @@ def test_eval_streams_at_most_two_videos(full_run, monkeypatch, n_shots):
         )
         return seq
 
-    monkeypatch.setattr(covis.cli, "load_frames", counting_load)
-    monkeypatch.setattr(covis.cli, "_load_chunk", tracking_load_chunk)
+    monkeypatch.setattr(covis.cli, "load_frames", tracking_load)
     assert main(["eval", "--run", str(full_run), "--n-shots", str(n_shots)]) == 0
 
     # every chunk video is loaded once, and at most one other is alive when it is
@@ -330,8 +328,20 @@ def test_chunk_loads_join_to_the_concatenated_chunk_videos(data):
             parts.append(MemoryEntry(traj, f"videos/c{m:02d}", m, m))
         drops = covis.cli._chunk_drops(parts, overlap)
         assert drops == [0] + [overlap] * (len(parts) - 1)
-        chunks = [covis.cli._load_chunk(run, e, d) for e, d in zip(parts, drops)]
+        chunks = [load_frames(run / e.video_ref, skip=d, expect=e.trajectory)
+                  for e, d in zip(parts, drops)]
         whole = [load_frames(run / e.video_ref) for e in parts]
+        for e, seq in zip(parts, whole):
+            n = len(e.trajectory)
+            for skip in range(n):
+                got = load_frames(run / e.video_ref, skip=skip, expect=e.trajectory)
+                for name in ("frames", "id_map"):
+                    assert getattr(got, name).tobytes() == getattr(seq, name)[skip:].tobytes()
+                for a, b in zip(covis.cli._arrays(got.trajectory), covis.cli._arrays(e.trajectory)):
+                    assert np.array_equal(a, b[skip:])
+            for skip in (-1, n):
+                with pytest.raises(DomainError, match=rf"invalid frame slice \[{skip}, {n}\)"):
+                    load_frames(run / e.video_ref, skip=skip, expect=e.trajectory)
     stitched = covis.cli._stitch_trajectory(parts, overlap, "tilt_up")
     for name in ("frames", "id_map"):
         want = np.concatenate([getattr(s, name)[d:] for s, d in zip(whole, drops)])
@@ -366,8 +376,24 @@ def test_eval_names_a_chunk_video_shorter_than_its_bank_entry(run_dir, tmp_path,
     manifest["frame_count"] = len(traj) - 1
     (video / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
-    assert f"{video}: 4 frames of 192x108, 0 skipped, do not fit a destination of 5 frames" in (
-        capsys.readouterr().err)
+    assert (f"{video}: its video follows 4 frames of 192x108, but the trajectory expected of it "
+            "has 5 frames of 192x108; the two must be identical") in capsys.readouterr().err
+    assert not (run / "report.json").exists()
+
+
+def test_eval_compares_the_poses_of_dropped_overlap_frames(full_run, tmp_path, capsys):
+    # frame 0 of chunk 2 is in the overlap eval drops and never reads, but its
+    # pose must still equal the bank entry's
+    run, video = _copied_video(full_run, tmp_path, chunk=2)
+    traj = load_trajectory(video / "trajectory.json")
+    rotations, centers = traj.pose_stack
+    centers = centers.copy()
+    centers[0, 0] += 1.0
+    save_trajectory(Trajectory.from_stacks(rotations, centers, traj.intrinsics_stack,
+                                           traj.image_size, traj.label), video / "trajectory.json")
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
+    assert (f"{video}: its video follows 6 frames of 192x108, but the trajectory expected of it "
+            "has 6 frames of 192x108; the two must be identical") in capsys.readouterr().err
     assert not (run / "report.json").exists()
 
 
@@ -387,24 +413,14 @@ def test_eval_rejects_video_outside_run(tmp_path, capsys):
     assert not (run / "report.json").exists()
 
 
-def test_eval_rejects_chunk_video_of_wrong_length(run_dir, monkeypatch, capsys):
-    load = covis.cli.load_frames
-
-    def short_load(directory, **kwargs):
-        traj, key = load(directory, **kwargs)
-        return traj.slice_frames(1, len(traj)), key
-
-    monkeypatch.setattr(covis.cli, "load_frames", short_load)
-    assert main(["eval", "--run", str(run_dir), "--n-shots", "3"]) == 2
-    assert "but its bank trajectory has 5 frames" in capsys.readouterr().err
-
-
 def test_eval_rejects_chunks_of_different_scenes(full_run, monkeypatch, capsys):
     load = covis.cli.load_frames
 
     def relabelled_load(directory, **kwargs):
-        traj, key = load(directory, **kwargs)
-        return traj, "another scene" if str(directory).endswith("_c02") else key
+        seq = load(directory, **kwargs)
+        if str(directory).endswith("_c02"):
+            return dataclasses.replace(seq, scene_key="another scene")
+        return seq
 
     monkeypatch.setattr(covis.cli, "load_frames", relabelled_load)
     assert main(["eval", "--run", str(full_run), "--n-shots", "3"]) == 2
@@ -452,12 +468,12 @@ def test_eval_traced_peak_stays_below_one_stitched_video(tmp_path):
     assert peak < stitched_bytes
 
 
-def _copied_video(run_dir: Path, tmp_path: Path) -> tuple[Path, Path]:
-    """A copy of run_dir and the directory of one generated video inside it."""
+def _copied_video(run_dir: Path, tmp_path: Path, chunk: int = 1) -> tuple[Path, Path]:
+    """A copy of run_dir without its report, and the directory of one chunk video inside it."""
     run = tmp_path / "run"
     shutil.copytree(run_dir, run)
-    (run / "report.json").unlink()
-    ref = _generated_refs(run, [ShotKind.ROTATION_LEFT])["rotation_left"][0]
+    (run / "report.json").unlink(missing_ok=True)
+    ref = _generated_refs(run, [ShotKind.ROTATION_LEFT])["rotation_left"][chunk - 1]
     return run, run / ref
 
 
@@ -631,6 +647,14 @@ def test_env_config_fallback(tmp_path, monkeypatch):
 def test_exit_codes(tmp_path, capsys):
     assert main(["gen-benchmark", "--set", "nosuch.key=1", "--out", str(tmp_path)]) == 4
     assert "configuration error" in capsys.readouterr().err
+    # output.bank_intermediates was removed, so naming it is naming an unknown key
+    assert main(["gen-benchmark", "--set", "output.bank_intermediates=true",
+                 "--out", str(tmp_path)]) == 4
+    assert "unknown key 'bank_intermediates' in section 'output'" in capsys.readouterr().err
+    retired = tmp_path / "retired.json"
+    retired.write_text(json.dumps({"output": {"bank_intermediates": False}}), encoding="utf-8")
+    assert main(["gen-benchmark", "--config", str(retired), "--out", str(tmp_path)]) == 4
+    assert "unknown keys in section 'output': ['bank_intermediates']" in capsys.readouterr().err
 
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")
@@ -659,8 +683,7 @@ def test_cross_chunk_with_short_tail_chunk(tmp_path):
     assert [e.get("skipped", 0) for e in retrieves] == [1, 1, 1, 1, 6, 6]
 
 
-@pytest.mark.parametrize("keep", [False, True])
-def test_simulate_renders_only_kept_videos(tmp_path, monkeypatch, keep):
+def test_simulate_renders_only_kept_videos(tmp_path, monkeypatch):
     rendered = []
 
     def counting_render(scene, traj, start):
@@ -670,15 +693,14 @@ def test_simulate_renders_only_kept_videos(tmp_path, monkeypatch, keep):
     render = covis.cli.render
     monkeypatch.setattr(covis.cli, "render", counting_render)
     d = tmp_path / "run"
-    keep_flag = f"output.bank_intermediates={str(keep).lower()}"
     assert main(["simulate", "--out", str(d), "--frames", "5", "--shots", "1,2,3,4,5",
                  "--set", "scene.point_count=40", "--set", "retrieval.k=4",
-                 "--set", "scheduler.k=2", "--set", keep_flag]) == 0
+                 "--set", "scheduler.k=2"]) == 0
     events = json.loads((d / "run_log.json").read_text(encoding="utf-8"))["events"]
     assert any(e["event"] == "plan" for e in events)
     # every rendered video is saved and banked; none is thrown away
     assert len(rendered) == sum(e["event"] == "banked" for e in events)
-    assert len(rendered) == (11 if keep else 6)
+    assert len(rendered) == 6
 
 
 def _write_bank(root: Path) -> tuple[Path, Path]:
@@ -1100,21 +1122,18 @@ def test_report_without_run_config_warns_and_skips_the_bank(config_run, tmp_path
 
 
 def test_report_lists_only_the_source_and_the_shots(tmp_path):
-    # retrieval.k=8 over a context of 4 plans merges; banked, they are no shots
-    args = ["--seed", "3", "--frames", "8", "--set", "scene.point_count=40",
-            "--set", "retrieval.k=8", *CONFIG_FLAGS]
-    outputs = {}
-    for keep in (False, True):
-        run = tmp_path / f"keep_{keep}"
-        assert main(["simulate", "--out", str(run), *args,
-                     "--set", f"output.bank_intermediates={str(keep).lower()}"]) == 0
-        outputs[keep] = _eval_and_report(run)
-        labels = {e.trajectory.label for e in MemoryBank.open(run / "bank").entries}
-        assert any(label.startswith("merge(") for label in labels) == keep
-    assert outputs[True] == outputs[False]
-    summary = outputs[True]["report_summary.csv"].decode().splitlines()
+    # retrieval.k=8 over a context of 4 plans merges, and none of them is banked
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run), "--seed", "3", "--frames", "8",
+                 "--set", "scene.point_count=40", "--set", "retrieval.k=8", *CONFIG_FLAGS]) == 0
+    events = json.loads((run / "run_log.json").read_text(encoding="utf-8"))["events"]
+    assert any(e["event"] == "plan" for e in events)
+    outputs = _eval_and_report(run)
+    labels = {e.trajectory.label for e in MemoryBank.open(run / "bank").entries}
+    assert labels == {"source"} | {k.slug for k in ShotKind}
+    summary = outputs["report_summary.csv"].decode().splitlines()
     assert sorted(line.split(",")[0] for line in summary[1:]) == sorted(k.slug for k in ShotKind)
-    assert outputs[True]["trajectories.svg"].count(b"<polyline") == 13
+    assert outputs["trajectories.svg"].count(b"<polyline") == 13
 
 
 @pytest.mark.parametrize("flags", [
@@ -1283,6 +1302,6 @@ def test_eval_rejects_a_chunk_video_whose_trajectory_was_edited(run_dir, tmp_pat
     save_trajectory(Trajectory.from_poses(poses, traj.frames[0][1], traj.label),
                     video / "trajectory.json")
     assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
-    err = capsys.readouterr().err
-    assert "but its bank trajectory has 5 frames of" in err and "must be identical" in err
+    assert (f"{video}: its video follows 5 frames of 192x108, but the trajectory expected of it "
+            "has 5 frames of 192x108; the two must be identical") in capsys.readouterr().err
     assert not (run / "report.json").exists()

@@ -41,7 +41,6 @@ def test_default_values():
     assert cfg.shots.lookat_depth == 5.0
     assert cfg.output.directory == "runs/run"
     assert cfg.output.emit_svg is True
-    assert cfg.output.bank_intermediates is False
     assert cfg.frustum.far == 10.0
     assert cfg.sampler.grid_w == 8
     assert cfg.scheduler.chunk_frames == 93

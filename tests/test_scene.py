@@ -415,6 +415,41 @@ def test_load_frames_rejects_trajectory_outside_directory(tmp_path):
         assert str(e.value) == f"{path}: 'trajectory' must be 'trajectory.json', got {ref!r}"
 
 
+def _edited(traj: Trajectory, part: str) -> Trajectory:
+    """traj with one part changed: a pose, an intrinsic, its length or its image size."""
+    rotations, centers, intrinsics = (a.copy() for a in (*traj.pose_stack, traj.intrinsics_stack))
+    size = traj.image_size
+    if part == "rotation":
+        rotations[[0, 1]] = rotations[[1, 0]]
+    elif part == "center":
+        centers[0, 1] += 1e-9
+    elif part == "intrinsic":
+        intrinsics[0, 2] += 0.5
+    elif part == "image_size":
+        size = (size[0] + 1, size[1])
+    stacks = [rotations, centers, intrinsics]
+    if part == "shorter":
+        stacks = [a[:-1] for a in stacks]
+    elif part == "longer":
+        stacks = [np.concatenate([a, a[-1:]]) for a in stacks]
+    return Trajectory.from_stacks(*stacks, size, traj.label)
+
+
+@pytest.mark.parametrize("part", ["rotation", "center", "intrinsic", "shorter", "longer",
+                                  "image_size"])
+def test_load_frames_checks_expect_before_reading_a_frame(tmp_path, part):
+    traj = aimed_trajectory(np.random.default_rng(3), frame_count=3, width=20, height=14)
+    save_frames(render(make_scene(3, point_count=50), traj), tmp_path / "seq")
+    kept = load_frames(tmp_path / "seq", skip=2, expect=traj)
+    assert kept.frame_count == 1 and np.array_equal(kept.trajectory.pose_stack[1],
+                                                    traj.pose_stack[1][2:])
+    for f in (tmp_path / "seq").glob("frame_*"):
+        f.unlink()
+    # with no frame file left, only the trajectory check can name the fault; the
+    # edited part lies in the skipped frames, or in none, yet it is still seen
+    with pytest.raises(DomainError, match="; the two must be identical$"):
+        load_frames(tmp_path / "seq", skip=2, expect=_edited(traj, part))
+
 def test_save_frames_writes_its_manifest_last(tmp_path, monkeypatch):
     seq = render(manual_scene([[0.0, 0.0, 5.0]]), IDENTITY_TRAJ)
     write_bytes = Path.write_bytes

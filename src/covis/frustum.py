@@ -13,6 +13,12 @@ points inside each frustum and counting how many fall inside the other:
 which is symmetric by construction and exactly rigid-invariant because the
 samples are generated in the frustum's local frame. All functions here are
 pure; scoring many frustum pairs in parallel is safe.
+
+pool_covisibility scores many frame pairs at once. Each lattice ray's points
+inside the other frustum form one run of depth slices, so it counts per ray,
+not per point. Where rounding could put a point on the other side of a plane
+than frame_covisibility does, it counts that frame pair point by point
+instead, so every score equals frame_covisibility's bit for bit.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ class FrustumParams:
 
 
 def _check_frustum_params(fov_h: float, fov_v: float, near: float, far: float) -> None:
+    if not all(map(math.isfinite, (fov_h, fov_v, near, far))):
+        raise DomainError(f"frustum values must be finite, got fov_h={fov_h}, fov_v={fov_v}, "
+                          f"near={near}, far={far}")
     if not (0.0 < fov_h < math.pi and 0.0 < fov_v < math.pi):
         raise DomainError(f"FOV angles must lie in (0, pi), got fov_h={fov_h}, fov_v={fov_v}")
     if not (0.0 <= near < far):
@@ -67,6 +76,8 @@ class Frustum:
         orient = np.array(self.orientation, dtype=np.float64, copy=True)
         if apex.shape != (3,) or orient.shape != (3, 3):
             raise DomainError("frustum needs a 3-vector apex and a 3x3 orientation")
+        if not (np.isfinite(apex).all() and np.isfinite(orient).all()):
+            raise DomainError("frustum apex and orientation must be finite")
         _check_frustum_params(self.fov_h, self.fov_v, self.near, self.far)
         apex.setflags(write=False)
         orient.setflags(write=False)
@@ -186,10 +197,23 @@ def frame_covisibility(a: Frustum, b: Frustum, cfg: SamplerConfig = SamplerConfi
     return (in_b + in_a) / (2.0 * cfg.point_count)
 
 
-# Samples per kernel block. 12,288 (32 frames of the default 384-point
+# Samples per point-kernel block. 12,288 (32 frames of the default 384-point
 # lattice) keep each (frames, 3, P) temporary near 300 KB, so a block stays in
 # a core's L2 cache; one 93-frame block ran about 2x slower per frame.
 _BLOCK_SAMPLES = 12288
+
+# Ray cells (directed pair, ray) per ray-kernel block: 64 frame pairs of the
+# default 48-ray lattice, both directions.
+_BLOCK_RAYS = 6144
+# Blocks whose per-pair 3x3 algebra is done in one pass.
+_SETUP_BLOCKS = 16
+
+# The ray kernel leaves a pair to the point kernel when a plane's slope is
+# below _SLOPE_MIN per unit depth, or when a ray's final bound lies within
+# _ROUNDING K / min |a| of an in-range slice index: 128 times the rounding
+# bound 2^-47 K that _ray_counts derives.
+_SLOPE_MIN = 1e-6
+_ROUNDING = 2.0**-40
 
 
 def pool_covisibility(
@@ -198,26 +222,164 @@ def pool_covisibility(
 ) -> np.ndarray:
     """Per-frame co-visibility of stack a against each (rotations, centers) stack, (E, F).
 
-    Rotations are (F, 3, 3), apexes (F, 3), every frustum shaped by params.
-    Element [e, f] equals frame_covisibility of frame f of a and of entry e
-    bit for bit (see _view_local). Blocks of frames are the outer loop, so a's
-    world samples are built once per block for the whole pool. Scratch is per call.
+    Rotations are orthonormal (F, 3, 3), apexes (F, 3), every frustum shaped
+    by params. Element [e, f] equals frame_covisibility of frame f of a and of
+    entry e bit for bit, since both divide the same integer count by 2P. The
+    ray kernel (_ray_counts) counts all of a lattice ray's slices at once. An
+    entry-frame where a slice point lies too near a plane for that count to be
+    certain, and every entry-frame of a jittered lattice, which has no rays, is
+    counted point by point as frame_covisibility counts it (_point_counts).
     """
     shape = (params.fov_h, params.fov_v, params.near, params.far)
-    lattice = _local_lattice(cfg.grid_w, cfg.grid_h, cfg.depth_slices, cfg.jitter_seed, *shape).T
-    step = max(1, _BLOCK_SAMPLES // cfg.point_count)
-    counts = np.zeros((len(stacks), len(rot_a)), dtype=np.int64)
-    bufs = [np.empty((min(step, len(rot_a)), 3, cfg.point_count)) for _ in range(4)]
+    frames = len(rot_a)
+    if any(len(r) != frames or len(c) != frames for r, c in stacks):
+        raise DomainError(f"every pool entry needs the target's {frames} frames")
+    if not stacks:
+        return np.zeros((0, frames))
+    rot_b = np.concatenate([r for r, _ in stacks])
+    cen_b = np.concatenate([c for _, c in stacks])
+    if cfg.jitter_seed is None:
+        counts, fragile = _ray_counts(rot_a, cen_a, rot_b, cen_b, cfg, params)
+    else:
+        counts, fragile = np.empty(len(rot_b)), np.arange(len(rot_b))
+    if len(fragile):
+        lattice = _local_lattice(cfg.grid_w, cfg.grid_h, cfg.depth_slices, cfg.jitter_seed, *shape)
+        at = fragile % frames
+        counts[fragile] = _point_counts(lattice.T, shape, rot_a[at], cen_a[at], rot_b[fragile],
+                                        cen_b[fragile])
+    counts /= 2.0 * cfg.point_count
+    return counts.reshape(len(stacks), frames)
+
+
+def _point_counts(lattice, shape, rot_a, cen_a, rot_b, cen_b) -> np.ndarray:
+    """Samples of a inside b plus samples of b inside a, pair by pair, (n,) counts."""
+    step = max(1, _BLOCK_SAMPLES // lattice.shape[1])
+    counts = np.zeros(len(rot_a), dtype=np.int64)
+    bufs = [np.empty((min(step, len(rot_a)), 3, lattice.shape[1])) for _ in range(4)]
     for f in range(0, len(rot_a), step):
         blk = slice(f, f + step)
         world_a, world_b, buf, loc = (b[:len(rot_a[blk])] for b in bufs)
         _world_samples(lattice, rot_a[blk], cen_a[blk], world_a)
-        for e, (rot_b, cen_b) in enumerate(stacks):
-            _world_samples(lattice, rot_b[blk], cen_b[blk], world_b)
-            for world, rot_v, cen_v in ((world_a, rot_b, cen_b), (world_b, rot_a, cen_a)):
-                local = _view_local(world, rot_v[blk], cen_v[blk], buf, loc)
-                counts[e, blk] += np.count_nonzero(_inside_local(local, *shape), axis=1)
-    return counts / (2.0 * cfg.point_count)
+        _world_samples(lattice, rot_b[blk], cen_b[blk], world_b)
+        for world, rot_v, cen_v in ((world_a, rot_b, cen_b), (world_b, rot_a, cen_a)):
+            local = _view_local(world, rot_v[blk], cen_v[blk], buf, loc)
+            counts[blk] += np.count_nonzero(_inside_local(local, *shape), axis=1)
+    return counts
+
+
+def _ray_counts(rot_a, cen_a, rot_b, cen_b, cfg, params) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice counts of the pairs (frame p % F of a, row p of b), and the fragile pairs.
+
+    A ray of frustum s has local direction r = ((2u-1) Th, (2v-1) Tv, 1), with
+    Th = tan(fov_h/2) and Tv = tan(fov_v/2), and holds the slice points z_k r,
+    z_k = z_0 + k dz. In frustum v's frame they are z_k d + t, with
+    d = R_v^T R_s r and t = R_v^T (c_s - c_v). So each of v's six planes
+    n.l + o >= 0 reads a k + b >= 0, with a = dz n.d and b = z_0 n.d + n.t + o.
+    The slices inside are the integers of [0, S) from the largest -b/a over
+    planes with a > 0 to the smallest over planes with a < 0.
+
+    Rounding: each plane value, slope and bound either kernel computes comes
+    through fewer than 64 roundings. Each is off by at most 2^-53 times a
+    magnitude no larger than K = 3 (1 + Th + Tv) (far (1 + Th + Tv) + |c_a| +
+    |c_b|), with max norms over the call and |R_ij| <= 1. So at every slice k
+    the point kernel's plane value and the computed a k + b differ by less
+    than 2^-47 K. A pair is fragile when, in either direction, some ray's final
+    bound lies within 2^-40 K / min |a| of an in-range slice index, or
+    min |a| < 1e-6 dz would leave -b/a unbounded. Otherwise, at every slice,
+    every plane's a k + b is more than 2^-40 K from zero (the final planes by
+    the test, the others because their bounds lie further out), 128 times the
+    rounding, so both kernels put each slice point on the same side of every
+    plane and count alike. The counts of fragile pairs are not defined.
+    """
+    s, total, frames = cfg.depth_slices, len(rot_b), len(rot_a)
+    near, far = params.near, params.far
+    th, tv = math.tan(params.fov_h / 2.0), math.tan(params.fov_v / 2.0)
+    dz = (far - near) / s
+    # v's planes as rows (n, o): near, far, then the four sides
+    normals = np.array([[0, 0, 1], [0, 0, -1], [-1, 0, th], [1, 0, th], [0, -1, tv], [0, 1, tv]],
+                       dtype=np.float64)
+    offsets = np.array([-near, far, 0, 0, 0, 0])[:, None]
+    # rows giving a (times dz) and -b (times -z_0) from M = R_v^T R_s
+    rows = np.concatenate([normals * dz, normals * -(near + 0.5 * dz)])
+    u = (2.0 * (np.arange(cfg.grid_w) + 0.5) / cfg.grid_w - 1.0) * th
+    v = (2.0 * (np.arange(cfg.grid_h) + 0.5) / cfg.grid_h - 1.0) * tv
+    rays = np.stack([np.tile(u, cfg.grid_h), np.repeat(v, cfg.grid_w), np.ones(u.size * v.size)])
+    j = rays.shape[1]
+    n = min(total, max(1, _BLOCK_RAYS // (2 * j)))
+    nb = min(_SETUP_BLOCKS, -(-total // n))
+    # one scratch set serves every pass; the last pass repeats the last pair
+    ra, rb = np.empty((nb, n, 3, 3)), np.empty((nb, n, 3, 3))
+    ca, cb = np.empty((nb, n, 3)), np.empty((nb, n, 3))
+    # M and t of each block's directed pairs, component-major: m[., k, ., p, c] = M_p[k, c]
+    m, t = np.empty((nb, 3, 2, n, 3)), np.empty((nb, 3, 2, n))
+    beta = np.empty((nb, 6, 2 * n))
+    w, g = np.empty((nb, 2, 6, 2 * n, 3)), np.empty((2, 6, 2 * n, j))
+    cand = np.empty((6, 2 * n, j))
+    lohi, dist = np.empty((2, 2 * n, j)), np.empty((2, 2 * n, j))
+    amin, gap = np.empty((2 * n, j)), np.empty((2 * n, j))
+    flags = np.empty((2, 2 * n, j), dtype=bool)
+    rowsum = np.empty(2 * n)
+    reach = far * (1.0 + th + tv) + max(cen_a.max(), -cen_a.min()) + max(cen_b.max(), -cen_b.min())
+    tol = _ROUNDING * 3.0 * (1.0 + th + tv) * reach
+    counts, fragile = np.empty(total), []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for q0 in range(0, total, nb * n):
+            idx = np.minimum(np.arange(q0, q0 + nb * n), total - 1)
+            np.take(rot_b, idx, axis=0, out=rb.reshape(-1, 3, 3))
+            np.take(cen_b, idx, axis=0, out=cb.reshape(-1, 3))
+            np.take(rot_a, idx % frames, axis=0, out=ra.reshape(-1, 3, 3))
+            np.take(cen_a, idx % frames, axis=0, out=ca.reshape(-1, 3))
+            # in each block, pairs [:n] look at a's rays from b and [n:] at b's from a
+            np.matmul(rb.swapaxes(2, 3), ra, out=m[:, :, 0].swapaxes(1, 2))
+            np.copyto(m[:, :, 1], m[:, :, 0].transpose(0, 3, 2, 1))
+            np.subtract(ca, cb, out=ca)
+            np.matmul(rb.swapaxes(2, 3), ca[..., None], out=t[:, :, 0].swapaxes(1, 2)[..., None])
+            np.matmul(ra.swapaxes(2, 3), ca[..., None], out=t[:, :, 1].swapaxes(1, 2)[..., None])
+            np.negative(t[:, :, 1], out=t[:, :, 1])
+            # plane-major rows of a and of -b; r's z component is 1, so n.t + o joins column z
+            np.matmul(rows, m.reshape(nb, 3, -1), out=w.reshape(nb, 12, -1))
+            np.matmul(normals, t.reshape(nb, 3, -1), out=beta)
+            beta += offsets
+            w[:, 1, :, :, 2] -= beta
+            for blk, p0 in enumerate(range(q0, min(q0 + nb * n, total), n)):
+                np.matmul(w[blk].reshape(-1, 3), rays, out=g.reshape(-1, j))
+                slope, bound = g
+                np.divide(bound, slope, out=bound)
+                np.abs(slope, out=cand)
+                np.minimum.reduce(cand, axis=0, out=amin)
+                # -b/a bounds k from below where a > 0 and from above where a < 0
+                np.multiply(slope, np.inf, out=slope)
+                np.minimum(bound, slope, out=cand)
+                np.maximum.reduce(cand, axis=0, out=lohi[0])
+                np.maximum(bound, slope, out=cand)
+                np.minimum.reduce(cand, axis=0, out=lohi[1])
+                # fragile: min |a| times a final bound's distance to the nearest
+                # in-range slice index is at most the tolerance, or min |a| is too small
+                np.maximum(lohi, 0, out=dist)
+                np.minimum(dist, s - 1, out=dist)
+                np.rint(dist, out=dist)
+                np.subtract(lohi, dist, out=dist)
+                np.abs(dist, out=dist)
+                np.minimum(dist[0], dist[1], out=gap)
+                gap *= amin
+                np.less_equal(gap, tol, out=flags[0])
+                np.less(amin, _SLOPE_MIN * dz, out=flags[1])
+                flags[0] |= flags[1]
+                # count the integers of [max(lo, 0), min(hi, S - 1)]
+                lo, hi = lohi
+                np.maximum(lo, 0, out=lo)
+                np.ceil(lo, out=lo)
+                np.minimum(hi, s - 1, out=hi)
+                np.floor(hi, out=hi)
+                hi -= lo
+                hi += 1
+                np.maximum(hi, 0, out=hi)
+                stop = min(n, total - p0)
+                np.add.reduce(hi, axis=1, out=rowsum)
+                np.add(rowsum[:stop], rowsum[n:n + stop], out=counts[p0:p0 + stop])
+                if flags[0].any():
+                    fragile.append(np.flatnonzero(flags[0].reshape(2, n, j).any(axis=(0, 2))[:stop]) + p0)
+    return counts, np.concatenate(fragile) if fragile else np.empty(0, dtype=np.int64)
 
 
 def _world_samples(lattice: np.ndarray, rot: np.ndarray, cen: np.ndarray, out: np.ndarray) -> None:

@@ -11,9 +11,10 @@ skipped and counted.
 A retrieval scores its whole pool in one frustum.pool_covisibility call,
 and trajectory_similarity is that call on a one-entry pool. The kernel
 reads the pose stacks each Trajectory stores, about 9 KB per 93-frame
-entry, so nothing is stacked per call. Each entry's per-frame scores are
-summed in frame order, so every score equals a Python loop over
-frame_covisibility bit for bit.
+entry. Its per-frame scores are frame_covisibility's exactly: it counts
+lattice rays where their count is certain and lattice points elsewhere.
+Each entry's per-frame scores are summed in frame order, so every score
+equals a Python loop over frame_covisibility bit for bit.
 
 The bank is a plain in-memory value, appended to by one thread (covis
 simulate, chunk by chunk); nothing guards concurrent appends. save writes

@@ -56,6 +56,24 @@ def test_param_validation():
         build_frustum(CameraPose.identity(), near=3.0, far=2.0)
 
 
+@pytest.mark.parametrize("kw", [{"far": math.inf}, {"near": math.nan}, {"fov_h": math.nan},
+                                {"fov_v": -math.inf}])
+def test_non_finite_params_rejected(kw):
+    with pytest.raises(DomainError, match="finite"):
+        FrustumParams(**kw)
+
+
+@pytest.mark.parametrize("field", ["apex", "orientation"])
+def test_non_finite_frustum_rejected(field):
+    # a NaN pose would otherwise score NaN in every kernel
+    good = {"apex": np.zeros(3), "orientation": np.eye(3)}
+    good[field] = np.where(np.eye(3)[0] if field == "apex" else np.eye(3), np.nan, good[field])
+    with pytest.raises(DomainError, match="finite"):
+        Frustum(**good, fov_h=1.0, fov_v=1.0, near=0.0, far=10.0)
+    with pytest.raises(DomainError, match="finite"):
+        build_frustum(CameraPose.identity(), far=math.inf)
+
+
 def test_axis_follows_pose():
     assert np.array_equal(default_frustum().orientation[:, 2], [0.0, 0.0, 1.0])
     flipped = CameraPose(rotation=np.diag([-1.0, 1.0, -1.0]), translation=np.zeros(3))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from covis import (
     retrieve_top_k,
     trajectory_similarity,
 )
+from covis import frustum as frustum_module
 from covis.frustum import pool_covisibility
 
 from helpers import (
@@ -35,6 +38,7 @@ from helpers import (
     random_rotation,
     random_trajectory,
     transform_trajectory,
+    yaw_pitch_rotation,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -100,15 +104,48 @@ def loop_similarity(a, b, cfg, params):
     return total / len(a)
 
 
-def paired_trajectory(rng, a: Trajectory, layout: str) -> Trajectory:
-    """A partner for a: the same poses, far-off poses, fresh random poses, or a per-frame mix."""
+def turned(pose: CameraPose, yaw: float, pitch: float) -> CameraPose:
+    """The same apex, turned about the camera's own y axis (yaw) and x axis (pitch)."""
+    return CameraPose(rotation=pose.rotation @ yaw_pitch_rotation(yaw, pitch),
+                      translation=pose.translation)
+
+
+def slid(pose: CameraPose, axis: int, distance: float) -> CameraPose:
+    """The same orientation, moved along one of the camera's own axes."""
+    return CameraPose(rotation=pose.rotation,
+                      translation=pose.translation + distance * pose.rotation[:, axis])
+
+
+def structured_pose(rng, p: CameraPose, params: FrustumParams, cfg: SamplerConfig) -> CameraPose:
+    """A pose placed where lattice points fall on or near the planes of p's frustum.
+
+    Same-centre yaws and pitches at multiples of fov/16 or fov/12, or slides
+    along an axis by near, far or a multiple of half a depth slice.
+    """
+    if rng.random() < 0.5:
+        parts = int(rng.choice([12, 16]))
+        m = int(rng.integers(-parts, parts + 1))
+        if rng.random() < 0.5:
+            return turned(p, m * params.fov_h / parts, 0.0)
+        return turned(p, 0.0, m * params.fov_v / parts)
+    dz = (params.far - params.near) / cfg.depth_slices
+    s = cfg.depth_slices
+    distance = float(rng.choice([params.near, params.far, int(rng.integers(-2 * s - 2, 2 * s + 3)) * dz / 2]))
+    return slid(p, int(rng.integers(3)), float(rng.choice([-1.0, 1.0])) * distance)
+
+
+def paired_trajectory(rng, a: Trajectory, layout: str, params: FrustumParams = FrustumParams(),
+                      cfg: SamplerConfig = SamplerConfig()) -> Trajectory:
+    """A partner for a: the same poses, far-off, random or structured poses, or a per-frame mix."""
     poses = []
     for p, _ in a.frames:
-        kind = rng.choice(["identical", "disjoint", "random"]) if layout == "mixed" else layout
+        kind = rng.choice(["identical", "disjoint", "random", "structured"]) if layout == "mixed" else layout
         if kind == "identical":
             poses.append(p)
         elif kind == "disjoint":
             poses.append(CameraPose(rotation=p.rotation, translation=p.translation + 1000.0))
+        elif kind == "structured":
+            poses.append(structured_pose(rng, p, params, cfg))
         else:
             poses.append(random_pose(rng))
     return Trajectory.from_poses(poses, a.frames[0][1])
@@ -125,22 +162,32 @@ frustum_params = st.builds(
 # more frames cross a block boundary); P = 1 (numpy's matrix-vector path);
 # and P = 12,480, past the 12,288-sample block, so every block is one frame.
 sampler_grids = st.sampled_from([(5, 4, 6), (32, 24, 4), (1, 1, 1), (65, 64, 3)])
-layouts = st.sampled_from(["random", "identical", "disjoint", "mixed"])
+layouts = st.sampled_from(["random", "identical", "disjoint", "structured", "mixed"])
+
+
+def target_trajectory(rng, frames: int, identity: bool, shift: float) -> Trajectory:
+    """Random poses, or identity rotations at the origin, all moved by (shift, shift, shift)."""
+    a = random_trajectory(rng, frame_count=frames)
+    if identity:
+        a = Trajectory.from_poses([CameraPose.identity()] * frames, a.frames[0][1])
+    return transform_trajectory(a, np.eye(3), np.full(3, shift))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seeds, st.integers(1, 12), st.lists(layouts, min_size=1, max_size=6),
     st.none() | st.integers(0, 2**32 - 1), st.none() | frustum_params, sampler_grids,
-    st.lists(st.integers(0, 6), max_size=3),
+    st.lists(st.integers(0, 6), max_size=3), st.booleans(), st.sampled_from([0.0, 1e3, 1e5]),
 )
+@example(1, 6, ["structured"] * 6, None, None, (8, 6, 8), [], True, 0.0)
+@example(2, 6, ["structured"] * 6, None, None, (8, 6, 8), [], False, 1e5)
 def test_similarity_equals_frame_loop_exactly(seed, frames, pool_layouts, jitter, params, grid,
-                                              skipped_at):
+                                              skipped_at, identity, shift):
     rng = np.random.default_rng(seed)
-    a = random_trajectory(rng, frame_count=frames)
-    pool = [paired_trajectory(rng, a, layout) for layout in pool_layouts]
     cfg = SamplerConfig(*grid, jitter_seed=jitter)
     ref_params = params or FrustumParams()
+    a = target_trajectory(rng, frames, identity, shift)
+    pool = [paired_trajectory(rng, a, layout, ref_params, cfg) for layout in pool_layouts]
     # a drawn None stands for the default case, which omits the argument
     kw = {} if params is None else {"params": params}
     per_frame = pool_covisibility(*a.pose_stack, [b.pose_stack for b in pool], cfg, **kw)
@@ -172,6 +219,107 @@ def test_similarity_equals_frame_loop_exactly(seed, frames, pool_layouts, jitter
     )
     assert result.ranked == tuple(expected)
     assert result.skipped == len(set(skipped_at))
+
+
+def assert_pool_equals_frame_loop(a: Trajectory, pool: list[Trajectory], cfg: SamplerConfig,
+                                  params: FrustumParams = FrustumParams()) -> None:
+    per_frame = pool_covisibility(*a.pose_stack, [b.pose_stack for b in pool], cfg, params)
+    assert per_frame.tolist() == [
+        [frame_covisibility(frustum(params, pa), frustum(params, pb), cfg)
+         for (pa, _), (pb, _) in zip(a.frames, b.frames)]
+        for b in pool
+    ]
+
+
+def structured_pool(a: Trajectory, params: FrustumParams, cfg: SamplerConfig) -> list[Trajectory]:
+    """Every turn at a multiple of fov/16 and fov/12, every axis slide, and a itself."""
+    relations = [lambda p: p]
+    for parts in (12, 16):
+        for m in range(-parts, parts + 1):
+            relations.append(lambda p, m=m, parts=parts: turned(p, m * params.fov_h / parts, 0.0))
+            relations.append(lambda p, m=m, parts=parts: turned(p, 0.0, m * params.fov_v / parts))
+    dz = (params.far - params.near) / cfg.depth_slices
+    steps = range(-2 * cfg.depth_slices - 2, 2 * cfg.depth_slices + 3)
+    for axis in range(3):
+        for distance in [params.near, params.far, -params.far] + [m * dz / 2 for m in steps]:
+            relations.append(lambda p, axis=axis, d=distance: slid(p, axis, d))
+    intr = a.frames[0][1]
+    return [Trajectory.from_poses([rel(p) for p, _ in a.frames], intr) for rel in relations]
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e5])
+@pytest.mark.parametrize("params", [FrustumParams(), FrustumParams(1.2, 0.9, 0.25, 7.5)])
+def test_pool_equals_frame_loop_on_structured_pairs(shift, params):
+    # lattice points on or next to the other frustum's planes, at growing distances from the origin
+    cfg = SamplerConfig()
+    rng = np.random.default_rng(17)
+    base = [CameraPose.identity(), random_pose(rng), turned(CameraPose.identity(), math.pi / 2, 0.0)]
+    a = transform_trajectory(Trajectory.from_poses(base, INTR), np.eye(3), np.full(3, shift))
+    assert_pool_equals_frame_loop(a, structured_pool(a, params, cfg), cfg, params)
+
+
+@pytest.mark.parametrize("path", ["point", "ray"])
+def test_either_kernel_alone_equals_frame_loop(monkeypatch, path):
+    # thresholds forced so that every entry-frame takes the point kernel, or none does
+    if path == "point":
+        monkeypatch.setattr(frustum_module, "_ROUNDING", math.inf)
+    else:
+        monkeypatch.setattr(frustum_module, "_ROUNDING", 0.0)
+        monkeypatch.setattr(frustum_module, "_SLOPE_MIN", 0.0)
+    counted = []
+    point_counts = frustum_module._point_counts
+    monkeypatch.setattr(frustum_module, "_point_counts",
+                        lambda *args: counted.append(len(args[2])) or point_counts(*args))
+    rng = np.random.default_rng(29)
+    a = random_trajectory(rng, frame_count=40)
+    pool = [paired_trajectory(rng, a, "random") for _ in range(5)]
+    pool += [transform_trajectory(a, np.eye(3), rng.uniform(-2.0, 2.0, 3)) for _ in range(3)]
+    assert_pool_equals_frame_loop(a, pool, SamplerConfig())
+    assert sum(counted) == (len(pool) * len(a) if path == "point" else 0)
+
+
+def test_pool_entries_need_the_target_frame_count():
+    rng = np.random.default_rng(41)
+    a = random_trajectory(rng, frame_count=3)
+    with pytest.raises(DomainError, match="3 frames"):
+        pool_covisibility(*a.pose_stack, [a.pose_stack, random_trajectory(rng, 4).pose_stack])
+    assert pool_covisibility(*a.pose_stack, []).shape == (0, 3)
+
+
+def test_jittered_lattice_is_counted_point_by_point(monkeypatch):
+    counted = []
+    point_counts = frustum_module._point_counts
+    monkeypatch.setattr(frustum_module, "_point_counts",
+                        lambda *args: counted.append(len(args[2])) or point_counts(*args))
+    rng = np.random.default_rng(31)
+    a = random_trajectory(rng, frame_count=20)
+    pool = [paired_trajectory(rng, a, layout) for layout in ("random", "structured", "identical")]
+    assert_pool_equals_frame_loop(a, pool, SamplerConfig(jitter_seed=11))
+    assert counted == [len(pool) * len(a)]
+
+
+def test_pool_scratch_does_not_grow_with_the_pool():
+    # the kernel works in blocks of frame pairs with one scratch set per call, so
+    # a larger pool adds only to the (E, F) result and to the stacked entry poses;
+    # 256 frames make even the 4-entry pool fill every block the kernel sets up
+    rng = np.random.default_rng(37)
+    a = random_trajectory(rng, frame_count=256)
+    pool = [paired_trajectory(rng, a, "random").pose_stack for _ in range(64)]
+    scratch = []
+    for entries in (4, 64):
+        stacks = pool[:entries]
+        pool_covisibility(*a.pose_stack, stacks)  # first calls fill numpy's and the interpreter's caches
+        tracemalloc.start()
+        try:
+            out = pool_covisibility(*a.pose_stack, stacks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stacked = sum(r.nbytes + c.nbytes for r, c in stacks)
+        scratch.append(peak - out.nbytes - stacked)
+    # scratch per frame pair would hold at least 96 float64 (48 rays, two directions),
+    # 11 MB over the 15,360 extra pairs; numpy's small caches move the peak a little
+    assert abs(scratch[1] - scratch[0]) < 64 * 1024
 
 
 def test_pose_stack_is_cached_and_read_only():

@@ -30,7 +30,6 @@ from .memory import (
     MemoryBank,
     MemoryEntry,
     RetrievalResult,
-    pad_context,
     retrieve_top_k,
     trajectory_similarity,
 )

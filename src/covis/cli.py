@@ -32,7 +32,7 @@ import numpy as np
 from .camera import CameraIntrinsics, CameraPose, Trajectory, load_trajectory, save_trajectory
 from .config import EngineConfig, apply_overrides, load_config, save_config
 from .errors import ConfigError, DomainError
-from .memory import MemoryBank, MemoryEntry, RetrievalResult, pad_context, retrieve_top_k
+from .memory import MemoryBank, MemoryEntry, RetrievalResult, retrieve_top_k
 from .metrics import SyncReport, SyncRow, pose_error_report, sync_report
 from .records import MANIFEST, check_fields, inside, read_json, str_list, write_json, write_text
 from .report import top_down_svg
@@ -226,7 +226,6 @@ def cmd_simulate(
             bank_video(source.slice_frames(chunk.start, chunk.end),
                        f"{_VIDEO_DIR}/source_c{m:02d}", m, is_source=True)
 
-        model_k = config.scheduler.k
         for v, m in generation_order(len(suite), len(schedule.chunks)):
             chunk = schedule.chunks[m - 1]
             target = suite[v - 1].slice_frames(chunk.start, chunk.end)
@@ -238,26 +237,17 @@ def cmd_simulate(
             if result.skipped:
                 retrieved["skipped"] = result.skipped
             events.append(retrieved)
-            if len(result.ranked) > model_k:
-                items = [(bank.entries[i], s) for i, s in reversed(result.ranked)]
-                plan = plan_divide_conquer(items, model_k, target, bank.source_entry(m))
-                events.append({
-                    "event": "plan", "view": v, "chunk": m,
-                    "trace": [[l, mm] for l, mm in plan.trace],
-                    "steps": [
-                        {"produces": s.produces, "context": [str(r) for r in s.context],
-                         "final": s.is_final}
-                        for s in plan.steps
-                    ],
-                    "notes": list(plan.notes),
-                })
-            else:
-                selected = [bank.entries[i] for i, _ in result.ranked]
-                context = pad_context(selected, model_k, bank.source_entry(m))
-                events.append({
-                    "event": "context", "view": v, "chunk": m,
-                    "refs": [e.insert_seq for e in context],
-                })
+            items = [(bank.entries[i], s) for i, s in reversed(result.ranked)]
+            plan = plan_divide_conquer(items, config.scheduler.k, target, bank.source_entry(m))
+            events.append({
+                "event": "plan", "view": v, "chunk": m,
+                "trace": [[l, mm] for l, mm in plan.trace],
+                "steps": [
+                    {"produces": s.produces, "context": [str(r) for r in s.context],
+                     "final": s.is_final}
+                    for s in plan.steps
+                ],
+            })
             bank_video(target, f"{_VIDEO_DIR}/s{v:02d}_{target.label}_c{m:02d}", m)
 
         for done, _ in in_flight:
@@ -618,9 +608,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_simulate(config, args.source, args.shots, args.frames)
         if args.command == "eval":
             return cmd_eval(config, args.run, args.n_shots)
-        if args.command == "report":
-            return cmd_report(config, args.run)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_report(config, args.run)  # argparse admits no command but these six
     except ConfigError as e:
         print(f"covis {args.command}: configuration error: {e}", file=sys.stderr)
         return 4

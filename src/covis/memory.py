@@ -241,11 +241,3 @@ def retrieve_top_k(
     ranked = tuple((pool[j][0], scores[j]) for j in order[: min(k, len(pool))])
     return RetrievalResult(ranked=ranked, skipped=skipped)
 
-
-def pad_context(
-    selected: Sequence[MemoryEntry], k: int, source: MemoryEntry
-) -> list[MemoryEntry]:
-    """Pad a retrieved context up to k entries by appending copies of the source."""
-    if len(selected) > k:
-        raise DomainError(f"{len(selected)} entries selected but context size is {k}")
-    return list(selected) + [source] * (k - len(selected))

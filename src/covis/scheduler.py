@@ -8,15 +8,17 @@ compression of the video tokenizer: overlap_frames = 1 + (overlap_latent-1)
 * temporal_compression (the +1 is the anchor frame the tokenizer encodes
 separately).
 
-When retrieval returns more videos than the model's context can hold
-(l > k), plan_divide_conquer reduces them: repeatedly take the m lowest
-scored entries (m = min(l - k + 1, k), which makes strict progress for every
-k >= 2), pad the context to k with copies of the source, merge their
-trajectories, and generate one intermediate video targeted at the merged
-trajectory; the intermediate replaces the consumed entries. A final step
-conditions on the surviving <= k entries to generate the true target.
-With k = 1 no reduction is possible (each step consumes exactly as many
-context slots as it produces) and planning raises a DomainError instead.
+plan_divide_conquer plans the context of every generated view. When
+retrieval returns more videos than the model's context can hold (l > k), it
+reduces them: repeatedly take the m lowest scored entries (m = min(l - k + 1,
+k), which makes strict progress for every k >= 2), pad the context to k with
+copies of the source, merge their trajectories, and generate one
+intermediate video targeted at the merged trajectory; the intermediate
+replaces the consumed entries. A final step conditions on the surviving
+<= k entries, padded to k with the source, to generate the true target; with
+l <= k that step is the whole plan. With k = 1 no reduction is possible
+(each step consumes exactly as many context slots as it produces) and
+planning raises a DomainError instead.
 """
 
 from __future__ import annotations
@@ -219,14 +221,12 @@ class _HasTrajectory(Protocol):
 class InferencePlan:
     """Ordered generation steps ending in exactly one final step.
 
-    trace records (l, m) per merge iteration. notes document any rule the
-    plan relied on and are included in formatted output.
+    trace records (l, m) per merge iteration.
     """
 
     steps: tuple[PlanStep, ...]
     k: int
     trace: tuple[tuple[int, int], ...]
-    notes: tuple[str, ...] = ()
 
     def validate(self, n_entries: int) -> None:
         """Check structural invariants against the retrieved entry count."""
@@ -268,8 +268,6 @@ class InferencePlan:
             tag = "final" if step.is_final else "merge"
             ctx = ", ".join(str(r) for r in step.context)
             lines.append(f"step {i} [{tag} -> {step.produces}] context: {ctx}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
         return "\n".join(lines)
 
 
@@ -323,9 +321,6 @@ def plan_divide_conquer(
         work = [(ref, merged)] + work[m:]
     refs = tuple(r for r, _ in work) + (SOURCE_REF,) * (k - len(work))
     steps.append(PlanStep(context=refs, target=target, produces="final", is_final=True))
-    plan = InferencePlan(
-        steps=tuple(steps), k=k, trace=tuple(trace),
-        notes=("merge selection uses m = min(l - k + 1, k), which makes strict progress for all k >= 2",),
-    )
+    plan = InferencePlan(steps=tuple(steps), k=k, trace=tuple(trace))
     plan.validate(len(retrieved))
     return plan

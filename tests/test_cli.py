@@ -124,10 +124,10 @@ def test_simulate_artifacts(run_dir):
     assert sched["chunks"] == [
         {"index": 1, "start": 0, "end": 5, "overlap_with_prev": 0, "clean_frames": 0}
     ]
-    # one source banking, then per view: retrieve, context, banked
+    # one source banking, then per view: retrieve, plan, banked
     assert kinds.count("banked") == 4
     assert kinds.count("retrieve") == 3
-    assert kinds.count("context") == 3
+    assert kinds.count("plan") == 3
     retrieves = [e for e in events if e["event"] == "retrieve"]
     assert [e["shot"] for e in retrieves] == [
         "rotation_left", "arc_right_with_rot", "azimuth_right"
@@ -701,6 +701,30 @@ def test_simulate_renders_only_kept_videos(tmp_path, monkeypatch):
     # every rendered video is saved and banked; none is thrown away
     assert len(rendered) == sum(e["event"] == "banked" for e in events)
     assert len(rendered) == 6
+
+
+def test_simulate_plans_every_view(tmp_path):
+    # retrieval.k=3 over a context of 2: the first two views retrieve l <= 2 and take one
+    # padded step, the last two retrieve l = 3 and merge
+    d = tmp_path / "run"
+    assert main(["simulate", "--out", str(d), "--frames", "30", "--shots", "1,2,3,4",
+                 "--set", "retrieval.k=3", "--set", "scheduler.k=2",
+                 "--set", "scene.point_count=50"]) == 0
+    events = json.loads((d / "run_log.json").read_text(encoding="utf-8"))["events"]
+    kinds = [e["event"] for e in events]
+    assert kinds.count("retrieve") == kinds.count("plan") == 4
+    ls = []
+    for n, e in enumerate(events):
+        if e["event"] != "retrieve":
+            continue
+        plan = events[n + 1]
+        assert (plan["event"], plan["view"], plan["chunk"]) == ("plan", e["view"], e["chunk"])
+        assert plan["steps"][-1]["final"] and len(plan["steps"][-1]["context"]) == 2
+        refs = [r for step in plan["steps"] for r in step["context"] if r.startswith("entry:")]
+        l = len(e["scores"])
+        assert sorted(refs, key=lambda r: int(r[6:])) == [f"entry:{i}" for i in range(l)]
+        ls.append(l)
+    assert ls == [1, 2, 3, 3]
 
 
 def _write_bank(root: Path) -> tuple[Path, Path]:

@@ -46,7 +46,7 @@ PUBLIC_NAMES = [
     "chunk_schedule", "contains_points", "covisible_fraction", "frame_covisibility",
     "generate_shot", "generation_order", "load_config", "load_frames", "load_trajectory",
     "make_scene", "matched_pixels", "merge_trajectories", "oracle_match",
-    "overlap_condition_mask", "pad_context", "plan_divide_conquer", "plucker_raymap",
+    "overlap_condition_mask", "plan_divide_conquer", "plucker_raymap",
     "pose_error_report", "render", "retrieve_top_k", "rot_err", "sample_points", "save_config",
     "save_frames", "save_trajectory", "sync_pairs", "sync_report", "token_layout",
     "trajectory_similarity", "trans_err",

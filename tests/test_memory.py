@@ -25,7 +25,6 @@ from covis import (
     Trajectory,
     build_frustum,
     frame_covisibility,
-    pad_context,
     retrieve_top_k,
     trajectory_similarity,
 )
@@ -480,17 +479,6 @@ def test_retrieve_rigid_invariance(seed):
         return retrieve_top_k(bank, tgt, 5, chunk_index=1).ranked
 
     assert ranking(False) == ranking(True)
-
-
-def test_pad_context():
-    rng = np.random.default_rng(37)
-    entries = [make_entry(random_trajectory(rng, 2), seq=i + 1) for i in range(4)]
-    source = make_entry(random_trajectory(rng, 2), seq=9, source=True)
-    assert pad_context(entries, 4, source) == entries
-    assert pad_context(entries[:1], 4, source) == [entries[0], source, source, source]
-    assert pad_context([], 2, source) == [source, source]
-    with pytest.raises(DomainError):
-        pad_context(entries, 3, source)
 
 
 # (chunk index, source flag, label, video ref, frames) per entry; only the first

@@ -180,13 +180,18 @@ def test_token_layout_divisibility_errors():
 
 
 def test_plan_no_merge_when_l_fits():
-    plan = plan_divide_conquer(ascending(4), 4, TARGET, SOURCE)
-    assert len(plan.steps) == 1
-    assert plan.trace == ()
-    step = plan.steps[0]
-    assert step.is_final
-    assert [str(r) for r in step.context] == ["entry:0", "entry:1", "entry:2", "entry:3"]
-    assert step.target is TARGET
+    # l <= k: one final step, the entries in ascending score order, padded to k with the source
+    for k in range(1, 9):
+        for l in range(1, k + 1):
+            plan = plan_divide_conquer(ascending(l), k, TARGET, SOURCE)
+            assert len(plan.steps) == 1, (k, l)
+            assert plan.trace == ()
+            step = plan.steps[0]
+            assert step.is_final
+            assert [str(r) for r in step.context] == (
+                [f"entry:{i}" for i in range(l)] + ["source"] * (k - l)
+            ), (k, l)
+            assert step.target is TARGET
 
 
 def test_plan_l10_k4_trace():

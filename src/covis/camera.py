@@ -17,10 +17,11 @@ bit-exact.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .records import check_fields, positive_int, read_json, write_text
+from .records import positive_int, write_text
 
 # Per-entry tolerance for R^T R = I and det R = 1 checks.
 ORTHONORMAL_TOL = 1e-9
@@ -158,7 +159,9 @@ class Trajectory:
     The frames are held as three read-only stacks, checked in one vectorised
     pass: rotations (F, 3, 3), camera centers (F, 3) and intrinsics (F, 4)
     as fx, fy, cx, cy, beside the one (width, height). frames builds
-    CameraPose and CameraIntrinsics objects only when first asked for.
+    CameraPose and CameraIntrinsics objects only when first asked for. No
+    attribute can be set, since load_trajectory shares one object per file
+    content.
     """
 
     def __init__(
@@ -188,6 +191,9 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self._stacks[0])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Trajectory is read-only; cannot set {name!r}")
 
     @cached_property
     def frames(self) -> tuple[tuple[CameraPose, CameraIntrinsics], ...]:
@@ -222,7 +228,7 @@ def _trusted(
     traj = Trajectory.__new__(Trajectory) if traj is None else traj
     for a in stacks:
         a.setflags(write=False)
-    traj._stacks, traj.image_size, traj.label = tuple(stacks), image_size, label
+    traj.__dict__.update(_stacks=tuple(stacks), image_size=image_size, label=label)
     return traj
 
 
@@ -304,13 +310,39 @@ def _floats(rows: list, what: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def load_trajectory(path: str | Path) -> Trajectory:
-    """Read a trajectory file written by save_trajectory, straight into the stacks."""
-    path = Path(path)
-    doc = read_json(path, "trajectory JSON", loads=_loads)
+class _Content:
+    """A file's bytes, hashed and compared by their SHA-256 digest; _decode drops the bytes."""
+
+    def __init__(self, data: bytes) -> None:
+        self.digest, self.data = hashlib.sha256(data).digest(), data
+
+    def __hash__(self) -> int:
+        return hash(self.digest)
+
+    def __eq__(self, other: object) -> bool:
+        return self.digest == other.digest
+
+
+@lru_cache(maxsize=256)
+def _decode(content: _Content) -> Trajectory:
+    """The trajectory content's bytes hold, else DomainError without a path.
+
+    Cached by digest, so a key holds no file text and one content is decoded
+    once, its trajectory shared; a failed decode raises and is not cached.
+    """
+    try:
+        # the text read_text would give: UTF-8 with universal newlines
+        text = content.data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        doc = _loads(text)
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise DomainError(f"invalid trajectory JSON ({e})") from e
+    finally:
+        content.data = b""
     if not isinstance(doc, dict) or doc.get("convention") != "camera_to_world":
-        raise DomainError(f"{path}: missing or unsupported pose convention")
-    check_fields(str(path), doc, {"label": str}, partial=True)
+        raise DomainError("missing or unsupported pose convention")
+    label = doc.get("label", "")
+    if not isinstance(label, str):  # records.check_fields' wording
+        raise DomainError(f"'label' must be a str, got {label!r}")
     try:
         recs = doc["frames"]
         ks = [rec["intrinsics"] for rec in recs]
@@ -319,8 +351,21 @@ def load_trajectory(path: str | Path) -> Trajectory:
         intrinsics = _floats([(k["fx"], k["fy"], k["cx"], k["cy"]) for k in ks], "intrinsics")
         sizes = [(k["width"], k["height"]) for k in ks]
         size = _check_frames(rotations, centers, intrinsics, sizes)
-    except DomainError as e:
-        raise DomainError(f"{path}: {e}") from None
+    except DomainError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise DomainError(f"{path}: malformed trajectory record ({e})") from e
-    return _trusted((rotations, centers, intrinsics), size, doc.get("label", ""))
+        raise DomainError(f"malformed trajectory record ({e})") from e
+    return _trusted((rotations, centers, intrinsics), size, label)
+
+
+def load_trajectory(path: str | Path) -> Trajectory:
+    """Read a trajectory file written by save_trajectory, straight into the stacks.
+
+    Files of equal bytes give one shared, read-only Trajectory, decoded once
+    (see _decode). Every error names path.
+    """
+    path = Path(path)
+    try:
+        return _decode(_Content(path.read_bytes()))
+    except DomainError as e:
+        raise DomainError(f"{path}: {e}") from e.__cause__

@@ -32,7 +32,7 @@ import numpy as np
 from .camera import CameraIntrinsics, CameraPose, Trajectory, load_trajectory, save_trajectory
 from .config import EngineConfig, apply_overrides, load_config, save_config
 from .errors import ConfigError, DomainError
-from .memory import MemoryBank, MemoryEntry, RetrievalResult, retrieve_top_k
+from .memory import MemoryBank, MemoryEntry, RetrievalResult, check_retrieval, retrieve_top_k
 from .metrics import SyncReport, SyncRow, pose_error_report, sync_report
 from .records import MANIFEST, check_fields, inside, read_json, str_list, write_json, write_text
 from .report import top_down_svg
@@ -115,6 +115,8 @@ def cmd_plan(
     config: EngineConfig, bank_dir: str, target_path: str,
     l: int | None, k: int | None, chunk: int,
 ) -> int:
+    if l is not None:  # retrieve_top_k's rule, with an error that names --l, not its k
+        check_retrieval(l, config.retrieval.tie_rule, name="retrieval count l")
     bank = MemoryBank.open(bank_dir)
     target = load_trajectory(target_path)
     result = _retrieve(config, bank, target, config.retrieval.k if l is None else l, chunk)
@@ -280,12 +282,13 @@ def _group_shots(run_dir: Path, bank: MemoryBank) -> dict[str, list[MemoryEntry]
     shot and is left out. Every kept entry's video must lie inside run_dir.
     """
     labels = {"source"} | {kind.slug for kind in ShotKind}
+    base = run_dir.resolve()
     shots: dict[str, list[MemoryEntry]] = {}
     for e in sorted(bank.entries, key=lambda e: e.chunk_index):
         label = "source" if e.is_source else e.trajectory.label
         if label not in labels:
             continue
-        inside(run_dir, e.video_ref, f"chunk {e.chunk_index} of {label!r}: video_ref",
+        inside(base, e.video_ref, f"chunk {e.chunk_index} of {label!r}: video_ref",
                "the run directory")
         shots.setdefault(label, []).append(e)
     return shots

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable, get_args
+from typing import Any, get_args
 
 import numpy as np
 
@@ -32,12 +32,10 @@ def write_json(path: str | Path, doc: Any) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(
-    path: Path, what: str, error: type[Exception] = DomainError, loads: Callable = json.loads
-) -> Any:
-    """The JSON document at path, decoded by loads; error naming path and what if it does not parse."""
+def read_json(path: Path, what: str, error: type[Exception] = DomainError) -> Any:
+    """The JSON document at path; error naming path and what if it does not parse."""
     try:
-        return loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
         raise error(f"{path}: invalid {what} ({e})") from e
 
@@ -78,9 +76,11 @@ def check_fields(
     return rec
 
 
-def inside(root: Path, rel: str, where: str, what: str) -> Path:
-    """root / rel resolved; DomainError "{where} {rel!r} lies outside {what}" if it escapes root."""
-    base = root.resolve()
+def inside(base: Path, rel: str, where: str, what: str) -> Path:
+    """base / rel resolved; DomainError "{where} {rel!r} lies outside {what}" if it escapes base.
+
+    base must already be resolved, so a caller checking many paths resolves it once.
+    """
     path = (base / rel).resolve()
     if not path.is_relative_to(base):
         raise DomainError(f"{where} {rel!r} lies outside {what}")

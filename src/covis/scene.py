@@ -116,6 +116,22 @@ def make_scene(
     )
 
 
+def _integers(a: object, dtype: type, what: str) -> np.ndarray:
+    """a as a dtype array, or DomainError unless a is integer-typed and dtype holds its values.
+
+    Values are read only when the cast might change one.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        raise DomainError(f"{what} must have an integer dtype, got {a.dtype}")
+    if not np.can_cast(a.dtype, dtype):
+        info = np.iinfo(dtype)
+        if a.size and not (info.min <= a.min() and a.max() <= info.max):
+            raise DomainError(f"{what} holds values in [{a.min()}, {a.max()}], outside "
+                              f"{info.dtype}'s [{info.min}, {info.max}]")
+    return a.astype(dtype, copy=False)
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """arr itself if it is read-only and owns its memory, else a read-only copy of it."""
     if arr.flags.writeable or arr.base is not None:
@@ -128,9 +144,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class FrameSequence:
     """Rendered video: RGB frames (F, H, W, 3) uint8 and id maps (F, H, W) int32.
 
-    Both arrays are read-only. An array that is already read-only and owns
-    its memory is adopted as it is; a writable array or a view is copied, so
-    later writes through the caller's array never reach the sequence.
+    Each array must have an integer dtype and values its type holds; nothing
+    is wrapped or truncated. Both arrays are read-only. An array that is
+    already read-only and owns its memory is adopted as it is; a writable
+    array or a view is copied, so later writes through the caller's array
+    never reach the sequence.
     """
 
     frames: np.ndarray
@@ -139,8 +157,8 @@ class FrameSequence:
     scene_key: str | None = None
 
     def __post_init__(self) -> None:
-        frames = np.asarray(self.frames, dtype=np.uint8)
-        ids = np.asarray(self.id_map, dtype=np.int32)
+        frames = _integers(self.frames, np.uint8, "frames")
+        ids = _integers(self.id_map, np.int32, "id map")
         w, h = self.trajectory.image_size
         f = len(self.trajectory)
         if frames.shape != (f, h, w, 3):
@@ -339,10 +357,14 @@ _MANIFEST_FIELDS = {"width": positive_int, "height": positive_int, "frame_count"
 def _fill(path: str, out: np.ndarray) -> bool:
     """Read file path into the contiguous array out; True iff its size is exactly out.nbytes.
 
-    Unbuffered: one read(2) fills out, as Linux fills regular-file reads of up to 2 GiB.
+    Bare syscalls, no file object: fstat(2) checks the length, then one readv(2)
+    fills out, as Linux fills regular-file reads of up to 2 GiB.
     """
-    with open(path, "rb", buffering=0) as f:
-        return f.readinto(memoryview(out).cast("B")) == out.nbytes and not f.read(1)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.fstat(fd).st_size == out.nbytes and os.readv(fd, [out]) == out.nbytes
+    finally:
+        os.close(fd)
 
 
 def load_frames(

@@ -19,6 +19,7 @@ from covis import (
     plucker_raymap,
     save_trajectory,
 )
+from covis import camera
 from covis.camera import PluckerRayMap
 
 from helpers import (
@@ -203,6 +204,60 @@ def test_load_trajectory_reads_a_missing_label_as_empty_and_rejects_one_that_is_
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DomainError, match="'label' must be a str"):
             load_trajectory(path)
+
+
+def _stacks(t: Trajectory) -> tuple:
+    return (*t.pose_stack, t.intrinsics_stack)
+
+
+def test_files_of_equal_bytes_share_one_decode(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "sub" / "b.json"
+    save_trajectory(random_trajectory(np.random.default_rng(29), frame_count=4, label="x"), a)
+    b.parent.mkdir()
+    b.write_bytes(a.read_bytes())
+    camera._decode.cache_clear()
+    first, second = load_trajectory(a), load_trajectory(b)
+    assert camera._decode.cache_info()[:2] == (1, 1)  # one hit, one miss
+    assert second is first
+    assert all(map(np.array_equal, _stacks(second), _stacks(first)))
+    assert (second.label, second.image_size) == ("x", first.image_size)
+    for s in _stacks(second):
+        with pytest.raises(ValueError):
+            s[0] = 0.0
+    with pytest.raises(AttributeError, match="read-only"):
+        second.label = "y"
+    # the content that keys a decode keeps its digest, not the file's bytes
+    content = camera._Content(b"{not json")
+    with pytest.raises(DomainError):
+        camera._decode(content)
+    assert content.data == b"" and len(content.digest) == 32
+
+
+def test_a_corrupt_file_is_never_cached_and_each_error_names_its_own_path(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_trajectory(random_trajectory(np.random.default_rng(31), frame_count=3), a)
+    doc = json.loads(a.read_text(encoding="utf-8"))
+    doc["frames"][1]["rotation"][0] = 2.0
+    for p in (a, b):
+        p.write_text(json.dumps(doc), encoding="utf-8")
+    camera._decode.cache_clear()
+    for p in (a, b, a):
+        with pytest.raises(DomainError) as err:
+            load_trajectory(p)
+        assert str(err.value).startswith(f"{p}: frame 1: rotation is not orthonormal")
+    assert camera._decode.cache_info()[:2] == (0, 3)
+
+
+def test_a_file_rewritten_in_place_is_decoded_again(tmp_path):
+    path = tmp_path / "t.json"
+    rng = np.random.default_rng(37)
+    old, new = (random_trajectory(rng, frame_count=3, label=label) for label in ("old", "new"))
+    save_trajectory(old, path)
+    assert load_trajectory(path).label == "old"
+    save_trajectory(new, path)
+    back = load_trajectory(path)
+    assert back.label == "new"
+    assert all(map(np.array_equal, _stacks(back), _stacks(new)))
 
 
 def test_load_trajectory_rejects_bad_files(tmp_path):

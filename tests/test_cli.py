@@ -35,6 +35,7 @@ from covis import (
     sync_pairs,
     sync_report,
 )
+import covis.camera
 import covis.cli
 from covis.cli import main
 from covis.config import EngineConfig, apply_overrides
@@ -256,6 +257,20 @@ def test_eval_n_shots_9_scores_a_pair_past_shot_9(full_run, capsys):
     assert ["tilt_down", "translate_up_with_rot"] in [r["pair"] for r in doc["sync"]]
     assert [p["shot"] for p in doc["poses"]] == [ShotKind(i).slug for i in range(1, 10)]
     assert all(r["frames"] == 10 for r in doc["sync"])
+
+
+def test_eval_decodes_each_distinct_trajectory_text_once(full_run):
+    bank = sorted(full_run.glob("bank/traj_*.json"))
+    shot_videos = [p for p in full_run.glob("videos/*/trajectory.json")
+                   if not p.parent.name.startswith("source")]
+    # each video's trajectory file repeats its bank entry's, and the identity source's chunks
+    # repeat each other
+    texts = {p.read_bytes() for p in bank}
+    assert {p.read_bytes() for p in shot_videos} <= texts and len(texts) < len(bank)
+    covis.camera._decode.cache_clear()
+    assert main(["eval", "--run", str(full_run), "--n-shots", "12"]) == 0
+    info = covis.camera._decode.cache_info()
+    assert (info.misses, info.hits + info.misses) == (len(texts), len(bank) + len(shot_videos))
 
 
 @pytest.mark.parametrize("n_shots", [3, 6, 9, 12])
@@ -885,10 +900,13 @@ def test_zero_counts_and_empty_shot_lists_reach_their_validators(tmp_path, capsy
     bank_dir, target = _write_bank(tmp_path)
     where = ["--bank", str(bank_dir), "--target", str(target)]
     capsys.readouterr()
-    assert main(["retrieve", *where, "--k", "0"]) == 2
-    assert main(["plan", *where, "--l", "0"]) == 2
-    assert main(["plan", *where, "--k", "0"]) == 2
-    assert capsys.readouterr().err.count("k must be >= 1, got 0") == 3
+    # each message names the flag that was set: plan's --l is the retrieval count, its --k the
+    # context size
+    for args, message in ((["retrieve", "--k", "0"], "k must be >= 1, got 0"),
+                          (["plan", "--l", "0"], "retrieval count l must be >= 1, got 0"),
+                          (["plan", "--k", "0"], "k must be >= 1, got 0")):
+        assert main([*args, *where]) == 2
+        assert capsys.readouterr().err == f"covis {args[0]}: {message}\n"
 
 
 @pytest.fixture(scope="module")

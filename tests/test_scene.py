@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from covis import (
     CameraIntrinsics,
@@ -256,6 +258,54 @@ def test_frame_sequence_validation():
             id_map=np.zeros((1, 16, 12), np.int32),
             trajectory=IDENTITY_TRAJ,
         )
+
+
+_DTYPES = [np.dtype(t) for t in ("i1", "i2", "i4", ">i4", "i8", "u1", "u2", "u4", "u8",
+                                 "f4", "f8", "bool")]
+
+
+@st.composite
+def _typed_values(draw, shape: tuple[int, ...], target: type) -> np.ndarray:
+    """An array of a drawn dtype; integers anywhere in its range or within one of target's."""
+    dtype = draw(st.sampled_from(_DTYPES))
+    if dtype.kind not in "iu":
+        return draw(arrays(dtype, shape))
+    info, want = np.iinfo(dtype), np.iinfo(target)
+    lo, hi = max(info.min, want.min - 1), min(info.max, want.max + 1)
+    if draw(st.booleans()):
+        lo, hi = info.min, info.max
+    return draw(arrays(dtype, shape, elements=st.integers(lo, hi)))
+
+
+_TINY_TRAJ = Trajectory.from_poses([CameraPose.identity()] * 2, CameraIntrinsics.from_fov(1.0, 1.0, 3, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames=_typed_values((2, 2, 3, 3), np.uint8), ids=_typed_values((2, 2, 3), np.int32))
+def test_frame_sequence_keeps_every_value_or_raises(frames, ids):
+    """Each array's values are kept exactly in the stored dtype; none is wrapped or truncated."""
+    def fits(a, dtype):
+        info = np.iinfo(dtype)
+        return a.dtype.kind in "iu" and info.min <= a.min() and a.max() <= info.max
+
+    if not (fits(frames, np.uint8) and fits(ids, np.int32)):
+        with pytest.raises(DomainError, match="integer dtype|outside"):
+            FrameSequence(frames=frames, id_map=ids, trajectory=_TINY_TRAJ)
+        return
+    seq = FrameSequence(frames=frames, id_map=ids, trajectory=_TINY_TRAJ)
+    assert (seq.frames.dtype, seq.id_map.dtype) == (np.uint8, np.int32)
+    assert np.array_equal(seq.frames, frames) and np.array_equal(seq.id_map, ids)
+
+
+def test_frame_sequence_rejects_values_its_dtypes_would_wrap():
+    zeros = {"frames": np.zeros((1, 12, 16, 3), np.uint8), "id_map": np.zeros((1, 12, 16), np.int32)}
+    for name, bad, message in (
+        ("frames", np.full((1, 12, 16, 3), 300), "frames holds values in [300, 300], outside uint8"),
+        ("id_map", np.full((1, 12, 16), 2**33 + 5), "id map holds values in"),
+        ("id_map", np.full((1, 12, 16), 3.9), "id map must have an integer dtype, got float64"),
+    ):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            FrameSequence(**{**zeros, name: bad}, trajectory=IDENTITY_TRAJ)
 
 
 def test_covisible_fraction_identity_and_disjoint():

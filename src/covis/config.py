@@ -51,7 +51,7 @@ class SceneConfig:
     velocity_scale: float = 0.02
 
     def __post_init__(self) -> None:
-        check_scene(self.point_count, self.extent, self.moving_fraction)
+        check_scene(**vars(self))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ pure; scoring many frustum pairs in parallel is safe.
 
 pool_covisibility scores many frame pairs at once. Each lattice ray's points
 inside the other frustum form one run of depth slices, so it counts per ray,
-not per point. Where rounding could put a point on the other side of a plane
-than frame_covisibility does, it counts that frame pair point by point
-instead, so every score equals frame_covisibility's bit for bit.
+not per point. It calls frame_covisibility itself on a frame pair where
+rounding could decide a point's side of a plane, and on every pair of a
+jittered sampler, so every score equals frame_covisibility's bit for bit.
 """
 
 from __future__ import annotations
@@ -104,17 +104,11 @@ def contains_points(fr: Frustum, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise DomainError(f"expected points of shape (N, 3), got {points.shape}")
-    return _inside_local((points - fr.apex) @ fr.orientation, fr.fov_h, fr.fov_v, fr.near, fr.far)
-
-
-def _inside_local(
-    local: np.ndarray, fov_h: float, fov_v: float, near: float, far: float
-) -> np.ndarray:
-    """Containment mask of points (..., 3) already in a frustum's local frame."""
-    depth = local[..., 2]
-    ok = (depth >= near) & (depth <= far)
-    ok &= np.abs(local[..., 0]) <= depth * math.tan(fov_h / 2.0)
-    ok &= np.abs(local[..., 1]) <= depth * math.tan(fov_v / 2.0)
+    local = (points - fr.apex) @ fr.orientation
+    depth = local[:, 2]
+    ok = (depth >= fr.near) & (depth <= fr.far)
+    ok &= np.abs(local[:, 0]) <= depth * math.tan(fr.fov_h / 2.0)
+    ok &= np.abs(local[:, 1]) <= depth * math.tan(fr.fov_v / 2.0)
     return ok
 
 
@@ -138,6 +132,8 @@ class SamplerConfig:
                 f"sampler grid must be >= 1 in every dimension, got "
                 f"{self.grid_w}x{self.grid_h}x{self.depth_slices}"
             )
+        if self.jitter_seed is not None and self.jitter_seed < 0:
+            raise DomainError(f"jitter_seed must be null or >= 0, got {self.jitter_seed}")
 
     @property
     def point_count(self) -> int:
@@ -145,18 +141,15 @@ class SamplerConfig:
 
 
 @lru_cache(maxsize=256)
-def _local_lattice(
-    grid_w: int, grid_h: int, depth_slices: int, jitter_seed: int | None,
-    fov_h: float, fov_v: float, near: float, far: float,
-) -> np.ndarray:
+def _local_lattice(cfg: SamplerConfig, fov_h: float, fov_v: float, near: float, far: float) -> np.ndarray:
     """Sample lattice in the frustum's local frame, shape (P, 3), read-only.
 
     Depth slices are uniform strata of (near, far); slice centers avoid the
     degenerate apex slice even when near = 0. Lateral cells span the
     cross-section at each point's own depth, so every point is inside.
     """
-    s, gh, gw = depth_slices, grid_h, grid_w
-    if jitter_seed is None:
+    s, gh, gw = cfg.depth_slices, cfg.grid_h, cfg.grid_w
+    if cfg.jitter_seed is None:
         zf = (np.arange(s) + 0.5) / s
         uf = (np.arange(gw) + 0.5) / gw
         vf = (np.arange(gh) + 0.5) / gh
@@ -165,7 +158,7 @@ def _local_lattice(
         u = np.broadcast_to(uf[None, None, :], (s, gh, gw))
         v = np.broadcast_to(vf[None, :, None], (s, gh, gw))
     else:
-        rng = np.random.default_rng(jitter_seed)
+        rng = np.random.default_rng(cfg.jitter_seed)
         zf = (np.arange(s)[:, None, None] + rng.random((s, gh, gw))) / s
         u = (np.arange(gw)[None, None, :] + rng.random((s, gh, gw))) / gw
         v = (np.arange(gh)[None, :, None] + rng.random((s, gh, gw))) / gh
@@ -183,10 +176,7 @@ def sample_points(fr: Frustum, cfg: SamplerConfig = SamplerConfig()) -> np.ndarr
     Deterministic for a given (frustum, cfg): repeated calls return identical
     arrays, and every returned point satisfies contains_points().
     """
-    local = _local_lattice(
-        cfg.grid_w, cfg.grid_h, cfg.depth_slices, cfg.jitter_seed,
-        fr.fov_h, fr.fov_v, fr.near, fr.far,
-    )
+    local = _local_lattice(cfg, fr.fov_h, fr.fov_v, fr.near, fr.far)
     return fr.apex + local @ fr.orientation.T
 
 
@@ -197,18 +187,13 @@ def frame_covisibility(a: Frustum, b: Frustum, cfg: SamplerConfig = SamplerConfi
     return (in_b + in_a) / (2.0 * cfg.point_count)
 
 
-# Samples per point-kernel block. 12,288 (32 frames of the default 384-point
-# lattice) keep each (frames, 3, P) temporary near 300 KB, so a block stays in
-# a core's L2 cache; one 93-frame block ran about 2x slower per frame.
-_BLOCK_SAMPLES = 12288
-
 # Ray cells (directed pair, ray) per ray-kernel block: 64 frame pairs of the
 # default 48-ray lattice, both directions.
 _BLOCK_RAYS = 6144
 # Blocks whose per-pair 3x3 algebra is done in one pass.
 _SETUP_BLOCKS = 16
 
-# The ray kernel leaves a pair to the point kernel when a plane's slope is
+# The ray kernel leaves a pair to frame_covisibility when a plane's slope is
 # below _SLOPE_MIN per unit depth, or when a ray's final bound lies within
 # _ROUNDING K / min |a| of an in-range slice index: 128 times the rounding
 # bound 2^-47 K that _ray_counts derives.
@@ -228,7 +213,7 @@ def pool_covisibility(
     ray kernel (_ray_counts) counts all of a lattice ray's slices at once. An
     entry-frame where a slice point lies too near a plane for that count to be
     certain, and every entry-frame of a jittered lattice, which has no rays, is
-    counted point by point as frame_covisibility counts it (_point_counts).
+    scored by frame_covisibility on that frame pair.
     """
     shape = (params.fov_h, params.fov_v, params.near, params.far)
     frames = len(rot_a)
@@ -241,30 +226,12 @@ def pool_covisibility(
     if cfg.jitter_seed is None:
         counts, fragile = _ray_counts(rot_a, cen_a, rot_b, cen_b, cfg, params)
     else:
-        counts, fragile = np.empty(len(rot_b)), np.arange(len(rot_b))
-    if len(fragile):
-        lattice = _local_lattice(cfg.grid_w, cfg.grid_h, cfg.depth_slices, cfg.jitter_seed, *shape)
-        at = fragile % frames
-        counts[fragile] = _point_counts(lattice.T, shape, rot_a[at], cen_a[at], rot_b[fragile],
-                                        cen_b[fragile])
+        counts, fragile = np.zeros(len(rot_b)), np.arange(len(rot_b))
     counts /= 2.0 * cfg.point_count
+    for p in fragile:
+        counts[p] = frame_covisibility(Frustum(cen_a[p % frames], rot_a[p % frames], *shape),
+                                       Frustum(cen_b[p], rot_b[p], *shape), cfg)
     return counts.reshape(len(stacks), frames)
-
-
-def _point_counts(lattice, shape, rot_a, cen_a, rot_b, cen_b) -> np.ndarray:
-    """Samples of a inside b plus samples of b inside a, pair by pair, (n,) counts."""
-    step = max(1, _BLOCK_SAMPLES // lattice.shape[1])
-    counts = np.zeros(len(rot_a), dtype=np.int64)
-    bufs = [np.empty((min(step, len(rot_a)), 3, lattice.shape[1])) for _ in range(4)]
-    for f in range(0, len(rot_a), step):
-        blk = slice(f, f + step)
-        world_a, world_b, buf, loc = (b[:len(rot_a[blk])] for b in bufs)
-        _world_samples(lattice, rot_a[blk], cen_a[blk], world_a)
-        _world_samples(lattice, rot_b[blk], cen_b[blk], world_b)
-        for world, rot_v, cen_v in ((world_a, rot_b, cen_b), (world_b, rot_a, cen_a)):
-            local = _view_local(world, rot_v[blk], cen_v[blk], buf, loc)
-            counts[blk] += np.count_nonzero(_inside_local(local, *shape), axis=1)
-    return counts
 
 
 def _ray_counts(rot_a, cen_a, rot_b, cen_b, cfg, params) -> tuple[np.ndarray, np.ndarray]:
@@ -278,18 +245,18 @@ def _ray_counts(rot_a, cen_a, rot_b, cen_b, cfg, params) -> tuple[np.ndarray, np
     The slices inside are the integers of [0, S) from the largest -b/a over
     planes with a > 0 to the smallest over planes with a < 0.
 
-    Rounding: each plane value, slope and bound either kernel computes comes
-    through fewer than 64 roundings. Each is off by at most 2^-53 times a
-    magnitude no larger than K = 3 (1 + Th + Tv) (far (1 + Th + Tv) + |c_a| +
-    |c_b|), with max norms over the call and |R_ij| <= 1. So at every slice k
-    the point kernel's plane value and the computed a k + b differ by less
-    than 2^-47 K. A pair is fragile when, in either direction, some ray's final
-    bound lies within 2^-40 K / min |a| of an in-range slice index, or
-    min |a| < 1e-6 dz would leave -b/a unbounded. Otherwise, at every slice,
-    every plane's a k + b is more than 2^-40 K from zero (the final planes by
-    the test, the others because their bounds lie further out), 128 times the
-    rounding, so both kernels put each slice point on the same side of every
-    plane and count alike. The counts of fragile pairs are not defined.
+    Rounding: each plane value, slope and bound computed here or in
+    frame_covisibility comes through fewer than 64 roundings. Each is off by at
+    most 2^-53 times a magnitude no larger than K = 3 (1 + Th + Tv) (far (1 +
+    Th + Tv) + |c_a| + |c_b|), with max norms over the call and |R_ij| <= 1.
+    So at every slice k frame_covisibility's plane value and the computed
+    a k + b differ by less than 2^-47 K. A pair is fragile when, in either
+    direction, some ray's final bound lies within 2^-40 K / min |a| of an
+    in-range slice index, or min |a| < 1e-6 dz would leave -b/a unbounded.
+    Otherwise, at every slice, every plane's a k + b is more than 2^-40 K from
+    zero (the final planes by the test, the others because their bounds lie
+    further out), 128 times the rounding, so both put each slice point on the
+    same side of every plane and count alike. Fragile counts are undefined.
     """
     s, total, frames = cfg.depth_slices, len(rot_b), len(rot_a)
     near, far = params.near, params.far
@@ -380,20 +347,3 @@ def _ray_counts(rot_a, cen_a, rot_b, cen_b, cfg, params) -> tuple[np.ndarray, np
                 if flags[0].any():
                     fragile.append(np.flatnonzero(flags[0].reshape(2, n, j).any(axis=(0, 2))[:stop]) + p0)
     return counts, np.concatenate(fragile) if fragile else np.empty(0, dtype=np.int64)
-
-
-def _world_samples(lattice: np.ndarray, rot: np.ndarray, cen: np.ndarray, out: np.ndarray) -> None:
-    """Lattice (3, P) placed in frustums (rot, cen), written to out as (n, 3, P)."""
-    np.matmul(rot, lattice, out=out)
-    out += cen[:, :, None]
-
-
-def _view_local(world, rot_v, cen_v, buf, loc) -> np.ndarray:
-    """World samples (n, 3, P) in frustums (rot_v, cen_v)'s local frames, (n, P, 3) view of loc.
-
-    Frame f equals (sample_points(s_f) - v_f.apex) @ v_f.orientation bit for
-    bit: the same (P, 3) @ (3, 3) operand order. A contiguous rot_v^T @ buf
-    misses in the last bit at P = 1, where numpy takes its matrix-vector path.
-    """
-    np.subtract(world, cen_v[:, :, None], out=buf)
-    return np.matmul(buf.transpose(0, 2, 1), rot_v, out=loc.transpose(0, 2, 1))

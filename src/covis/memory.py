@@ -12,7 +12,8 @@ A retrieval scores its whole pool in one frustum.pool_covisibility call,
 and trajectory_similarity is that call on a one-entry pool. The kernel
 reads the pose stacks each Trajectory stores, about 9 KB per 93-frame
 entry. Its per-frame scores are frame_covisibility's exactly: it counts
-lattice rays where their count is certain and lattice points elsewhere.
+lattice rays where their count is certain and calls frame_covisibility on
+the frame pair elsewhere and for a jittered sampler.
 Each entry's per-frame scores are summed in frame order, so every score
 equals a Python loop over frame_covisibility bit for bit.
 

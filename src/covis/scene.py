@@ -17,6 +17,7 @@ measures cover the same region).
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,14 +79,21 @@ class SceneModel:
         return self.positions + float(frame) * self.velocities
 
 
-def check_scene(point_count: int, extent: float, moving_fraction: float) -> None:
+def check_scene(seed: int, point_count: int, extent: float, moving_fraction: float,
+                velocity_scale: float) -> None:
     """make_scene's rules for its arguments, also SceneConfig's."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if point_count < 1:
         raise DomainError(f"point_count must be >= 1, got {point_count}")
     if extent <= 0.0:
         raise DomainError(f"extent must be positive, got {extent}")
     if not (0.0 <= moving_fraction <= 1.0):
         raise DomainError(f"moving_fraction must lie in [0, 1], got {moving_fraction}")
+    # velocities are drawn from [-velocity_scale, velocity_scale], whose width must be finite
+    if not 0.0 <= 2.0 * velocity_scale < math.inf:
+        raise DomainError(f"velocity_scale must be >= 0 with 2 * velocity_scale finite, "
+                          f"got {velocity_scale}")
 
 
 def make_scene(
@@ -101,7 +109,7 @@ def make_scene(
     components uniform in [-velocity_scale, velocity_scale]. Same seed and
     parameters always produce the identical scene.
     """
-    check_scene(point_count, extent, moving_fraction)
+    check_scene(seed, point_count, extent, moving_fraction, velocity_scale)
     rng = np.random.default_rng(seed)
     positions = np.add(DEFAULT_SCENE_CENTER, (rng.random((point_count, 3)) - 0.5) * extent)
     colors = rng.integers(0, 256, size=(point_count, 3), dtype=np.int64).astype(np.uint8)

@@ -28,7 +28,10 @@ from covis import (
     DomainError,
     MemoryBank,
     MemoryEntry,
+    SamplerConfig,
     Trajectory,
+    build_frustum,
+    frame_covisibility,
     load_trajectory,
     save_config,
     save_trajectory,
@@ -742,6 +745,27 @@ def test_simulate_plans_every_view(tmp_path):
     assert ls == [1, 2, 3, 3]
 
 
+def test_jittered_sampler_runs_end_to_end(tmp_path):
+    # every retrieval score equals a frame-loop mean of frame_covisibility on the jittered lattice
+    d = tmp_path / "run"
+    assert main(["simulate", "--out", str(d), *SIM_ARGS, "--set", "sampler.jitter_seed=3"]) == 0
+    assert main(["eval", "--run", str(d), "--n-shots", "3"]) == 0
+    cfg = SamplerConfig(jitter_seed=3)
+    bank = MemoryBank.open(d / "bank")
+    by_ref = {e.video_ref: e.trajectory for e in bank.entries}
+    events = json.loads((d / "run_log.json").read_text(encoding="utf-8"))["events"]
+    banked = [e["ref"] for e in events if e["event"] == "banked"]
+    retrieves = [e for e in events if e["event"] == "retrieve"]
+    assert len(retrieves) == 3
+    # view v's trajectory is the one banked after the source and the v - 1 views before it
+    for target, e in zip((by_ref[ref] for ref in banked[1:]), retrieves):
+        for i, score in e["scores"]:
+            total = 0.0
+            for (pa, _), (pb, _) in zip(target.frames, bank.entries[i].trajectory.frames):
+                total += frame_covisibility(build_frustum(pa), build_frustum(pb), cfg)
+            assert score == total / len(target)
+
+
 def _write_bank(root: Path) -> tuple[Path, Path]:
     rng = np.random.default_rng(53)
     bank = MemoryBank()
@@ -873,6 +897,12 @@ _RANGE_CASES = [
     ("simulate", "shots.lookat_depth=0", "lookat_depth must be positive, got 0.0"),
     ("simulate", "shots.frame_count=1", "frame_count must be >= 2, got 1"),
     ("simulate", "sampler.grid_w=0", "sampler grid must be >= 1 in every dimension, got 0x6x8"),
+    ("simulate", "sampler.jitter_seed=-1", "jitter_seed must be null or >= 0, got -1"),
+    ("simulate", "scene.seed=-1", "seed must be >= 0, got -1"),
+    ("simulate", "scene.velocity_scale=-0.5",
+     "velocity_scale must be >= 0 with 2 * velocity_scale finite, got -0.5"),
+    ("simulate", "scene.velocity_scale=1e308",
+     "velocity_scale must be >= 0 with 2 * velocity_scale finite, got 1e+308"),
     ("simulate", "scheduler.k=0", "context size k must be >= 1, got 0"),
     ("simulate", "retrieval.k=0", "k must be >= 1, got 0"),
     ("simulate", "retrieval.tie_rule=x", "unknown tie rule 'x'"),

@@ -257,24 +257,30 @@ def test_pool_equals_frame_loop_on_structured_pairs(shift, params):
     assert_pool_equals_frame_loop(a, structured_pool(a, params, cfg), cfg, params)
 
 
+def count_frame_calls(monkeypatch) -> list[None]:
+    """One item per call pool_covisibility makes to frame_covisibility."""
+    counted = []
+    inner = frustum_module.frame_covisibility
+    monkeypatch.setattr(frustum_module, "frame_covisibility",
+                        lambda *args: counted.append(None) or inner(*args))
+    return counted
+
+
 @pytest.mark.parametrize("path", ["point", "ray"])
 def test_either_kernel_alone_equals_frame_loop(monkeypatch, path):
-    # thresholds forced so that every entry-frame takes the point kernel, or none does
+    # thresholds forced so that every entry-frame is scored by frame_covisibility, or none is
     if path == "point":
         monkeypatch.setattr(frustum_module, "_ROUNDING", math.inf)
     else:
         monkeypatch.setattr(frustum_module, "_ROUNDING", 0.0)
         monkeypatch.setattr(frustum_module, "_SLOPE_MIN", 0.0)
-    counted = []
-    point_counts = frustum_module._point_counts
-    monkeypatch.setattr(frustum_module, "_point_counts",
-                        lambda *args: counted.append(len(args[2])) or point_counts(*args))
+    counted = count_frame_calls(monkeypatch)
     rng = np.random.default_rng(29)
     a = random_trajectory(rng, frame_count=40)
     pool = [paired_trajectory(rng, a, "random") for _ in range(5)]
     pool += [transform_trajectory(a, np.eye(3), rng.uniform(-2.0, 2.0, 3)) for _ in range(3)]
     assert_pool_equals_frame_loop(a, pool, SamplerConfig())
-    assert sum(counted) == (len(pool) * len(a) if path == "point" else 0)
+    assert len(counted) == (len(pool) * len(a) if path == "point" else 0)
 
 
 def test_pool_entries_need_the_target_frame_count():
@@ -286,15 +292,12 @@ def test_pool_entries_need_the_target_frame_count():
 
 
 def test_jittered_lattice_is_counted_point_by_point(monkeypatch):
-    counted = []
-    point_counts = frustum_module._point_counts
-    monkeypatch.setattr(frustum_module, "_point_counts",
-                        lambda *args: counted.append(len(args[2])) or point_counts(*args))
+    counted = count_frame_calls(monkeypatch)
     rng = np.random.default_rng(31)
     a = random_trajectory(rng, frame_count=20)
     pool = [paired_trajectory(rng, a, layout) for layout in ("random", "structured", "identical")]
     assert_pool_equals_frame_loop(a, pool, SamplerConfig(jitter_seed=11))
-    assert counted == [len(pool) * len(a)]
+    assert len(counted) == len(pool) * len(a)
 
 
 def test_pool_scratch_does_not_grow_with_the_pool():

@@ -87,6 +87,13 @@ def test_make_scene_validation():
         make_scene(0, extent=0.0)
     with pytest.raises(DomainError):
         make_scene(0, moving_fraction=1.5)
+    # values numpy's generator cannot take: a negative seed, a reversed or overflowing range
+    with pytest.raises(DomainError, match=re.escape("seed must be >= 0, got -1")):
+        make_scene(-1)
+    with pytest.raises(DomainError, match="velocity_scale must be >= 0"):
+        make_scene(0, velocity_scale=-0.5)
+    with pytest.raises(DomainError, match=re.escape("2 * velocity_scale finite, got 1e+308")):
+        make_scene(0, moving_fraction=0.5, velocity_scale=1e308)
 
 
 def test_scene_model_validation():

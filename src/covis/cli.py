@@ -147,14 +147,14 @@ def _parse_shot_list(text: str | None) -> list[ShotKind]:
     return sorted(kinds)
 
 
-def _write_video(box: list[FrameSequence], directory: Path) -> None:
-    """save_frames the one video in box, taking it out first.
+def _write_video(box: list[FrameSequence], directory: Path, written: dict) -> None:
+    """save_frames the one video in box, taking it out first, linking frames the run wrote.
 
     The executor keeps its arguments until after the future completes; with
     the box emptied, the writer holds no reference to the video once its
     write returns, so the caller's reference is the last.
     """
-    save_frames(box.pop(), directory)
+    save_frames(box.pop(), directory, written=written)
 
 
 def cmd_simulate(
@@ -210,7 +210,9 @@ def cmd_simulate(
     # awaited until one is left, so at most two videos are alive at once. A video is
     # let go here once its write is done, so it is freed on this thread at a fixed
     # point, not by a writer in mid-render, where each run would fragment the heap,
-    # and so the peak RSS, differently.
+    # and so the peak RSS, differently. Both writers share one record of the frames the
+    # run has written, and hard-link a frame equal to one of them instead of writing it.
+    written: dict = {}
     with ThreadPoolExecutor(2) as writers:
         in_flight: list[tuple[Future, FrameSequence]] = []
 
@@ -220,7 +222,7 @@ def cmd_simulate(
                 in_flight[0][0].result()  # re-raises that video's write error
                 del in_flight[0]
             seq = render(scene, traj, schedule.chunks[m - 1].start)
-            in_flight.append((writers.submit(_write_video, [seq], out_dir / ref), seq))
+            in_flight.append((writers.submit(_write_video, [seq], out_dir / ref, written), seq))
             bank.append(traj, ref, m, is_source=is_source)
             events.append({"event": "banked", "ref": ref, "chunk": m, "source": is_source})
 

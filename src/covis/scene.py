@@ -325,9 +325,70 @@ def covisible_fraction(scene: SceneModel, a: Trajectory, b: Trajectory, far: flo
 
 
 _TRAJ_NAME = "trajectory.json"
+_EXTS = ("rgb", "ids")  # a frame's two files, in the order save_frames makes them
 
 
-def save_frames(seq: FrameSequence, directory: str | Path) -> None:
+def _row_keys(traj: Trajectory) -> list[int]:
+    """Per frame of traj, a hash of its rotation, center, intrinsics and image size.
+
+    An int is a far smaller key than the row's 128 bytes, and a run records every frame.
+    """
+    rotations, centers = traj.pose_stack
+    rows = np.concatenate([rotations.reshape(-1, 9), centers, traj.intrinsics_stack], axis=1)
+    raw, size = rows.tobytes(), rows.shape[1] * rows.itemsize
+    w, h = traj.image_size
+    return [hash((w, h, raw[i:i + size])) for i in range(0, len(raw), size)]
+
+
+def _create(path: str, data: np.ndarray) -> None:
+    """Write the contiguous array data to a new file at path.
+
+    A name already there is removed first, never written through, so a file
+    that another name shares keeps its bytes.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    try:
+        fd = os.open(path, flags, 0o666)
+    except FileExistsError:
+        os.unlink(path)
+        fd = os.open(path, flags, 0o666)
+    try:
+        view = memoryview(data).cast("B")
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
+def _holds(prefix: str, pair: tuple[np.ndarray, np.ndarray]) -> bool:
+    """True iff the files prefix.rgb and prefix.ids hold exactly pair's bytes."""
+    for ext, data in zip(_EXTS, pair):
+        buf = np.empty_like(data)
+        if not (_fill(f"{prefix}.{ext}", buf) and np.array_equal(buf, data)):
+            return False
+    return True
+
+
+def _link(src: str, dst: str) -> bool:
+    """Hard-link dst to src, replacing a name already at dst.
+
+    False if the file system refuses the link (EPERM, EMLINK, EXDEV, ENOTSUP);
+    the caller then writes the file instead.
+    """
+    try:
+        try:
+            os.link(src, dst)
+        except FileExistsError:
+            os.unlink(dst)
+            os.link(src, dst)
+    except OSError:
+        return False
+    return True
+
+
+def save_frames(
+    seq: FrameSequence, directory: str | Path, *, written: dict[int, tuple[str, int]] | None = None
+) -> None:
     """Serialize a FrameSequence to a directory.
 
     Layout: manifest.json, trajectory.json, and per frame i the raw grids
@@ -335,16 +396,37 @@ def save_frames(seq: FrameSequence, directory: str | Path) -> None:
     frame_{i:04d}.ids (H*W*4 bytes, row-major little-endian int32).
     Output bytes depend only on the sequence contents. The manifest is
     written last, so a directory that has one holds every frame it names.
+
+    A frame whose files would equal a pair written earlier in this video, or
+    by a call given the same written, is hard-linked to that pair. written,
+    which only save_frames reads and fills, records a run's closed pairs by
+    a hash of their trajectory row: pass one dict, empty at first, to every
+    call of a run, from any thread. A pair is linked only if its bytes equal
+    the frame's, so an equal pose at another time of a moving scene is
+    written. Equal frame files may thus share an inode: editing one in place
+    edits its twins, while ``cp -r`` or ``shutil.copytree`` copies them apart.
+    A name already in directory is removed, never written through.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_trajectory(seq.trajectory, directory / _TRAJ_NAME)
+    if written is None:
+        written = {}
+    keys = _row_keys(seq.trajectory)
+    base = str(directory)
     # each frame is written from the sequence's own memory, without a copy
     for i in range(seq.frame_count):
-        (directory / f"frame_{i:04d}.rgb").write_bytes(np.ascontiguousarray(seq.frames[i]))
-        (directory / f"frame_{i:04d}.ids").write_bytes(
-            np.ascontiguousarray(seq.id_map[i], dtype="<i4")
-        )
+        name = f"{base}{os.sep}frame_{i:04d}"
+        pair = np.ascontiguousarray(seq.frames[i]), np.ascontiguousarray(seq.id_map[i], "<i4")
+        twin = written.get(keys[i])
+        if twin is not None:
+            twin_name = f"{twin[0]}{os.sep}frame_{twin[1]:04d}"
+            if _holds(twin_name, pair) and all(
+                    _link(f"{twin_name}.{ext}", f"{name}.{ext}") for ext in _EXTS):
+                continue
+        for ext, data in zip(_EXTS, pair):
+            _create(f"{name}.{ext}", data)
+        written[keys[i]] = base, i  # base is one str per video, shared by its entries
     w, h = seq.trajectory.image_size
     write_json(directory / MANIFEST, {
         "width": w,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import gc
 import io
 import json
@@ -973,13 +974,13 @@ def test_failed_simulate_leaves_no_bank_and_reruns_in_place(tmp_path, monkeypatc
     save_frames, replace = covis.cli.save_frames, os.replace
     writes = []
 
-    def failing_save(seq, directory):
+    def failing_save(seq, directory, written=None):
         writes.append(directory)
         if len(writes) == n:
             directory.mkdir(parents=True)
             (directory / "frame_0000.rgb").write_bytes(b"")
             raise OSError("no space left on device")
-        return save_frames(seq, directory)
+        return save_frames(seq, directory, written=written)
 
     def failing_replace(src, dst):
         if Path(dst).relative_to(d).as_posix().startswith(what):
@@ -1011,13 +1012,13 @@ def test_failed_frame_write_exits_3_and_leaves_no_run_log(tmp_path, monkeypatch,
     save_frames = covis.cli.save_frames
     calls = []
 
-    def failing_save(seq, directory):
+    def failing_save(seq, directory, written=None):
         calls.append(directory)
         if len(calls) == n:
             directory.mkdir(parents=True)
             (directory / "frame_0000.rgb").write_bytes(b"")
             raise OSError("no space left on device")
-        return save_frames(seq, directory)
+        return save_frames(seq, directory, written=written)
 
     monkeypatch.setattr(covis.cli, "save_frames", failing_save)
     d = tmp_path / "run"
@@ -1034,17 +1035,118 @@ def test_failed_frame_write_exits_3_and_leaves_no_run_log(tmp_path, monkeypatch,
     assert all((c / "manifest.json").exists() for i, c in enumerate(calls) if i != n - 1)
 
 
+def _frame_files(run: Path) -> list[Path]:
+    return sorted(run.rglob("frame_*"))
+
+
+def test_rerun_over_linked_frames_of_a_failed_run_writes_through_none(tmp_path, monkeypatch):
+    save_frames = covis.cli.save_frames
+    calls = []
+
+    def failing_save(seq, directory, written=None):
+        calls.append(directory)
+        if len(calls) == 4:
+            raise OSError("no space left on device")
+        return save_frames(seq, directory, written=written)
+
+    # a static scene's identity source repeats one frame, so the failed run leaves links
+    d = tmp_path / "run"
+    monkeypatch.setattr(covis.cli, "save_frames", failing_save)
+    assert main(["simulate", "--out", str(d), *SIM_ARGS]) == 3
+    assert any(p.stat().st_nlink > 1 for p in _frame_files(d))
+    monkeypatch.undo()
+    # on a moving scene those frames differ, so writing through one name would change its twins
+    moving = [*SIM_ARGS, "--seed", "2", "--set", "scene.moving_fraction=0.5"]
+    assert main(["simulate", "--out", str(d), *moving]) == 0
+    assert main(["simulate", "--out", str(tmp_path / "fresh"), *moving]) == 0
+    assert _run_files(d) == _run_files(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("code", [errno.EPERM, errno.EMLINK, errno.EXDEV, errno.ENOTSUP],
+                         ids=errno.errorcode.get)
+def test_refused_frame_links_fall_back_to_writes(tmp_path, monkeypatch, fresh_run, code):
+    def refused_link(src, dst, **kwargs):
+        raise OSError(code, os.strerror(code))
+
+    assert any(p.stat().st_nlink > 1 for p in _frame_files(fresh_run))
+    monkeypatch.setattr(os, "link", refused_link)
+    d = tmp_path / "run"
+    assert main(["simulate", "--out", str(d), *SIM_ARGS]) == 0
+    assert _run_files(d) == _run_files(fresh_run)
+    assert all(p.stat().st_nlink == 1 for p in _frame_files(d))
+
+
+def test_write_error_after_a_refused_frame_link_exits_3(tmp_path, monkeypatch, capsys):
+    refused = []
+
+    def refused_link(src, dst, **kwargs):
+        refused.append(Path(dst).name)
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+    open_ = os.open
+
+    def full_disk_open(path, flags, *args, **kwargs):
+        # the source video's second frame would be linked to its first; each video's
+        # second frame fails, whichever writer thread reaches one first
+        if Path(path).name == "frame_0001.rgb" and flags & os.O_CREAT:
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return open_(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "link", refused_link)
+    monkeypatch.setattr(os, "open", full_disk_open)
+    d = tmp_path / "run"
+    assert main(["simulate", "--out", str(d), *SIM_ARGS]) == 3
+    assert "frame_0001.rgb" in refused
+    assert "I/O error: [Errno 28] no space left on device" in capsys.readouterr().err
+    assert not (d / "bank" / "manifest.json").exists()
+
+
+@settings(max_examples=12, deadline=None)
+@given(moving=st.sampled_from([0.0, 0.5]), frames=st.integers(2, 12),
+       shots=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True),
+       seed=st.integers(0, 20))
+def test_linked_frame_files_hold_equal_bytes_and_every_video_round_trips(moving, frames, shots,
+                                                                         seed):
+    save_frames = covis.cli.save_frames
+    saved: dict[Path, FrameSequence] = {}
+
+    def recording_save(seq, directory, written=None):
+        saved[directory] = seq
+        return save_frames(seq, directory, written=written)
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covis.cli, "save_frames", recording_save)
+        d = Path(tmp) / "run"
+        assert main(["simulate", "--out", str(d), "--frames", str(frames), "--seed", str(seed),
+                     "--shots", ",".join(map(str, shots)), "--set", "scene.point_count=40",
+                     "--set", f"scene.moving_fraction={moving}",
+                     "--set", "scheduler.chunk_frames=4", "--set", "scheduler.overlap_latent=1",
+                     "--set", "scheduler.temporal_compression=2"]) == 0
+        inodes: dict[tuple[int, int], list[Path]] = {}
+        for p in _frame_files(d):
+            info = p.stat()
+            inodes.setdefault((info.st_dev, info.st_ino), []).append(p)
+        for names in inodes.values():
+            assert len({p.read_bytes() for p in names}) == 1
+        if moving == 0.0:  # the identity source's frames are all equal
+            assert len(inodes) < len(_frame_files(d))
+        for directory, seq in saved.items():
+            loaded = load_frames(directory)
+            assert np.array_equal(loaded.frames, seq.frames)
+            assert np.array_equal(loaded.id_map, seq.id_map)
+
+
 def test_two_frame_writes_overlap(tmp_path, monkeypatch):
     save_frames = covis.cli.save_frames
     # one writer would wait here alone until the timeout breaks the barrier
     barrier = threading.Barrier(2, timeout=10)
     calls = []
 
-    def meeting_save(seq, directory):
+    def meeting_save(seq, directory, written=None):
         calls.append(directory)
         if len(calls) <= 2:
             barrier.wait()
-        return save_frames(seq, directory)
+        return save_frames(seq, directory, written=written)
 
     monkeypatch.setattr(covis.cli, "save_frames", meeting_save)
     assert main(["simulate", "--out", str(tmp_path / "run"), *SIM_ARGS]) == 0
@@ -1065,9 +1167,9 @@ def test_simulate_holds_at_most_one_earlier_video_and_frees_each_on_the_calling_
         weakref.finalize(seq, lambda: freed_on.append(threading.current_thread().name))
         return seq
 
-    def slow_save(seq, directory):
+    def slow_save(seq, directory, written=None):
         time.sleep(0.05)  # keep each write in flight across the next render
-        return save_frames(seq, directory)
+        return save_frames(seq, directory, written=written)
 
     monkeypatch.setattr(covis.cli, "render", tracked_render)
     monkeypatch.setattr(covis.cli, "save_frames", slow_save)
@@ -1082,9 +1184,9 @@ def test_simulate_holds_at_most_one_earlier_video_and_frees_each_on_the_calling_
 def test_simulate_waits_for_every_frame_write(tmp_path, monkeypatch):
     save_frames = covis.cli.save_frames
 
-    def slow_save(seq, directory):
+    def slow_save(seq, directory, written=None):
         time.sleep(0.05)
-        return save_frames(seq, directory)
+        return save_frames(seq, directory, written=written)
 
     monkeypatch.setattr(covis.cli, "save_frames", slow_save)
     d = tmp_path / "run"

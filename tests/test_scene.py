@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 import re
+import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -508,24 +512,67 @@ def test_load_frames_checks_expect_before_reading_a_frame(tmp_path, part):
         load_frames(tmp_path / "seq", skip=2, expect=_edited(traj, part))
 
 def test_save_frames_writes_its_manifest_last(tmp_path, monkeypatch):
-    seq = render(manual_scene([[0.0, 0.0, 5.0]]), IDENTITY_TRAJ)
-    write_bytes = Path.write_bytes
+    # frames of distinct poses, so the last .ids file is created, not linked to a twin
+    traj = aimed_trajectory(np.random.default_rng(3), frame_count=3, width=20, height=14)
+    seq = render(make_scene(3, point_count=50), traj)
+    open_ = os.open
 
-    def failing_write(self, data):
-        if self.name == f"frame_{seq.frame_count - 1:04d}.ids":
-            raise OSError("no space left on device")
-        return write_bytes(self, data)
+    def failing_open(path, flags, *args, **kwargs):
+        if Path(path).name == f"frame_{seq.frame_count - 1:04d}.ids" and flags & os.O_CREAT:
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return open_(path, flags, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_bytes", failing_write)
+    monkeypatch.setattr(os, "open", failing_open)
     with pytest.raises(OSError):
         save_frames(seq, tmp_path / "seq")
     assert not (tmp_path / "seq" / "manifest.json").exists()
-    monkeypatch.setattr(Path, "write_bytes", write_bytes)
+    monkeypatch.setattr(os, "open", open_)
     save_frames(seq, tmp_path / "seq")
     assert sorted(p.name for p in (tmp_path / "seq").iterdir()) == sorted(
         ["manifest.json", "trajectory.json"]
         + [f"frame_{i:04d}.{ext}" for i in range(seq.frame_count) for ext in ("rgb", "ids")]
     )
+
+
+def test_save_frames_shares_one_written_record_across_more_writers_than_cores(tmp_path):
+    # 24 videos, each a different slice of one 12-frame path, so most frames have a twin
+    # in another video under another frame number
+    traj = aimed_trajectory(np.random.default_rng(5), frame_count=12, width=20, height=14)
+    scene = make_scene(5, point_count=60)
+    videos = {tmp_path / f"v{n:02d}": render(scene, traj.slice_frames(n % 5, 7 + n % 6))
+              for n in range(24)}
+    written: dict = {}
+    errors = []
+
+    def writer(items):
+        try:
+            for directory, seq in items:
+                save_frames(seq, directory, written=written)
+        except Exception as e:  # collected, so the test fails with it
+            errors.append(e)
+
+    items = list(videos.items())
+    threads = [threading.Thread(target=writer, args=(items[t::8],)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    names = sorted(tmp_path.rglob("frame_*"))
+    inodes: dict[int, set[bytes]] = {}
+    for p in names:
+        inodes.setdefault(p.stat().st_ino, set()).add(p.read_bytes())
+    assert all(len(contents) == 1 for contents in inodes.values())
+    assert len(inodes) < len(names)
+    for directory, seq in videos.items():
+        back = load_frames(directory)
+        assert np.array_equal(back.frames, seq.frames)
+        assert np.array_equal(back.id_map, seq.id_map)
 
 
 _ARRAY_HOLDERS = {

@@ -324,7 +324,8 @@ def _stream_sync(
     Chunks are the outer loop and pairs the inner one. A shot's chunk video is
     loaded for the first pair that names it and dropped after the last, so with
     the sync_pairs order no more than two chunk videos are alive at once, and
-    each chunk video is loaded once. A pair's row sums its chunks' exact
+    each chunk video is loaded once, id maps only: its .rgb files are checked
+    for length, never read. A pair's row sums its chunks' exact
     matched-pixel totals. Both shots of a pair must have the same chunks, and
     every chunk of a shot the scene of its first.
     """
@@ -349,7 +350,8 @@ def _stream_sync(
                 if kind in videos:
                     continue
                 e, drop = chunks[kind][c]
-                videos[kind] = load_frames(run_dir / e.video_ref, skip=drop, expect=e.trajectory)
+                videos[kind] = load_frames(run_dir / e.video_ref, skip=drop, expect=e.trajectory,
+                                           rgb=False)
                 key = videos[kind].scene_key
                 first = scene_keys.setdefault(kind, key)
                 if key != first:

@@ -32,6 +32,10 @@ def _fmt(x: float) -> str:
 
 def top_down_svg(trajectories: Sequence[Trajectory], params: FrustumParams = FrustumParams()) -> str:
     """SVG document with one polyline per trajectory, top-down view."""
+    # imported here: xml.sax.saxutils pulls in urllib.request, about 40 ms that
+    # every covis command would otherwise pay at import
+    from xml.sax.saxutils import escape
+
     half_depth = params.far / 2.0
     tan_h = math.tan(params.fov_h / 2.0)
 
@@ -72,7 +76,7 @@ def top_down_svg(trajectories: Sequence[Trajectory], params: FrustumParams = Fru
         label = traj.label or f"traj{i}"
         lines.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2">'
-            f"<title>{label}</title></polyline>"
+            f"<title>{escape(label)}</title></polyline>"
         )
         ax, ay = to_svg(apex)
         for corner in (ca, cb):

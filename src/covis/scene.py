@@ -152,33 +152,36 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class FrameSequence:
     """Rendered video: RGB frames (F, H, W, 3) uint8 and id maps (F, H, W) int32.
 
-    Each array must have an integer dtype and values its type holds; nothing
-    is wrapped or truncated. Both arrays are read-only. An array that is
-    already read-only and owns its memory is adopted as it is; a writable
-    array or a view is copied, so later writes through the caller's array
-    never reach the sequence.
+    frames may be None: a video loaded for its id maps alone, as
+    load_frames(..., rgb=False) gives, holds no RGB. Each array must have an
+    integer dtype and values its type holds; nothing is wrapped or
+    truncated. Both arrays are read-only. An array that is already read-only
+    and owns its memory is adopted as it is; a writable array or a view is
+    copied, so later writes through the caller's array never reach the
+    sequence.
     """
 
-    frames: np.ndarray
+    frames: np.ndarray | None
     id_map: np.ndarray
     trajectory: Trajectory
     scene_key: str | None = None
 
     def __post_init__(self) -> None:
-        frames = _integers(self.frames, np.uint8, "frames")
+        frames = None if self.frames is None else _integers(self.frames, np.uint8, "frames")
         ids = _integers(self.id_map, np.int32, "id map")
         w, h = self.trajectory.image_size
         f = len(self.trajectory)
-        if frames.shape != (f, h, w, 3):
+        if frames is not None and frames.shape != (f, h, w, 3):
             raise DomainError(f"frames shape {frames.shape} != {(f, h, w, 3)} from trajectory")
         if ids.shape != (f, h, w):
             raise DomainError(f"id map shape {ids.shape} != {(f, h, w)} from trajectory")
-        object.__setattr__(self, "frames", _read_only(frames))
+        if frames is not None:
+            object.__setattr__(self, "frames", _read_only(frames))
         object.__setattr__(self, "id_map", _read_only(ids))
 
     @property
     def frame_count(self) -> int:
-        return int(self.frames.shape[0])
+        return int(self.id_map.shape[0])
 
 
 # Points per projection block: a block holds max(1, _BLOCK_POINTS // N) frames
@@ -405,8 +408,11 @@ def save_frames(
     the frame's, so an equal pose at another time of a moving scene is
     written. Equal frame files may thus share an inode: editing one in place
     edits its twins, while ``cp -r`` or ``shutil.copytree`` copies them apart.
-    A name already in directory is removed, never written through.
+    A name already in directory is removed, never written through. A
+    sequence without RGB (frames None) is refused before anything is written.
     """
+    if seq.frames is None:
+        raise DomainError("cannot save a frame sequence without RGB frames")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_trajectory(seq.trajectory, directory / _TRAJ_NAME)
@@ -458,7 +464,7 @@ def _fill(path: str, out: np.ndarray) -> bool:
 
 
 def load_frames(
-    directory: str | Path, *, skip: int = 0, expect: Trajectory | None = None
+    directory: str | Path, *, skip: int = 0, expect: Trajectory | None = None, rgb: bool = True
 ) -> FrameSequence:
     """Load the FrameSequence save_frames wrote to directory, from frame skip on.
 
@@ -468,6 +474,10 @@ def load_frames(
     skip must lie in [0, F). The first skip frames are not read, but each of
     their files must still have its exact byte length. With skip 0 the load
     is an exact round trip.
+
+    With rgb False only the id maps are read: no .rgb file is read or buffered,
+    but each must still have its exact byte length, and the result's frames
+    is None.
 
     With expect, the video's whole trajectory must equal it: every pose and
     intrinsic, the frame count and the image size. This is checked before any
@@ -491,7 +501,7 @@ def load_frames(
         raise DomainError(f"{directory}: its video follows {n} frames of {w}x{h}, but the "
                           "trajectory expected of it has {} frames of {}x{}; the two must be "
                           "identical".format(len(expect), *expect.image_size))
-    frames = np.empty((n - skip, h, w, 3), dtype=np.uint8)
+    frames = np.empty((n - skip, h, w, 3), dtype=np.uint8) if rgb else None
     ids = np.empty((n - skip, h, w), dtype="<i4")
     prefix = f"{directory}{os.sep}frame_"
     for i in range(skip):
@@ -499,10 +509,13 @@ def load_frames(
                 h * w * 3, h * w * 4):
             raise DomainError(f"{directory}: frame {i} has unexpected byte length")
     for i in range(skip, n):
-        if not (_fill(f"{prefix}{i:04d}.rgb", frames[i - skip])
+        rgb_path = f"{prefix}{i:04d}.rgb"
+        if not ((_fill(rgb_path, frames[i - skip]) if rgb
+                 else os.stat(rgb_path).st_size == h * w * 3)
                 and _fill(f"{prefix}{i:04d}.ids", ids[i - skip])):
             raise DomainError(f"{directory}: frame {i} has unexpected byte length")
-    frames.setflags(write=False)
+    if rgb:
+        frames.setflags(write=False)
     ids.setflags(write=False)
     return FrameSequence(
         frames=frames, id_map=ids, trajectory=kept, scene_key=manifest.get("scene_key")

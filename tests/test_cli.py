@@ -297,8 +297,9 @@ def test_eval_streams_at_most_two_videos(full_run, monkeypatch, n_shots):
         kind = ShotKind.from_slug(seq.trajectory.label)
         ref, start = at_once[kind], offsets[kind]
         end = offsets[kind] = start + seq.frame_count
+        # eval loads id maps only
         same_as_at_once.append(
-            np.array_equal(seq.frames, ref.frames[start:end])
+            seq.frames is None
             and np.array_equal(seq.id_map, ref.id_map[start:end])
             and seq.scene_key == ref.scene_key
         )
@@ -371,6 +372,78 @@ def test_chunk_loads_join_to_the_concatenated_chunk_videos(data):
                          covis.cli._arrays(stitched)):
         assert np.array_equal(np.concatenate(got), want)
     assert all(c.scene_key == "scene-test" for c in chunks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_id_only_loads_equal_full_loads_without_rgb(data):
+    n = data.draw(st.integers(2, 5), label="frames")
+    w, h = data.draw(st.integers(1, 5), label="width"), data.draw(st.integers(1, 5), label="height")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    traj = Trajectory.from_poses([CameraPose(np.eye(3), rng.normal(size=3)) for _ in range(n)],
+                                 CameraIntrinsics.from_fov(1.2, 0.9, w, h), "tilt_up")
+    # one frame file one byte short or long, in a frame some skips keep and others drop
+    bad = data.draw(st.integers(0, n - 2), label="damaged frame")
+    ext = data.draw(st.sampled_from(["rgb", "ids"]), label="damaged file")
+    change = data.draw(st.sampled_from([-1, 1]), label="byte change")
+    with tempfile.TemporaryDirectory() as tmp:
+        video = Path(tmp) / "video"
+        save_frames(FrameSequence(
+            frames=rng.integers(0, 256, (n, h, w, 3), dtype=np.uint8),
+            id_map=rng.integers(-2**31, 2**31, (n, h, w), dtype=np.int32),
+            trajectory=traj, scene_key="scene-test"), video)
+        for skip in range(n):
+            full = load_frames(video, skip=skip, expect=traj)
+            ids_only = load_frames(video, skip=skip, expect=traj, rgb=False)
+            assert ids_only.frames is None and ids_only.frame_count == n - skip
+            assert ids_only.id_map.tobytes() == full.id_map.tobytes()
+            assert not ids_only.id_map.flags.writeable
+            for a, b in zip(covis.cli._arrays(ids_only.trajectory),
+                            covis.cli._arrays(full.trajectory)):
+                assert np.array_equal(a, b)
+            assert ids_only.scene_key == full.scene_key == "scene-test"
+        path = video / f"frame_{bad:04d}.{ext}"
+        content = path.read_bytes()
+        path.unlink()  # a linked twin keeps its bytes
+        path.write_bytes(content[:-1] if change < 0 else content + b"\x00")
+        for skip in range(n):  # frame bad is kept while skip <= bad, dropped after
+            errors = []
+            for rgb in (True, False):
+                with pytest.raises(DomainError) as info:
+                    load_frames(video, skip=skip, expect=traj, rgb=rgb)
+                errors.append(str(info.value))
+            assert errors[0] == errors[1] == f"{video}: frame {bad} has unexpected byte length"
+
+
+def test_eval_never_depends_on_rgb_bytes(full_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)  # copies linked frame files apart
+    reports = ("report.json", "report.csv")
+    assert main(["eval", "--run", str(run), "--n-shots", "12"]) == 0
+    want = {name: (run / name).read_bytes() for name in reports}
+    rng = np.random.default_rng(0)
+    for path in (run / "videos").rglob("*.rgb"):
+        path.write_bytes(rng.integers(0, 256, path.stat().st_size, dtype=np.uint8).tobytes())
+    for name in reports:
+        (run / name).unlink()
+    assert main(["eval", "--run", str(run), "--n-shots", "12"]) == 0
+    assert {name: (run / name).read_bytes() for name in reports} == want
+    capsys.readouterr()
+
+    # chunk 2 drops frames 0-2, the overlap chunk 1 holds, and keeps frames 3-5
+    refs = _generated_refs(run, [ShotKind.ROTATION_LEFT])["rotation_left"]
+    kept = run / refs[1] / "frame_0004.rgb"
+    kept.write_bytes(kept.read_bytes()[:-1])
+    (run / "report.json").unlink()
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
+    assert f"{run / refs[1]}: frame 4 has unexpected byte length" in capsys.readouterr().err
+    assert not (run / "report.json").exists()
+
+    (run / refs[0] / "frame_0002.rgb").unlink()
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "I/O error" in err and "frame_0002.rgb" in err
+    assert not (run / "report.json").exists()
 
 
 @pytest.mark.parametrize("name", ["frame_0001.ids", "frame_0001.rgb"])

@@ -435,6 +435,17 @@ def test_frame_sequence_adopts_read_only_owned_arrays():
     assert seq.frames is frames and seq.id_map is ids
 
 
+def test_frame_sequence_without_rgb_counts_id_maps_and_cannot_be_saved(tmp_path):
+    ids = np.zeros((1, 12, 16), np.int32)
+    seq = FrameSequence(frames=None, id_map=ids, trajectory=IDENTITY_TRAJ)
+    assert seq.frames is None and seq.frame_count == 1
+    with pytest.raises(DomainError, match=r"id map shape \(1, 12, 15\) != \(1, 12, 16\)"):
+        FrameSequence(frames=None, id_map=ids[..., 1:], trajectory=IDENTITY_TRAJ)
+    with pytest.raises(DomainError, match="without RGB frames"):
+        save_frames(seq, tmp_path / "seq")
+    assert not (tmp_path / "seq").exists()
+
+
 def test_render_and_load_frames_are_read_only(tmp_path):
     seq = render(make_scene(9, point_count=150), IDENTITY_TRAJ)
     save_frames(seq, tmp_path / "seq")

@@ -6,12 +6,11 @@ Subcommands:
   plan           print the context-reduction plan for a retrieval
   simulate       run retrieval-conditioned generation over chunks and views
   eval           score a finished run: sync pairs and pose errors
-  report         aggregate per-shot table, resolved config, optional SVG
+  report         aggregate per-shot table, resolved config, top-down SVG
 
-Common flags (per subcommand): --config PATH (or the ENGINE_CONFIG
-environment variable), repeatable --set section.key=value overrides,
---seed N (shorthand for --set scene.seed=N), --out DIR (shorthand for
---set output.directory=DIR).
+Common flags (per subcommand): --config PATH, repeatable --set
+section.key=value overrides, --seed N (shorthand for --set scene.seed=N),
+--out DIR (shorthand for --set output.directory=DIR).
 
 Exit codes: 0 success, 2 domain error, 3 I/O error, 4 configuration error.
 All artifacts written by a run are deterministic byte-for-byte.
@@ -22,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
@@ -69,9 +67,7 @@ def cmd_gen_benchmark(config: EngineConfig, base_path: str | None) -> int:
     base = _load_base(config, base_path)
     out_dir = Path(config.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    suite = benchmark_suite(
-        base, config.shots.frame_count, config.shots.magnitudes(), config.shots.lookat_depth
-    )
+    suite = benchmark_suite(base, config.shots.frame_count)
     for kind, traj in zip(ShotKind, suite):
         save_trajectory(traj, out_dir / _shot_file_name(kind))
     write_json(out_dir / "sync_pairs.json", {
@@ -182,9 +178,7 @@ def cmd_simulate(
         config.scene.moving_fraction, velocity_scale=config.scene.velocity_scale,
     )
     schedule = chunk_schedule(len(source), config.scheduler)
-    suite_all = benchmark_suite(
-        source, len(source), config.shots.magnitudes(), config.shots.lookat_depth
-    )
+    suite_all = benchmark_suite(source, len(source))
     suite = [suite_all[int(kind) - 1] for kind in kinds]
     # the first frame write makes out_dir; every input is checked first, so a bad one leaves none
     bank = MemoryBank()
@@ -385,9 +379,7 @@ def cmd_eval(config: EngineConfig, run_dir_text: str | None, n_shots: int) -> in
     generated = {kind: _stitch_trajectory(groups[kind.slug], overlap, kind.slug) for kind in shots}
     total_frames = len(generated[kinds[0]])
     base = bank.source_entry(1).trajectory
-    requested = benchmark_suite(
-        base, total_frames, run_config.shots.magnitudes(), run_config.shots.lookat_depth
-    )
+    requested = benchmark_suite(base, total_frames)
 
     sync = _stream_sync(run_dir, groups, pairs, overlap)
     poses = []
@@ -533,7 +525,7 @@ def cmd_report(config: EngineConfig, run_dir_text: str | None) -> int:
         write_text(summary_path, "\n".join(lines) + "\n")
         print(f"wrote {summary_path}")
 
-    if config.output.emit_svg and run_config is not None:
+    if run_config is not None:
         svg_path = run_dir / "trajectories.svg"
         write_text(svg_path, top_down_svg(trajs, run_config.frustum))
         print(f"wrote {svg_path}")
@@ -544,8 +536,7 @@ def cmd_report(config: EngineConfig, run_dir_text: str | None) -> int:
 
 
 def _resolve_config(args: argparse.Namespace) -> EngineConfig:
-    path = args.config or os.environ.get("ENGINE_CONFIG")
-    config = load_config(path) if path else EngineConfig()
+    config = load_config(args.config) if args.config else EngineConfig()
     overrides = list(args.set or [])
     if args.seed is not None:
         overrides.append(f"scene.seed={args.seed}")
@@ -556,7 +547,7 @@ def _resolve_config(args: argparse.Namespace) -> EngineConfig:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="configuration file (JSON); falls back to $ENGINE_CONFIG")
+    common.add_argument("--config", help="configuration file (JSON)")
     common.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                         help="override one configuration value (repeatable)")
     common.add_argument("--seed", type=int, help="override scene.seed")

@@ -1,11 +1,11 @@
 """Engine configuration: one JSON file, dotted-key overrides, strict validation.
 
 The configuration is a tree of frozen dataclasses. Every run resolves its
-full configuration (defaults, file, then --set overrides) and writes it next
-to its outputs, so runs are self-describing. Each value must fit the type
-its dataclass field declares, and a float must be finite. A --set value is
-read as that type, so a str field keeps the text as given:
-"output.directory=2024" names "2024".
+full configuration (defaults, the --config file if one is given, then --set
+overrides) and writes it next to its outputs, so runs are self-describing.
+Each value must fit the type its dataclass field declares, and a float must
+be finite. A --set value is read as that type, so a str field keeps the text
+as given: "output.directory=2024" names "2024".
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .memory import check_retrieval
 from .records import check_fields, read_json, write_json
 from .scene import check_scene
 from .scheduler import SchedulerConfig
-from .trajectory_ops import DEFAULT_LOOKAT_DEPTH, SHOT_FAMILIES, ShotKind, check_shot
+from .trajectory_ops import check_shot
 
 
 @dataclass(frozen=True)
@@ -56,29 +56,17 @@ class SceneConfig:
 
 @dataclass(frozen=True)
 class ShotsConfig:
-    """Benchmark shot generation: per-family magnitudes and shared geometry."""
+    """Benchmark shot length; each shot's magnitude is fixed by covis.trajectory_ops."""
 
     frame_count: int = 93
-    rotate_angle: float = SHOT_FAMILIES["rotate_angle"][0]
-    tilt_angle: float = SHOT_FAMILIES["tilt_angle"][0]
-    translate_distance: float = SHOT_FAMILIES["translate_distance"][0]
-    zoom_distance: float = SHOT_FAMILIES["zoom_distance"][0]
-    lookat_depth: float = DEFAULT_LOOKAT_DEPTH
 
     def __post_init__(self) -> None:
-        check_shot(self.frame_count, **{f: getattr(self, f) for f in (*SHOT_FAMILIES, "lookat_depth")})
-
-    def magnitudes(self) -> dict[ShotKind, float]:
-        return {
-            kind: getattr(self, family)
-            for family, (_, kinds) in SHOT_FAMILIES.items() for kind in kinds
-        }
+        check_shot(self.frame_count)
 
 
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "runs/run"
-    emit_svg: bool = True
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,17 @@ base trajectory's first pose:
 
 - rotation and tilt shots rotate the camera in place;
 - arc, azimuth, and elevation shots orbit the look-at point, which sits on
-  the base optical axis at a configurable depth (default 5, half the far
-  plane);
+  the base optical axis at depth 5 (half the default far plane) unless
+  generate_shot is given another;
 - translate shots move the camera center along its up/down axis;
 - zoom shots move the center along the optical axis;
 - the "with rot" variants re-aim at the original look-at point each frame,
   the others keep the base orientation.
 
 Angles are radians; distances are world units. Frame 1 of every shot equals
-the base's first pose exactly.
+the base's first pose exactly. The benchmark's magnitudes are fixed: pi/4 for
+the rotation, arc and azimuth shots, pi/6 for tilt and elevation, 0.5 for the
+translates and 2.0 for zoom.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,17 +59,6 @@ class ShotKind(enum.IntEnum):
         except KeyError:
             raise DomainError(f"unknown shot {slug!r}") from None
 
-
-# Each magnitude family, named as its ShotsConfig field: default and the shots it drives.
-SHOT_FAMILIES: dict[str, tuple[float, tuple[ShotKind, ...]]] = {
-    "rotate_angle": (math.pi / 4, (
-        ShotKind.ROTATION_LEFT, ShotKind.ARC_RIGHT_WITH_ROT, ShotKind.AZIMUTH_RIGHT,
-        ShotKind.ROTATION_RIGHT, ShotKind.ARC_LEFT_WITH_ROT, ShotKind.AZIMUTH_LEFT,
-    )),
-    "tilt_angle": (math.pi / 6, (ShotKind.TILT_UP, ShotKind.TILT_DOWN, ShotKind.ELEVATION_UP)),
-    "translate_distance": (0.5, (ShotKind.TRANSLATE_DOWN_WITH_ROT, ShotKind.TRANSLATE_UP_WITH_ROT)),
-    "zoom_distance": (2.0, (ShotKind.ZOOM_OUT,)),
-}
 
 DEFAULT_LOOKAT_DEPTH = 5.0
 
@@ -116,18 +107,24 @@ def _look_rotations(centers: np.ndarray, target: np.ndarray, up: np.ndarray) -> 
     return np.stack([right, np.cross(fwd, right), fwd], axis=2)
 
 
-# Per shot: the sign of its motion and the motion, one of
-# pan/tilt (turn in place about the camera's y/x axis), arc/orbit (circle
-# the look-at point about up, re-aiming or not), elevate (circle it about
-# right), translate (move along down, re-aiming) and zoom (move along forward).
-_MOTIONS: dict[ShotKind, tuple[float, str]] = {
-    ShotKind.ROTATION_LEFT: (-1.0, "pan"), ShotKind.ROTATION_RIGHT: (1.0, "pan"),
-    ShotKind.TILT_UP: (1.0, "tilt"), ShotKind.TILT_DOWN: (-1.0, "tilt"),
-    ShotKind.ARC_RIGHT_WITH_ROT: (1.0, "arc"), ShotKind.ARC_LEFT_WITH_ROT: (-1.0, "arc"),
-    ShotKind.AZIMUTH_RIGHT: (1.0, "orbit"), ShotKind.AZIMUTH_LEFT: (-1.0, "orbit"),
-    ShotKind.ELEVATION_UP: (-1.0, "elevate"), ShotKind.ZOOM_OUT: (-1.0, "zoom"),
-    ShotKind.TRANSLATE_DOWN_WITH_ROT: (1.0, "translate"),
-    ShotKind.TRANSLATE_UP_WITH_ROT: (-1.0, "translate"),
+# Per shot: the sign of its motion, the motion and its benchmark magnitude. The
+# motion is one of pan/tilt (turn in place about the camera's y/x axis),
+# arc/orbit (circle the look-at point about up, re-aiming or not), elevate
+# (circle it about right), translate (move along down, re-aiming) and zoom
+# (move along forward).
+_MOTIONS: dict[ShotKind, tuple[float, str, float]] = {
+    ShotKind.ROTATION_LEFT: (-1.0, "pan", math.pi / 4),
+    ShotKind.ROTATION_RIGHT: (1.0, "pan", math.pi / 4),
+    ShotKind.TILT_UP: (1.0, "tilt", math.pi / 6),
+    ShotKind.TILT_DOWN: (-1.0, "tilt", math.pi / 6),
+    ShotKind.ARC_RIGHT_WITH_ROT: (1.0, "arc", math.pi / 4),
+    ShotKind.ARC_LEFT_WITH_ROT: (-1.0, "arc", math.pi / 4),
+    ShotKind.AZIMUTH_RIGHT: (1.0, "orbit", math.pi / 4),
+    ShotKind.AZIMUTH_LEFT: (-1.0, "orbit", math.pi / 4),
+    ShotKind.ELEVATION_UP: (-1.0, "elevate", math.pi / 6),
+    ShotKind.ZOOM_OUT: (-1.0, "zoom", 2.0),
+    ShotKind.TRANSLATE_DOWN_WITH_ROT: (1.0, "translate", 0.5),
+    ShotKind.TRANSLATE_UP_WITH_ROT: (-1.0, "translate", 0.5),
 }
 
 
@@ -135,7 +132,7 @@ def _shot_stack(
     kind: ShotKind, r0: np.ndarray, c0: np.ndarray, lookat: np.ndarray, amounts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotations and centers of a shot at each accumulated magnitude away from the base."""
-    sign, motion = _MOTIONS[kind]
+    sign, motion, _ = _MOTIONS[kind]
     signed, n = sign * amounts, len(amounts)
     right, down, forward = r0.T
     up = -down  # world-space up of the base camera (+y points down)
@@ -178,14 +175,9 @@ def generate_shot(
     )
 
 
-def benchmark_suite(
-    base: Trajectory,
-    frame_count: int,
-    magnitudes: Mapping[ShotKind, float],
-    lookat_depth: float,
-) -> list[Trajectory]:
-    """All twelve shots, in canonical order, generated from one base trajectory."""
-    return [generate_shot(k, magnitudes[k], frame_count, base, lookat_depth) for k in ShotKind]
+def benchmark_suite(base: Trajectory, frame_count: int) -> list[Trajectory]:
+    """All twelve shots, in canonical order, at their benchmark magnitudes from one base."""
+    return [generate_shot(k, _MOTIONS[k][2], frame_count, base) for k in ShotKind]
 
 
 _SYNC_PAIRS: dict[int, list[tuple[ShotKind, ShotKind]]] = {

@@ -422,9 +422,8 @@ def test_render_matches_per_pose_reference_at_the_block_budget(points, blocks, e
     _assert_renders_match(scene, aimed_trajectory(rng, step * blocks + extra, width=48, height=27), 7)
 
 
-def test_every_simulated_video_equals_the_reference_render(tmp_path, monkeypatch):
+def test_every_simulated_video_equals_the_reference_render(tmp_path):
     # the default config over 165 frames, as in acceptance criterion 8, with three shots
-    monkeypatch.delenv("ENGINE_CONFIG", raising=False)
     run = tmp_path / "run"
     assert main(["simulate", "--out", str(run), "--frames", "165", "--shots", "1,2,3"]) == 0
     events = json.loads((run / "run_log.json").read_text(encoding="utf-8"))["events"]

@@ -34,7 +34,6 @@ from covis import (
     build_frustum,
     frame_covisibility,
     load_trajectory,
-    save_config,
     save_trajectory,
     sync_pairs,
     sync_report,
@@ -42,7 +41,6 @@ from covis import (
 import covis.camera
 import covis.cli
 from covis.cli import main
-from covis.config import EngineConfig, apply_overrides
 from covis.scene import FrameSequence, load_frames, save_frames
 from covis.trajectory_ops import ShotKind
 from helpers import aimed_trajectory
@@ -683,13 +681,10 @@ def test_report_without_eval_warns(tmp_path, capsys):
     assert main(["simulate", "--out", str(d), "--frames", "5", "--shots", "12",
                  "--set", "scene.point_count=30"]) == 0
     capsys.readouterr()
-    assert main(["report", "--run", str(d), "--set", "output.emit_svg=false"]) == 0
+    assert main(["report", "--run", str(d)]) == 0
     out = capsys.readouterr().out
     assert "warning: no evaluation report" in out
-    assert not (d / "trajectories.svg").exists()
     assert (d / "report_summary.csv").exists()
-
-    assert main(["report", "--run", str(d)]) == 0
     assert (d / "trajectories.svg").exists()
 
 
@@ -726,14 +721,38 @@ def test_retrieve_and_plan_cli(tmp_path, capsys):
     assert "step 4 [final -> final]" in out
 
 
-def test_env_config_fallback(tmp_path, monkeypatch):
-    cfg = apply_overrides(EngineConfig(), ["shots.frame_count=3"])
-    cfg_path = tmp_path / "engine.json"
-    save_config(cfg, cfg_path)
-    monkeypatch.setenv("ENGINE_CONFIG", str(cfg_path))
+def test_engine_config_environment_variable_is_not_read(tmp_path, monkeypatch):
+    monkeypatch.setenv("ENGINE_CONFIG", str(tmp_path / "missing.json"))
     out = tmp_path / "suite"
     assert main(["gen-benchmark", "--out", str(out)]) == 0
-    assert len(load_trajectory(out / SHOT_FILES[0])) == 3
+    assert all(len(load_trajectory(out / name)) == 93 for name in SHOT_FILES)
+
+
+# each key the config no longer has, with the value it defaulted to
+REMOVED_KEYS = [
+    ("shots", "rotate_angle", 0.7853981633974483), ("shots", "tilt_angle", 0.5235987755982988),
+    ("shots", "translate_distance", 0.5), ("shots", "zoom_distance", 2.0),
+    ("shots", "lookat_depth", 5.0), ("output", "emit_svg", True),
+]
+
+
+@pytest.mark.parametrize("via", ["set", "config"])
+@pytest.mark.parametrize("section, key, value", REMOVED_KEYS,
+                         ids=[f"{section}.{key}" for section, key, _ in REMOVED_KEYS])
+def test_removed_config_keys_exit_4_as_unknown(tmp_path, capsys, via, section, key, value):
+    if via == "set":
+        args = ["--set", f"{section}.{key}={json.dumps(value)}"]
+        expect = f"unknown key {key!r} in section {section!r}"
+    else:
+        config = tmp_path / "engine.json"
+        config.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+        args = ["--config", str(config)]
+        expect = f"unknown keys in section {section!r}: [{key!r}]"
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), *SIM_ARGS, *args]) == 4
+    err = capsys.readouterr().err
+    assert "configuration error" in err and expect in err
+    assert not out.exists()
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -947,13 +966,10 @@ def test_out_names_a_directory_even_when_it_reads_as_a_number(tmp_path, monkeypa
 @pytest.mark.parametrize("args", [
     ["--set", "scene.point_count=abc"],
     ["--set", "scheduler.k=1.5"],
-    ["--set", "output.emit_svg=maybe"],
     ["--config", "{config}"],
     ["--set", "frustum.far=inf"],
     ["--set", "scene.velocity_scale=nan"],
-    ["--set", "shots.zoom_distance=nan"],
-], ids=["point_count_abc", "k_1.5", "emit_svg_maybe", "seed_str_in_file", "far_inf",
-        "velocity_scale_nan", "zoom_distance_nan"])
+], ids=["point_count_abc", "k_1.5", "seed_str_in_file", "far_inf", "velocity_scale_nan"])
 def test_mistyped_config_values_exit_4(tmp_path, capsys, args):
     config = tmp_path / "engine.json"
     config.write_text(json.dumps({"scene": {"seed": "x"}}), encoding="utf-8")
@@ -967,8 +983,6 @@ _RANGE_CASES = [
     ("simulate", "scene.point_count=0", "point_count must be >= 1, got 0"),
     ("simulate", "scene.extent=-1", "extent must be positive, got -1.0"),
     ("simulate", "scene.moving_fraction=2", "moving_fraction must lie in [0, 1], got 2.0"),
-    ("simulate", "shots.rotate_angle=-1", "rotate_angle must be positive, got -1.0"),
-    ("simulate", "shots.lookat_depth=0", "lookat_depth must be positive, got 0.0"),
     ("simulate", "shots.frame_count=1", "frame_count must be >= 2, got 1"),
     ("simulate", "sampler.grid_w=0", "sampler grid must be >= 1 in every dimension, got 0x6x8"),
     ("simulate", "sampler.jitter_seed=-1", "jitter_seed must be null or >= 0, got -1"),
@@ -980,7 +994,6 @@ _RANGE_CASES = [
     ("simulate", "scheduler.k=0", "context size k must be >= 1, got 0"),
     ("simulate", "retrieval.k=0", "k must be >= 1, got 0"),
     ("simulate", "retrieval.tie_rule=x", "unknown tie rule 'x'"),
-    ("gen-benchmark", "shots.zoom_distance=-2", "zoom_distance must be positive, got -2.0"),
 ]
 
 
@@ -1277,9 +1290,9 @@ def test_simulate_waits_for_every_frame_write(tmp_path, monkeypatch):
             f"frame_{i:04d}.{ext}" for i in range(n) for ext in ("rgb", "ids"))
 
 
-# two chunks, [0, 6) and [3, 8), a non-default shot magnitude and overlap
-CONFIG_FLAGS = ["--set", "shots.rotate_angle=0.5", "--set", "scheduler.chunk_frames=6",
-                "--set", "scheduler.overlap_latent=2", "--set", "scheduler.temporal_compression=2"]
+# two chunks, [0, 6) and [3, 8), and a non-default overlap
+CONFIG_FLAGS = ["--set", "scheduler.chunk_frames=6", "--set", "scheduler.overlap_latent=2",
+                "--set", "scheduler.temporal_compression=2"]
 
 
 @pytest.fixture(scope="module")
@@ -1304,7 +1317,7 @@ def test_eval_scores_a_run_with_the_config_it_was_simulated_with(config_run, tmp
     shutil.copytree(config_run, run)
     without = _eval_and_report(run)
     assert _eval_and_report(run, *CONFIG_FLAGS) == without
-    # the rotation shots turn by 0.5 rad, as simulated, and are scored against that
+    # stitched by the run's own overlap, every shot is the trajectory it was asked for
     doc = json.loads(without["report.json"])
     assert all(p["trans_err"] == 0.0 and p["rot_err"] < 1e-5 for p in doc["poses"])
 

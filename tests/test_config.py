@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,10 @@ from covis import ConfigError, DomainError, EngineConfig, load_config, save_conf
 from covis.config import (
     _FIELD_TYPES,
     RetrievalConfig,
-    ShotsConfig,
     apply_overrides,
     config_from_dict,
 )
 from covis.records import check_fields
-from covis.trajectory_ops import SHOT_FAMILIES, ShotKind
 
 
 def test_default_values():
@@ -34,13 +34,7 @@ def test_default_values():
     assert cfg.scene.moving_fraction == 0.0
     assert cfg.scene.velocity_scale == 0.02
     assert cfg.shots.frame_count == 93
-    assert cfg.shots.rotate_angle == math.pi / 4
-    assert cfg.shots.tilt_angle == math.pi / 6
-    assert cfg.shots.translate_distance == 0.5
-    assert cfg.shots.zoom_distance == 2.0
-    assert cfg.shots.lookat_depth == 5.0
     assert cfg.output.directory == "runs/run"
-    assert cfg.output.emit_svg is True
     assert cfg.frustum.far == 10.0
     assert cfg.sampler.grid_w == 8
     assert cfg.scheduler.chunk_frames == 93
@@ -82,15 +76,15 @@ def test_file_round_trip(tmp_path):
 def test_apply_overrides_scalar_parsing():
     cfg = apply_overrides(EngineConfig(), [
         "retrieval.k=2",
-        "output.emit_svg=false",
-        "shots.rotate_angle=0.5",
+        "retrieval.cross_chunk=true",
+        "frustum.far=12.5",
         "retrieval.tie_rule=oldest_first",
         "sampler.jitter_seed=null",
         "output.directory=runs/elsewhere",
     ])
     assert cfg.retrieval.k == 2
-    assert cfg.output.emit_svg is False
-    assert cfg.shots.rotate_angle == 0.5
+    assert cfg.retrieval.cross_chunk is True
+    assert cfg.frustum.far == 12.5
     assert cfg.retrieval.tie_rule == "oldest_first"
     assert cfg.sampler.jitter_seed is None
     assert cfg.output.directory == "runs/elsewhere"
@@ -117,32 +111,16 @@ def test_retrieval_config_validation():
         RetrievalConfig(tie_rule="fifo")
 
 
-def test_shots_config_magnitudes():
-    shots = ShotsConfig(rotate_angle=1.0, tilt_angle=2.0, translate_distance=3.0,
-                        zoom_distance=4.0)
-    mags = shots.magnitudes()
-    assert set(mags) == set(ShotKind)
-    assert mags[ShotKind.ROTATION_LEFT] == 1.0
-    assert mags[ShotKind.ARC_LEFT_WITH_ROT] == 1.0
-    assert mags[ShotKind.AZIMUTH_RIGHT] == 1.0
-    assert mags[ShotKind.TILT_DOWN] == 2.0
-    assert mags[ShotKind.ELEVATION_UP] == 2.0
-    assert mags[ShotKind.TRANSLATE_UP_WITH_ROT] == 3.0
-    assert mags[ShotKind.ZOOM_OUT] == 4.0
-    with pytest.raises(DomainError):
-        ShotsConfig(frame_count=1)
-
-
 def test_apply_overrides_reads_each_value_as_its_declared_type():
     cfg = apply_overrides(EngineConfig(), [
-        "shots.rotate_angle=1",
+        "scene.extent=1",
         "output.directory=2024",
-        "output.emit_svg=True",
+        "retrieval.cross_chunk=True",
         "sampler.jitter_seed=7",
     ])
-    assert cfg.shots.rotate_angle == 1.0 and type(cfg.shots.rotate_angle) is float
+    assert cfg.scene.extent == 1.0 and type(cfg.scene.extent) is float
     assert cfg.output.directory == "2024"
-    assert cfg.output.emit_svg is True
+    assert cfg.retrieval.cross_chunk is True
     assert cfg.sampler.jitter_seed == 7
     assert apply_overrides(cfg, ["sampler.jitter_seed=None"]).sampler.jitter_seed is None
     assert apply_overrides(cfg, ["output.directory=null"]).output.directory == "null"
@@ -151,13 +129,12 @@ def test_apply_overrides_reads_each_value_as_its_declared_type():
 @pytest.mark.parametrize("override", [
     "scene.point_count=abc",
     "scheduler.k=1.5",
-    "output.emit_svg=maybe",
+    "retrieval.include_source=maybe",
     "retrieval.cross_chunk=1",
     "sampler.jitter_seed=x",
-    "shots.zoom_distance=far",
+    "frustum.near=far",
     "frustum.far=inf",
     "scene.velocity_scale=nan",
-    "shots.zoom_distance=nan",
 ])
 def test_apply_overrides_rejects_values_of_another_type(override):
     with pytest.raises(ConfigError, match="must be"):
@@ -169,7 +146,7 @@ def test_apply_overrides_rejects_values_of_another_type(override):
     {"scene": {"seed": True}},
     {"scene": {"seed": 1.0}},
     {"frustum": {"far": "10"}},
-    {"output": {"emit_svg": 1}},
+    {"retrieval": {"include_source": 1}},
     {"sampler": {"jitter_seed": 1.5}},
     {"scheduler": {"conditioning_ratio": 0.45}},
     {"frustum": {"far": math.inf}},
@@ -190,11 +167,11 @@ def test_config_accepts_an_int_for_a_float_and_null_for_an_optional():
 
 def test_an_int_for_a_float_is_stored_as_the_float_set_would_store(tmp_path):
     path = tmp_path / "engine.json"
-    path.write_text(json.dumps({"shots": {"rotate_angle": 1}}), encoding="utf-8")
+    path.write_text(json.dumps({"scene": {"extent": 1}}), encoding="utf-8")
     from_file = load_config(path)
-    assert type(from_file.shots.rotate_angle) is float
+    assert type(from_file.scene.extent) is float
     save_config(from_file, tmp_path / "a.json")
-    save_config(apply_overrides(EngineConfig(), ["shots.rotate_angle=1"]), tmp_path / "b.json")
+    save_config(apply_overrides(EngineConfig(), ["scene.extent=1"]), tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     with pytest.raises(ConfigError, match="too large"):
         config_from_dict({"frustum": {"far": 10 ** 400}})
@@ -234,11 +211,15 @@ def test_a_saved_config_loads_back_to_the_same_bytes(tmp_path_factory, overrides
     assert (d / "a.json").read_bytes() == (d / "b.json").read_bytes()
 
 
-def test_shot_families_derive_the_magnitude_tables():
-    assert sorted(k for _, kinds in SHOT_FAMILIES.values() for k in kinds) == list(ShotKind)
-    shots = ShotsConfig()
-    for family, (default, kinds) in SHOT_FAMILIES.items():
-        assert getattr(shots, family) == default
-    assert shots.magnitudes() == {
-        kind: default for default, kinds in SHOT_FAMILIES.values() for kind in kinds
+def test_readme_config_table_names_exactly_the_config_sections_and_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| section | keys (defaults) |\n| --- | --- |\n")[1].split("\n\n")[0]
+    documented = {
+        section: re.findall(r"`(\w+)` \(", keys)
+        for section, keys in re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M)
+    }
+    config = EngineConfig()
+    assert documented == {
+        f.name: [g.name for g in dataclasses.fields(getattr(config, f.name))]
+        for f in dataclasses.fields(config)
     }

@@ -24,7 +24,6 @@ from covis import (
     trajectory_similarity,
 )
 
-from covis.config import ShotsConfig
 from helpers import random_pose, random_rotation, random_trajectory
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -64,11 +63,6 @@ def base_trajectory(pose: CameraPose | None = None) -> Trajectory:
 def shot(kind: ShotKind, magnitude: float, frames: int = 2,
          base: Trajectory | None = None) -> Trajectory:
     return generate_shot(kind, magnitude, frames, base or base_trajectory())
-
-
-def default_suite(frames: int) -> list[Trajectory]:
-    shots = ShotsConfig()
-    return benchmark_suite(base_trajectory(), frames, shots.magnitudes(), shots.lookat_depth)
 
 
 def test_shot_kind_order_and_slugs():
@@ -172,7 +166,7 @@ def test_elevation_orbits_vertically_keeping_orientation():
 
 
 def test_benchmark_suite_order_and_magnitudes():
-    suite = default_suite(3)
+    suite = benchmark_suite(base_trajectory(), 3)
     assert [t.label for t in suite] == SUITE_ORDER
     assert all(len(t) == 3 for t in suite)
     # default magnitudes: pi/4 turns, pi/6 tilts, 0.5 translate, 2.0 zoom
@@ -184,6 +178,34 @@ def test_benchmark_suite_order_and_magnitudes():
     assert np.allclose(zoom_end.translation, [0.0, 0.0, -2.0], atol=1e-12)
     trans_end = suite[7].frames[-1][0]
     assert np.allclose(trans_end.translation, [0.0, 0.5, 0.0], atol=1e-12)
+
+
+# every shot's benchmark magnitude, written out
+BENCHMARK_MAGNITUDES = {
+    ShotKind.ROTATION_LEFT: math.pi / 4,
+    ShotKind.ARC_RIGHT_WITH_ROT: math.pi / 4,
+    ShotKind.AZIMUTH_RIGHT: math.pi / 4,
+    ShotKind.ROTATION_RIGHT: math.pi / 4,
+    ShotKind.ARC_LEFT_WITH_ROT: math.pi / 4,
+    ShotKind.AZIMUTH_LEFT: math.pi / 4,
+    ShotKind.TILT_UP: math.pi / 6,
+    ShotKind.TRANSLATE_DOWN_WITH_ROT: 0.5,
+    ShotKind.TILT_DOWN: math.pi / 6,
+    ShotKind.TRANSLATE_UP_WITH_ROT: 0.5,
+    ShotKind.ELEVATION_UP: math.pi / 6,
+    ShotKind.ZOOM_OUT: 2.0,
+}
+
+
+@pytest.mark.parametrize("kind", list(ShotKind), ids=lambda kind: kind.slug)
+def test_benchmark_suite_is_each_shot_at_its_fixed_magnitude(kind):
+    base = Trajectory.from_poses([random_pose(np.random.default_rng(5))], INTR, label="base")
+    got = benchmark_suite(base, 7)[int(kind) - 1]
+    want = generate_shot(kind, BENCHMARK_MAGNITUDES[kind], 7, base, 5.0)
+    assert (got.label, got.image_size) == (want.label, want.image_size)
+    for a, b in zip((*got.pose_stack, got.intrinsics_stack),
+                    (*want.pose_stack, want.intrinsics_stack)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_sync_pairs_table():
@@ -311,7 +333,7 @@ def test_merge_antipodal_falls_back_with_warning():
 def test_merged_suite_covers_inputs():
     # sanity on the co-located 12-shot suite: the merged trajectory is at
     # least as co-visible with each input as the worst input pair
-    suite = default_suite(5)
+    suite = benchmark_suite(base_trajectory(), 5)
     merged = merge_trajectories(suite)
     cfg = SamplerConfig(grid_w=4, grid_h=3, depth_slices=4)
     pairwise = [

@@ -344,8 +344,7 @@ def _stream_sync(
                 if kind in videos:
                     continue
                 e, drop = chunks[kind][c]
-                videos[kind] = load_frames(run_dir / e.video_ref, skip=drop, expect=e.trajectory,
-                                           rgb=False)
+                videos[kind] = load_frames(run_dir / e.video_ref, skip=drop, expect=e.trajectory)
                 key = videos[kind].scene_key
                 first = scene_keys.setdefault(kind, key)
                 if key != first:

@@ -5,7 +5,9 @@ uniquely id'd colored points (optionally drifting at constant velocity), and
 render() produces pixel-exact RGB frames plus per-pixel id maps by splatting
 each point into the single pixel its projection lands in, nearest depth
 winning. Everything is a pure function of (scene, trajectory, start frame), so
-repeated renders are bit-identical.
+repeated renders are bit-identical. save_frames() writes both grids;
+load_frames() reads back the id maps only, since every RGB pixel is the
+color of its id (BACKGROUND_RGB at background).
 
 covisible_fraction() is the point-visibility oracle used to validate frustum
 retrieval: per frame, the fraction |visible in both| / |visible in either|
@@ -152,8 +154,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class FrameSequence:
     """Rendered video: RGB frames (F, H, W, 3) uint8 and id maps (F, H, W) int32.
 
-    frames may be None: a video loaded for its id maps alone, as
-    load_frames(..., rgb=False) gives, holds no RGB. Each array must have an
+    frames is None for a video that load_frames read back: it loads id maps
+    alone, since each RGB pixel is a function of its id. Each array must have an
     integer dtype and values its type holds; nothing is wrapped or
     truncated. Both arrays are read-only. An array that is already read-only
     and owns its memory is adopted as it is; a writable array or a view is
@@ -464,20 +466,16 @@ def _fill(path: str, out: np.ndarray) -> bool:
 
 
 def load_frames(
-    directory: str | Path, *, skip: int = 0, expect: Trajectory | None = None, rgb: bool = True
+    directory: str | Path, *, skip: int = 0, expect: Trajectory | None = None
 ) -> FrameSequence:
-    """Load the FrameSequence save_frames wrote to directory, from frame skip on.
+    """Load the id maps of the video save_frames wrote to directory, from frame skip on.
 
     The manifest must name trajectory.json, whose trajectory must match its
-    frame count and size. The result holds frames skip to F - 1, each file
-    read straight into its slot, paired with that slice of the trajectory;
-    skip must lie in [0, F). The first skip frames are not read, but each of
-    their files must still have its exact byte length. With skip 0 the load
-    is an exact round trip.
-
-    With rgb False only the id maps are read: no .rgb file is read or buffered,
-    but each must still have its exact byte length, and the result's frames
-    is None.
+    frame count and size. The result holds the id maps of frames skip to
+    F - 1, each file read straight into its slot, paired with that slice of
+    the trajectory; skip must lie in [0, F). Its frames is None: no .rgb file
+    is read, and neither are the .ids files of the first skip frames, but
+    every file must still have its exact byte length.
 
     With expect, the video's whole trajectory must equal it: every pose and
     intrinsic, the frame count and the image size. This is checked before any
@@ -501,22 +499,15 @@ def load_frames(
         raise DomainError(f"{directory}: its video follows {n} frames of {w}x{h}, but the "
                           "trajectory expected of it has {} frames of {}x{}; the two must be "
                           "identical".format(len(expect), *expect.image_size))
-    frames = np.empty((n - skip, h, w, 3), dtype=np.uint8) if rgb else None
     ids = np.empty((n - skip, h, w), dtype="<i4")
     prefix = f"{directory}{os.sep}frame_"
-    for i in range(skip):
-        if (os.stat(f"{prefix}{i:04d}.rgb").st_size, os.stat(f"{prefix}{i:04d}.ids").st_size) != (
-                h * w * 3, h * w * 4):
+    for i in range(n):
+        id_path = f"{prefix}{i:04d}.ids"
+        if not (os.stat(f"{prefix}{i:04d}.rgb").st_size == h * w * 3
+                and (_fill(id_path, ids[i - skip]) if i >= skip
+                     else os.stat(id_path).st_size == h * w * 4)):
             raise DomainError(f"{directory}: frame {i} has unexpected byte length")
-    for i in range(skip, n):
-        rgb_path = f"{prefix}{i:04d}.rgb"
-        if not ((_fill(rgb_path, frames[i - skip]) if rgb
-                 else os.stat(rgb_path).st_size == h * w * 3)
-                and _fill(f"{prefix}{i:04d}.ids", ids[i - skip])):
-            raise DomainError(f"{directory}: frame {i} has unexpected byte length")
-    if rgb:
-        frames.setflags(write=False)
     ids.setflags(write=False)
     return FrameSequence(
-        frames=frames, id_map=ids, trajectory=kept, scene_key=manifest.get("scene_key")
+        frames=None, id_map=ids, trajectory=kept, scene_key=manifest.get("scene_key")
     )

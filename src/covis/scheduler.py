@@ -85,21 +85,16 @@ def chunk_schedule(total_frames: int, cfg: SchedulerConfig = SchedulerConfig()) 
     """Split total_frames into overlapping chunks.
 
     The first chunk covers [0, min(chunk_frames, total)); each later chunk
-    starts overlap_frames before the previous end. A trailing chunk that
-    would add no new frame beyond the overlap (length < overlap_frames + 1)
-    is merged into the previous chunk. Chunks cover [0, total) exactly.
+    starts overlap_frames before the previous end. Chunks cover [0, total)
+    exactly.
     """
     if total_frames < 1:
         raise DomainError(f"total_frames must be >= 1, got {total_frames}")
     chunks = [Chunk(0, min(cfg.chunk_frames, total_frames), 0)]
     while chunks[-1].end < total_frames:
         start = chunks[-1].end - cfg.overlap_frames
-        end = min(start + cfg.chunk_frames, total_frames)
-        if end - start < cfg.overlap_frames + 1:
-            prev = chunks.pop()
-            chunks.append(Chunk(prev.start, total_frames, prev.overlap_with_prev))
-        else:
-            chunks.append(Chunk(start, end, cfg.overlap_frames))
+        chunks.append(Chunk(start, min(start + cfg.chunk_frames, total_frames),
+                            cfg.overlap_frames))
     return ChunkSchedule(total_frames=total_frames, chunks=tuple(chunks))
 
 

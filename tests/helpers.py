@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -86,3 +87,10 @@ def transform_trajectory(traj: Trajectory, q: np.ndarray, t: np.ndarray) -> Traj
         for p, intr in traj.frames
     )
     return Trajectory(frames=frames, label=traj.label)
+
+
+def read_rgb(directory: Path, traj: Trajectory) -> np.ndarray:
+    """The (F, H, W, 3) RGB frames save_frames wrote to directory, one .rgb file per frame."""
+    w, h = traj.image_size
+    return np.stack([np.fromfile(directory / f"frame_{i:04d}.rgb", np.uint8).reshape(h, w, 3)
+                     for i in range(len(traj))])

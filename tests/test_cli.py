@@ -43,7 +43,7 @@ import covis.cli
 from covis.cli import main
 from covis.scene import FrameSequence, load_frames, save_frames
 from covis.trajectory_ops import ShotKind
-from helpers import aimed_trajectory
+from helpers import aimed_trajectory, read_rgb
 
 SHOT_FILES = [
     "01_rotation_left.json",
@@ -233,7 +233,7 @@ def _generated_refs(run: Path, shots) -> dict[str, list[str]]:
 
 
 def _stitched_at_once(run: Path, shots) -> dict:
-    """Every shot's video, joined by concatenating whole chunk videos minus their overlap."""
+    """Every shot's id maps, joined by concatenating whole chunk videos minus their overlap."""
     # the first chunk's overlap_with_prev is 0, so it keeps every frame
     events = json.loads((run / "run_log.json").read_text(encoding="utf-8"))["events"]
     overlaps = [c["overlap_with_prev"] for c in events[0]["chunks"]]
@@ -241,7 +241,7 @@ def _stitched_at_once(run: Path, shots) -> dict:
     for kind, refs in _generated_refs(run, shots).items():
         seqs = [load_frames(run / ref) for ref in refs]
         videos[ShotKind.from_slug(kind)] = FrameSequence(
-            frames=np.concatenate([s.frames[ov:] for s, ov in zip(seqs, overlaps)]),
+            frames=None,
             id_map=np.concatenate([s.id_map[ov:] for s, ov in zip(seqs, overlaps)]),
             trajectory=Trajectory(
                 frames=sum((s.trajectory.frames[ov:] for s, ov in zip(seqs, overlaps)), ()),
@@ -335,37 +335,37 @@ def test_chunk_loads_join_to_the_concatenated_chunk_videos(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     intr = CameraIntrinsics.from_fov(1.2, 0.9, w, h)
     with tempfile.TemporaryDirectory() as tmp:
-        run, parts = Path(tmp), []
+        run, parts, saved = Path(tmp), [], []
         for m, n in enumerate(lengths, start=1):
             traj = Trajectory.from_poses(
                 [CameraPose(np.eye(3), rng.normal(size=3)) for _ in range(n)], intr, "tilt_up")
-            save_frames(FrameSequence(
+            saved.append(FrameSequence(
                 frames=rng.integers(0, 256, (n, h, w, 3), dtype=np.uint8),
                 id_map=rng.integers(-2**31, 2**31, (n, h, w), dtype=np.int32),
-                trajectory=traj, scene_key="scene-test"), run / f"videos/c{m:02d}")
+                trajectory=traj, scene_key="scene-test"))
+            save_frames(saved[-1], run / f"videos/c{m:02d}")
             parts.append(MemoryEntry(traj, f"videos/c{m:02d}", m, m))
         drops = covis.cli._chunk_drops(parts, overlap)
         assert drops == [0] + [overlap] * (len(parts) - 1)
         chunks = [load_frames(run / e.video_ref, skip=d, expect=e.trajectory)
                   for e, d in zip(parts, drops)]
-        whole = [load_frames(run / e.video_ref) for e in parts]
-        for e, seq in zip(parts, whole):
+        for e, seq in zip(parts, saved):
             n = len(e.trajectory)
+            assert read_rgb(run / e.video_ref, e.trajectory).tobytes() == seq.frames.tobytes()
             for skip in range(n):
                 got = load_frames(run / e.video_ref, skip=skip, expect=e.trajectory)
-                for name in ("frames", "id_map"):
-                    assert getattr(got, name).tobytes() == getattr(seq, name)[skip:].tobytes()
+                assert got.frames is None
+                assert got.id_map.tobytes() == seq.id_map[skip:].tobytes()
                 for a, b in zip(covis.cli._arrays(got.trajectory), covis.cli._arrays(e.trajectory)):
                     assert np.array_equal(a, b[skip:])
             for skip in (-1, n):
                 with pytest.raises(DomainError, match=rf"invalid frame slice \[{skip}, {n}\)"):
                     load_frames(run / e.video_ref, skip=skip, expect=e.trajectory)
     stitched = covis.cli._stitch_trajectory(parts, overlap, "tilt_up")
-    for name in ("frames", "id_map"):
-        want = np.concatenate([getattr(s, name)[d:] for s, d in zip(whole, drops)])
-        got = np.concatenate([getattr(c, name) for c in chunks])
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-        assert not any(getattr(c, name).flags.writeable for c in chunks)
+    want = np.concatenate([s.id_map[d:] for s, d in zip(saved, drops)])
+    got = np.concatenate([c.id_map for c in chunks])
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert not any(c.id_map.flags.writeable for c in chunks)
     for got, want in zip(zip(*(covis.cli._arrays(c.trajectory) for c in chunks)),
                          covis.cli._arrays(stitched)):
         assert np.array_equal(np.concatenate(got), want)
@@ -374,7 +374,7 @@ def test_chunk_loads_join_to_the_concatenated_chunk_videos(data):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_id_only_loads_equal_full_loads_without_rgb(data):
+def test_load_frames_gives_the_saved_ids_from_every_skip(data):
     n = data.draw(st.integers(2, 5), label="frames")
     w, h = data.draw(st.integers(1, 5), label="width"), data.draw(st.integers(1, 5), label="height")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -384,33 +384,27 @@ def test_id_only_loads_equal_full_loads_without_rgb(data):
     bad = data.draw(st.integers(0, n - 2), label="damaged frame")
     ext = data.draw(st.sampled_from(["rgb", "ids"]), label="damaged file")
     change = data.draw(st.sampled_from([-1, 1]), label="byte change")
+    ids = rng.integers(-2**31, 2**31, (n, h, w), dtype=np.int32)
     with tempfile.TemporaryDirectory() as tmp:
         video = Path(tmp) / "video"
-        save_frames(FrameSequence(
-            frames=rng.integers(0, 256, (n, h, w, 3), dtype=np.uint8),
-            id_map=rng.integers(-2**31, 2**31, (n, h, w), dtype=np.int32),
-            trajectory=traj, scene_key="scene-test"), video)
+        save_frames(FrameSequence(frames=rng.integers(0, 256, (n, h, w, 3), dtype=np.uint8),
+                                  id_map=ids, trajectory=traj, scene_key="scene-test"), video)
         for skip in range(n):
-            full = load_frames(video, skip=skip, expect=traj)
-            ids_only = load_frames(video, skip=skip, expect=traj, rgb=False)
-            assert ids_only.frames is None and ids_only.frame_count == n - skip
-            assert ids_only.id_map.tobytes() == full.id_map.tobytes()
-            assert not ids_only.id_map.flags.writeable
-            for a, b in zip(covis.cli._arrays(ids_only.trajectory),
-                            covis.cli._arrays(full.trajectory)):
-                assert np.array_equal(a, b)
-            assert ids_only.scene_key == full.scene_key == "scene-test"
+            got = load_frames(video, skip=skip, expect=traj)
+            assert got.frames is None and got.frame_count == n - skip
+            assert got.id_map.tobytes() == ids[skip:].tobytes()
+            assert not got.id_map.flags.writeable
+            for a, b in zip(covis.cli._arrays(got.trajectory), covis.cli._arrays(traj)):
+                assert np.array_equal(a, b[skip:])
+            assert got.scene_key == "scene-test"
         path = video / f"frame_{bad:04d}.{ext}"
         content = path.read_bytes()
         path.unlink()  # a linked twin keeps its bytes
         path.write_bytes(content[:-1] if change < 0 else content + b"\x00")
         for skip in range(n):  # frame bad is kept while skip <= bad, dropped after
-            errors = []
-            for rgb in (True, False):
-                with pytest.raises(DomainError) as info:
-                    load_frames(video, skip=skip, expect=traj, rgb=rgb)
-                errors.append(str(info.value))
-            assert errors[0] == errors[1] == f"{video}: frame {bad} has unexpected byte length"
+            with pytest.raises(DomainError) as info:
+                load_frames(video, skip=skip, expect=traj)
+            assert str(info.value) == f"{video}: frame {bad} has unexpected byte length"
 
 
 def test_eval_never_depends_on_rgb_bytes(full_run, tmp_path, capsys):
@@ -1218,7 +1212,8 @@ def test_linked_frame_files_hold_equal_bytes_and_every_video_round_trips(moving,
             assert len(inodes) < len(_frame_files(d))
         for directory, seq in saved.items():
             loaded = load_frames(directory)
-            assert np.array_equal(loaded.frames, seq.frames)
+            assert loaded.frames is None
+            assert np.array_equal(read_rgb(directory, seq.trajectory), seq.frames)
             assert np.array_equal(loaded.id_map, seq.id_map)
 
 
@@ -1350,10 +1345,13 @@ def test_report_frames_are_the_stitched_length_and_cells_stay_apart(config_run, 
     assert [line.split(",")[1:3] for line in summary[1:]] == [["2", "8"]] * 3
 
 
-@pytest.mark.parametrize("text, code", [
-    (None, 2), ("{oops", 4), ('{"shots": {"rotate_angle": "x"}}', 4),
+@pytest.mark.parametrize("text, code, says", [
+    (None, 2, "not found"),
+    ("{oops", 4, "invalid config JSON"),
+    ('{"shots": {"frame_count": "x"}}', 4, "'frame_count' must be an int"),
 ], ids=["missing", "not_json", "mistyped"])
-def test_eval_without_a_readable_run_config_names_it(config_run, tmp_path, capsys, text, code):
+def test_eval_without_a_readable_run_config_names_it(config_run, tmp_path, capsys, text, code,
+                                                     says):
     run = tmp_path / "run"
     shutil.copytree(config_run, run)
     path = run / "config_resolved.json"
@@ -1364,7 +1362,7 @@ def test_eval_without_a_readable_run_config_names_it(config_run, tmp_path, capsy
     capsys.readouterr()
     assert main(["eval", "--run", str(run), "--n-shots", "3"]) == code
     err = capsys.readouterr().err
-    assert str(path) in err and "Traceback" not in err
+    assert str(path) in err and says in err and "Traceback" not in err
     assert not (run / "report.json").exists()
 
 

@@ -133,6 +133,8 @@ def test_chunk_schedule_drops_overlap_frames_after_the_first_chunk(
     chunks = chunk_schedule(total, cfg).chunks
     drops = [c.overlap_with_prev for c in chunks]
     assert drops == [0] + [cfg.overlap_frames] * (len(chunks) - 1)
+    # every later chunk adds at least one frame beyond its overlap
+    assert all(c.length >= cfg.overlap_frames + 1 for c in chunks[1:])
     kept = [f for c, drop in zip(chunks, drops) for f in range(c.start + drop, c.end)]
     assert kept == list(range(total))
 

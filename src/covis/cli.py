@@ -40,6 +40,7 @@ from .trajectory_ops import ShotKind, benchmark_suite, sync_pairs
 
 DEFAULT_BASE_WIDTH = 192
 DEFAULT_BASE_HEIGHT = 108
+DEFAULT_FRAMES = 93  # each benchmark shot's length, and the default source's
 
 _BANK_DIR = "bank"
 _VIDEO_DIR = "videos"
@@ -67,7 +68,7 @@ def cmd_gen_benchmark(config: EngineConfig, base_path: str | None) -> int:
     base = _load_base(config, base_path)
     out_dir = Path(config.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    suite = benchmark_suite(base, config.shots.frame_count)
+    suite = benchmark_suite(base, DEFAULT_FRAMES)
     for kind, traj in zip(ShotKind, suite):
         save_trajectory(traj, out_dir / _shot_file_name(kind))
     write_json(out_dir / "sync_pairs.json", {
@@ -154,8 +155,7 @@ def _write_video(box: list[FrameSequence], directory: Path, written: dict) -> No
 
 
 def cmd_simulate(
-    config: EngineConfig, source_path: str | None, shots_text: str | None,
-    frame_count: int | None,
+    config: EngineConfig, source_path: str | None, shots_text: str | None, frame_count: int,
 ) -> int:
     # both would fail only after the first frame writes; checked here, they write nothing
     if not config.retrieval.include_source:
@@ -167,16 +167,11 @@ def cmd_simulate(
     if (bank_path / MANIFEST).exists():
         raise DomainError(f"{bank_path} already holds a bank; choose a fresh --out directory")
 
-    if frame_count is None:
-        frame_count = config.shots.frame_count
     source = _load_base(config, source_path, frame_count)
     if len(source) < 2:
         raise DomainError("source trajectory needs at least 2 frames")
     kinds = _parse_shot_list(shots_text)
-    scene = make_scene(
-        config.scene.seed, config.scene.point_count, config.scene.extent,
-        config.scene.moving_fraction, velocity_scale=config.scene.velocity_scale,
-    )
+    scene = make_scene(**vars(config.scene))
     schedule = chunk_schedule(len(source), config.scheduler)
     suite_all = benchmark_suite(source, len(source))
     suite = [suite_all[int(kind) - 1] for kind in kinds]
@@ -321,7 +316,7 @@ def _stream_sync(
     each chunk video is loaded once, id maps only: its .rgb files are checked
     for length, never read. A pair's row sums its chunks' exact
     matched-pixel totals. Both shots of a pair must have the same chunks, and
-    every chunk of a shot the scene of its first.
+    every chunk of a shot a scene key equal to its first chunk's.
     """
     chunks = {kind: list(zip(parts[kind.slug], _chunk_drops(parts[kind.slug], overlap)))
               for pair in pairs for kind in pair}
@@ -333,7 +328,7 @@ def _stream_sync(
                 f"pair ({p.slug}, {q.slug}) has unequal chunks: (chunk, frames) "
                 f"{spans[0]} vs {spans[1]}"
             )
-    scene_keys: dict[ShotKind, str | None] = {}
+    scene_keys: dict[ShotKind, str] = {}
     rows = [SyncRow(pair=pair, frames=0, matched_pixels=0) for pair in pairs]
     for c in range(max(map(len, chunks.values()))):
         scored = [i for i, (p, _) in enumerate(pairs) if c < len(chunks[p])]
@@ -346,6 +341,9 @@ def _stream_sync(
                 e, drop = chunks[kind][c]
                 videos[kind] = load_frames(run_dir / e.video_ref, skip=drop, expect=e.trajectory)
                 key = videos[kind].scene_key
+                if key is None:
+                    raise DomainError(f"{e.video_ref}: chunk {e.chunk_index} of {kind.slug!r} "
+                                      "has no scene key")
                 first = scene_keys.setdefault(kind, key)
                 if key != first:
                     raise DomainError(
@@ -581,8 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run retrieval-conditioned generation over chunks and views")
     s.add_argument("--source", help="source trajectory file (default: static identity base)")
     s.add_argument("--shots", help="comma list of shot indices or names (default: all 12)")
-    s.add_argument("--frames", type=int,
-                   help="frame count of the default source (ignored with --source)")
+    s.add_argument("--frames", type=int, default=DEFAULT_FRAMES,
+                   help="frame count of the default source (default: %(default)s; "
+                        "ignored with --source)")
 
     e = sub.add_parser("eval", parents=[common, run], help="score a finished run")
     e.add_argument("--n-shots", type=int, default=12, choices=[3, 6, 9, 12])

@@ -22,7 +22,6 @@ from .memory import check_retrieval
 from .records import check_fields, read_json, write_json
 from .scene import check_scene
 from .scheduler import SchedulerConfig
-from .trajectory_ops import check_shot
 
 
 @dataclass(frozen=True)
@@ -48,20 +47,9 @@ class SceneConfig:
     point_count: int = 1000
     extent: float = 10.0
     moving_fraction: float = 0.0
-    velocity_scale: float = 0.02
 
     def __post_init__(self) -> None:
         check_scene(**vars(self))
-
-
-@dataclass(frozen=True)
-class ShotsConfig:
-    """Benchmark shot length; each shot's magnitude is fixed by covis.trajectory_ops."""
-
-    frame_count: int = 93
-
-    def __post_init__(self) -> None:
-        check_shot(self.frame_count)
 
 
 @dataclass(frozen=True)
@@ -76,7 +64,6 @@ class EngineConfig:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     scene: SceneConfig = field(default_factory=SceneConfig)
-    shots: ShotsConfig = field(default_factory=ShotsConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
 

@@ -163,7 +163,10 @@ def _match_masks(ids_a: np.ndarray, ids_b: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _check_same_scene(a: FrameSequence, b: FrameSequence) -> None:
-    if a.scene_key is None or b.scene_key is None or a.scene_key != b.scene_key:
+    for which, seq in (("first", a), ("second", b)):
+        if seq.scene_key is None:
+            raise DomainError(f"the {which} sequence ({seq.trajectory.label!r}) has no scene key")
+    if a.scene_key != b.scene_key:
         raise DomainError(
             f"sequences come from different scenes ({a.scene_key!r} vs {b.scene_key!r})"
         )

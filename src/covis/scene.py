@@ -1,13 +1,14 @@
 """Deterministic synthetic point scenes and a splat renderer.
 
 This module is the ground-truth side of the package: scenes are clouds of
-uniquely id'd colored points (optionally drifting at constant velocity), and
-render() produces pixel-exact RGB frames plus per-pixel id maps by splatting
-each point into the single pixel its projection lands in, nearest depth
-winning. Everything is a pure function of (scene, trajectory, start frame), so
-repeated renders are bit-identical. save_frames() writes both grids;
-load_frames() reads back the id maps only, since every RGB pixel is the
-color of its id (BACKGROUND_RGB at background).
+uniquely id'd colored points (optionally drifting at constant velocity, each
+component at most MOVING_SPEED world units per frame), and render() produces
+pixel-exact RGB frames plus per-pixel id maps by splatting each point into
+the single pixel its projection lands in, nearest depth winning. Everything
+is a pure function of (scene, trajectory, start frame), so repeated renders
+are bit-identical. save_frames() writes both grids; load_frames() reads back
+the id maps only, since every RGB pixel is the color of its id
+(BACKGROUND_RGB at background).
 
 covisible_fraction() is the point-visibility oracle used to validate frustum
 retrieval: per frame, the fraction |visible in both| / |visible in either|
@@ -19,7 +20,6 @@ measures cover the same region).
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +36,9 @@ BACKGROUND_RGB = (128, 128, 128)
 
 # Every scene's center: on the reference optical axis at half the far plane.
 DEFAULT_SCENE_CENTER = (0.0, 0.0, 5.0)
+
+# A moving point's velocity components are uniform in [-MOVING_SPEED, MOVING_SPEED].
+MOVING_SPEED = 0.02
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +84,7 @@ class SceneModel:
         return self.positions + float(frame) * self.velocities
 
 
-def check_scene(seed: int, point_count: int, extent: float, moving_fraction: float,
-                velocity_scale: float) -> None:
+def check_scene(seed: int, point_count: int, extent: float, moving_fraction: float) -> None:
     """make_scene's rules for its arguments, also SceneConfig's."""
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
@@ -92,10 +94,6 @@ def check_scene(seed: int, point_count: int, extent: float, moving_fraction: flo
         raise DomainError(f"extent must be positive, got {extent}")
     if not (0.0 <= moving_fraction <= 1.0):
         raise DomainError(f"moving_fraction must lie in [0, 1], got {moving_fraction}")
-    # velocities are drawn from [-velocity_scale, velocity_scale], whose width must be finite
-    if not 0.0 <= 2.0 * velocity_scale < math.inf:
-        raise DomainError(f"velocity_scale must be >= 0 with 2 * velocity_scale finite, "
-                          f"got {velocity_scale}")
 
 
 def make_scene(
@@ -103,15 +101,14 @@ def make_scene(
     point_count: int = 1000,
     extent: float = 10.0,
     moving_fraction: float = 0.0,
-    velocity_scale: float = 0.02,
 ) -> SceneModel:
     """Uniform random point scene inside a cube of side ``extent`` about DEFAULT_SCENE_CENTER.
 
     A moving_fraction of points receive constant random velocities with
-    components uniform in [-velocity_scale, velocity_scale]. Same seed and
+    components uniform in [-MOVING_SPEED, MOVING_SPEED]. Same seed and
     parameters always produce the identical scene.
     """
-    check_scene(seed, point_count, extent, moving_fraction, velocity_scale)
+    check_scene(seed, point_count, extent, moving_fraction)
     rng = np.random.default_rng(seed)
     positions = np.add(DEFAULT_SCENE_CENTER, (rng.random((point_count, 3)) - 0.5) * extent)
     colors = rng.integers(0, 256, size=(point_count, 3), dtype=np.int64).astype(np.uint8)
@@ -119,7 +116,7 @@ def make_scene(
     n_moving = int(round(moving_fraction * point_count))
     if n_moving > 0:
         idx = rng.choice(point_count, size=n_moving, replace=False)
-        velocities[idx] = rng.uniform(-velocity_scale, velocity_scale, size=(n_moving, 3))
+        velocities[idx] = rng.uniform(-MOVING_SPEED, MOVING_SPEED, size=(n_moving, 3))
     return SceneModel(
         ids=np.arange(1, point_count + 1, dtype=np.int32),
         positions=positions, colors=colors, velocities=velocities, seed=seed,

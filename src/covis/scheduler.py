@@ -3,9 +3,9 @@
 Long videos are generated in overlapping chunks: the first chunk is
 chunk_frames long, every later chunk starts overlap_frames before the end of
 the previous one and is conditioned clean on those shared frames. The
-decoded overlap length is tied to the latent overlap by the temporal
-compression of the video tokenizer: overlap_frames = 1 + (overlap_latent-1)
-* temporal_compression (the +1 is the anchor frame the tokenizer encodes
+decoded overlap length is tied to the latent overlap by the video
+tokenizer's temporal compression, TEMPORAL_COMPRESSION = 4: overlap_frames =
+1 + (overlap_latent-1) * 4 (the +1 is the anchor frame the tokenizer encodes
 separately).
 
 plan_divide_conquer plans the context of every generated view. When
@@ -32,6 +32,8 @@ from .camera import Trajectory
 from .errors import DomainError
 from .trajectory_ops import merge_trajectories
 
+TEMPORAL_COMPRESSION = 4  # the video tokenizer's decoded frames per latent frame after the anchor
+
 
 @dataclass(frozen=True)
 class SchedulerConfig:
@@ -43,13 +45,12 @@ class SchedulerConfig:
     k: int = 4
     chunk_frames: int = 93
     overlap_latent: int = 6
-    temporal_compression: int = 4
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DomainError(f"context size k must be >= 1, got {self.k}")
-        if self.overlap_latent < 1 or self.temporal_compression < 1:
-            raise DomainError("overlap_latent and temporal_compression must be >= 1")
+        if self.overlap_latent < 1:
+            raise DomainError(f"overlap_latent must be >= 1, got {self.overlap_latent}")
         if not (0 < self.overlap_frames < self.chunk_frames):
             raise DomainError(
                 f"need 0 < overlap_frames < chunk_frames, got overlap "
@@ -59,7 +60,7 @@ class SchedulerConfig:
     @property
     def overlap_frames(self) -> int:
         """Decoded frames shared between consecutive chunks."""
-        return 1 + (self.overlap_latent - 1) * self.temporal_compression
+        return 1 + (self.overlap_latent - 1) * TEMPORAL_COMPRESSION
 
 
 @dataclass(frozen=True)
@@ -148,34 +149,27 @@ class TokenLayout:
         return self.context_count * self.latent_frames_per_video
 
 
-def token_layout(
-    k: int,
-    decoded_frames: int,
-    height: int,
-    width: int,
-    cfg: SchedulerConfig = SchedulerConfig(),
-) -> TokenLayout:
+def token_layout(k: int, decoded_frames: int, height: int, width: int) -> TokenLayout:
     """Token layout of k context videos plus one target, each decoded_frames long.
 
-    decoded_frames must be 1 mod temporal_compression (an anchor frame plus
-    whole latent groups): f = 1 + (decoded_frames - 1) / temporal_compression.
+    decoded_frames must be 1 mod TEMPORAL_COMPRESSION (an anchor frame plus
+    whole latent groups): f = 1 + (decoded_frames - 1) / TEMPORAL_COMPRESSION.
     height and width must be divisible by the spatial patch size, 2.
     """
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     if decoded_frames < 1:
         raise DomainError(f"decoded_frames must be >= 1, got {decoded_frames}")
-    tc = cfg.temporal_compression
-    if (decoded_frames - 1) % tc:
+    if (decoded_frames - 1) % TEMPORAL_COMPRESSION:
         raise DomainError(
             f"decoded_frames {decoded_frames} is not 1 + a multiple of "
-            f"temporal_compression {tc}"
+            f"temporal_compression {TEMPORAL_COMPRESSION}"
         )
     if height % _PATCH or width % _PATCH:
         raise DomainError(f"image size {width}x{height} not divisible by patch {_PATCH}")
     return TokenLayout(
         context_count=k + 1,
-        latent_frames_per_video=1 + (decoded_frames - 1) // tc,
+        latent_frames_per_video=1 + (decoded_frames - 1) // TEMPORAL_COMPRESSION,
         spatial_tokens=(height // _PATCH) * (width // _PATCH),
     )
 

@@ -63,15 +63,6 @@ class ShotKind(enum.IntEnum):
 DEFAULT_LOOKAT_DEPTH = 5.0
 
 
-def check_shot(frame_count: int, **positive: float) -> None:
-    """generate_shot's and ShotsConfig's rules: 2+ frames, each named angle or distance positive."""
-    if frame_count < 2:
-        raise DomainError(f"frame_count must be >= 2, got {frame_count}")
-    for name, value in positive.items():
-        if value <= 0.0:
-            raise DomainError(f"{name} must be positive, got {value}")
-
-
 def _turns(axis: int, angles: np.ndarray) -> np.ndarray:
     """(n, 3, 3) rotations by each angle about camera axis 0 (x) or 1 (y)."""
     out = np.zeros((len(angles), 3, 3))
@@ -162,7 +153,11 @@ def generate_shot(
     i/(F-1) of the magnitude; frame 1 is the base pose itself, bit for bit.
     Every frame is computed in one batched pass.
     """
-    check_shot(frame_count, magnitude=magnitude, lookat_depth=lookat_depth)
+    if frame_count < 2:
+        raise DomainError(f"frame_count must be >= 2, got {frame_count}")
+    for name, value in (("magnitude", magnitude), ("lookat_depth", lookat_depth)):
+        if value <= 0.0:
+            raise DomainError(f"{name} must be positive, got {value}")
     rotations, centers = base.pose_stack
     r0, c0 = rotations[0], centers[0]
     lookat = c0 + lookat_depth * r0[:, 2]

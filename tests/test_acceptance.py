@@ -241,8 +241,7 @@ def test_criterion_6_matched_pixel_semantics():
 def test_criterion_7_benchmark_suite_order_and_sync_pairs(tmp_path):
     with criterion(7, "12 shots emitted in canonical order; sync pair table row-for-row"):
         out = tmp_path / "suite"
-        assert main(["gen-benchmark", "--out", str(out),
-                     "--set", "shots.frame_count=3"]) == 0
+        assert main(["gen-benchmark", "--out", str(out)]) == 0
         names = sorted(p.name for p in out.glob("*.json") if p.name != "sync_pairs.json")
         assert names == SHOT_FILE_ORDER
 

@@ -428,9 +428,7 @@ def test_every_simulated_video_equals_the_reference_render(tmp_path):
     assert main(["simulate", "--out", str(run), "--frames", "165", "--shots", "1,2,3"]) == 0
     events = json.loads((run / "run_log.json").read_text(encoding="utf-8"))["events"]
     starts = {c["index"]: c["start"] for c in events[0]["chunks"]}
-    cfg = EngineConfig().scene
-    scene = make_scene(cfg.seed, cfg.point_count, cfg.extent, cfg.moving_fraction,
-                       velocity_scale=cfg.velocity_scale)
+    scene = make_scene(**vars(EngineConfig().scene))
     banked = [e for e in events if e["event"] == "banked"]
     assert len(banked) == 2 * (1 + 3)
     for event in banked:

@@ -74,13 +74,13 @@ def run_dir(tmp_path_factory) -> Path:
 
 def test_gen_benchmark_files(tmp_path, capsys):
     a = tmp_path / "a"
-    assert main(["gen-benchmark", "--out", str(a), "--set", "shots.frame_count=7"]) == 0
+    assert main(["gen-benchmark", "--out", str(a)]) == 0
     out = capsys.readouterr().out
     names = sorted(p.name for p in a.glob("*.json") if p.name != "sync_pairs.json")
     assert names == SHOT_FILES
     assert all(f"wrote {a / n}" in out for n in names)
     traj = load_trajectory(a / SHOT_FILES[0])
-    assert len(traj) == 7
+    assert len(traj) == 93
     assert traj.label == "rotation_left"
 
     manifest = json.loads((a / "sync_pairs.json").read_text(encoding="utf-8"))
@@ -90,7 +90,7 @@ def test_gen_benchmark_files(tmp_path, capsys):
         assert manifest[str(n)] == expect
 
     b = tmp_path / "b"
-    assert main(["gen-benchmark", "--out", str(b), "--set", "shots.frame_count=7"]) == 0
+    assert main(["gen-benchmark", "--out", str(b)]) == 0
     for name in names + ["sync_pairs.json"]:
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -101,8 +101,7 @@ def test_gen_benchmark_custom_base(tmp_path):
     base_path = tmp_path / "base.json"
     save_trajectory(Trajectory.from_poses([pose], intr, label="base"), base_path)
     out = tmp_path / "suite"
-    assert main(["gen-benchmark", "--out", str(out), "--base", str(base_path),
-                 "--set", "shots.frame_count=3"]) == 0
+    assert main(["gen-benchmark", "--out", str(out), "--base", str(base_path)]) == 0
     zoom = load_trajectory(out / "12_zoom_out.json")
     first, first_intr = zoom.frames[0]
     assert np.array_equal(first.translation, pose.translation)
@@ -216,12 +215,11 @@ def test_eval_without_run(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def full_run(tmp_path_factory) -> Path:
-    """All twelve shots over three chunks that overlap by 3: [0, 6), [3, 9) and [6, 10)."""
+    """All twelve shots over three chunks that overlap by 5: [0, 8), [3, 11) and [6, 12)."""
     d = tmp_path_factory.mktemp("full")
-    assert main(["simulate", "--out", str(d), "--seed", "3", "--frames", "10",
-                 "--set", "scene.point_count=40", "--set", "scheduler.chunk_frames=6",
-                 "--set", "scheduler.overlap_latent=2",
-                 "--set", "scheduler.temporal_compression=2"]) == 0
+    assert main(["simulate", "--out", str(d), "--seed", "3", "--frames", "12",
+                 "--set", "scene.point_count=40", "--set", "scheduler.chunk_frames=8",
+                 "--set", "scheduler.overlap_latent=2"]) == 0
     return d
 
 
@@ -258,7 +256,7 @@ def test_eval_n_shots_9_scores_a_pair_past_shot_9(full_run, capsys):
     assert len(doc["sync"]) == 6
     assert ["tilt_down", "translate_up_with_rot"] in [r["pair"] for r in doc["sync"]]
     assert [p["shot"] for p in doc["poses"]] == [ShotKind(i).slug for i in range(1, 10)]
-    assert all(r["frames"] == 10 for r in doc["sync"])
+    assert all(r["frames"] == 12 for r in doc["sync"])
 
 
 def test_eval_decodes_each_distinct_trajectory_text_once(full_run):
@@ -422,13 +420,13 @@ def test_eval_never_depends_on_rgb_bytes(full_run, tmp_path, capsys):
     assert {name: (run / name).read_bytes() for name in reports} == want
     capsys.readouterr()
 
-    # chunk 2 drops frames 0-2, the overlap chunk 1 holds, and keeps frames 3-5
+    # chunk 2 drops frames 0-4, the overlap chunk 1 holds, and keeps frames 5-7
     refs = _generated_refs(run, [ShotKind.ROTATION_LEFT])["rotation_left"]
-    kept = run / refs[1] / "frame_0004.rgb"
+    kept = run / refs[1] / "frame_0006.rgb"
     kept.write_bytes(kept.read_bytes()[:-1])
     (run / "report.json").unlink()
     assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
-    assert f"{run / refs[1]}: frame 4 has unexpected byte length" in capsys.readouterr().err
+    assert f"{run / refs[1]}: frame 6 has unexpected byte length" in capsys.readouterr().err
     assert not (run / "report.json").exists()
 
     (run / refs[0] / "frame_0002.rgb").unlink()
@@ -440,7 +438,7 @@ def test_eval_never_depends_on_rgb_bytes(full_run, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["frame_0001.ids", "frame_0001.rgb"])
 def test_eval_checks_the_length_of_a_dropped_overlap_frame(full_run, tmp_path, capsys, name):
-    # chunk 2 starts with the 3 frames chunk 1 already holds; eval never reads them
+    # chunk 2 starts with the 5 frames chunk 1 already holds; eval never reads them
     run = tmp_path / "run"
     shutil.copytree(full_run, run)
     (run / "report.json").unlink(missing_ok=True)
@@ -476,8 +474,8 @@ def test_eval_compares_the_poses_of_dropped_overlap_frames(full_run, tmp_path, c
     save_trajectory(Trajectory.from_stacks(rotations, centers, traj.intrinsics_stack,
                                            traj.image_size, traj.label), video / "trajectory.json")
     assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
-    assert (f"{video}: its video follows 6 frames of 192x108, but the trajectory expected of it "
-            "has 6 frames of 192x108; the two must be identical") in capsys.readouterr().err
+    assert (f"{video}: its video follows 8 frames of 192x108, but the trajectory expected of it "
+            "has 8 frames of 192x108; the two must be identical") in capsys.readouterr().err
     assert not (run / "report.json").exists()
 
 
@@ -513,6 +511,22 @@ def test_eval_rejects_chunks_of_different_scenes(full_run, monkeypatch, capsys):
         "from 'scene-" in capsys.readouterr().err
 
 
+def test_eval_names_a_chunk_video_without_a_scene_key(run_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    (run / "report.json").unlink()
+    refs = _generated_refs(run, [ShotKind.ROTATION_LEFT, ShotKind.ARC_RIGHT_WITH_ROT])
+    for (ref,) in refs.values():  # both shots of the first pair, so neither key is known
+        path = run / ref / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**manifest, "scene_key": None}), encoding="utf-8")
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
+    err = capsys.readouterr().err
+    assert f"{refs['rotation_left'][0]}: chunk 1 of 'rotation_left' has no scene key" in err
+    assert "different scenes" not in err
+    assert not (run / "report.json").exists()
+
+
 def test_eval_rejects_a_pair_whose_shots_have_different_chunks(full_run, tmp_path, monkeypatch,
                                                                 capsys):
     run = tmp_path / "run"
@@ -528,20 +542,19 @@ def test_eval_rejects_a_pair_whose_shots_have_different_chunks(full_run, tmp_pat
     monkeypatch.setattr(covis.cli, "_group_shots", without_last_chunk)
     assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
     assert ("pair (rotation_left, azimuth_right) has unequal chunks: (chunk, frames) "
-            "[(1, 6), (2, 3), (3, 1)] vs [(1, 6), (2, 3)]") in capsys.readouterr().err
+            "[(1, 8), (2, 3), (3, 1)] vs [(1, 8), (2, 3)]") in capsys.readouterr().err
     assert not (run / "report.json").exists()
 
 
 def test_eval_traced_peak_stays_below_one_stitched_video(tmp_path):
-    # ten 192x108 chunks of at most 6 frames, each after the first overlapping the last by 3
+    # ten 192x108 chunks of at most 8 frames, each after the first overlapping the last by 5
     run = tmp_path / "run"
-    assert main(["simulate", "--out", str(run), "--seed", "3", "--frames", "31",
+    assert main(["simulate", "--out", str(run), "--seed", "3", "--frames", "35",
                  "--shots", "1,2,3", "--set", "scene.point_count=40",
-                 "--set", "scheduler.chunk_frames=6", "--set", "scheduler.overlap_latent=2",
-                 "--set", "scheduler.temporal_compression=2"]) == 0
+                 "--set", "scheduler.chunk_frames=8", "--set", "scheduler.overlap_latent=2"]) == 0
     events = json.loads((run / "run_log.json").read_text(encoding="utf-8"))["events"]
     assert len(events[0]["chunks"]) == 10
-    stitched_bytes = 31 * 108 * 192 * (3 + 4)  # one shot's rgb and int32 ids, all 31 frames
+    stitched_bytes = 35 * 108 * 192 * (3 + 4)  # one shot's rgb and int32 ids, all 35 frames
     # tracemalloc sees numpy's array buffers, and its peak does not depend on the host's RSS
     tracemalloc.start()
     try:
@@ -727,6 +740,8 @@ REMOVED_KEYS = [
     ("shots", "rotate_angle", 0.7853981633974483), ("shots", "tilt_angle", 0.5235987755982988),
     ("shots", "translate_distance", 0.5), ("shots", "zoom_distance", 2.0),
     ("shots", "lookat_depth", 5.0), ("output", "emit_svg", True),
+    ("shots", "frame_count", 93), ("scheduler", "temporal_compression", 4),
+    ("scene", "velocity_scale", 0.02),
 ]
 
 
@@ -742,6 +757,8 @@ def test_removed_config_keys_exit_4_as_unknown(tmp_path, capsys, via, section, k
         config.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
         args = ["--config", str(config)]
         expect = f"unknown keys in section {section!r}: [{key!r}]"
+    if section == "shots":  # the whole section is gone
+        expect = "unknown config section 'shots'"
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), *SIM_ARGS, *args]) == 4
     err = capsys.readouterr().err
@@ -962,8 +979,8 @@ def test_out_names_a_directory_even_when_it_reads_as_a_number(tmp_path, monkeypa
     ["--set", "scheduler.k=1.5"],
     ["--config", "{config}"],
     ["--set", "frustum.far=inf"],
-    ["--set", "scene.velocity_scale=nan"],
-], ids=["point_count_abc", "k_1.5", "seed_str_in_file", "far_inf", "velocity_scale_nan"])
+    ["--set", "scene.extent=nan"],
+], ids=["point_count_abc", "k_1.5", "seed_str_in_file", "far_inf", "extent_nan"])
 def test_mistyped_config_values_exit_4(tmp_path, capsys, args):
     config = tmp_path / "engine.json"
     config.write_text(json.dumps({"scene": {"seed": "x"}}), encoding="utf-8")
@@ -977,14 +994,12 @@ _RANGE_CASES = [
     ("simulate", "scene.point_count=0", "point_count must be >= 1, got 0"),
     ("simulate", "scene.extent=-1", "extent must be positive, got -1.0"),
     ("simulate", "scene.moving_fraction=2", "moving_fraction must lie in [0, 1], got 2.0"),
-    ("simulate", "shots.frame_count=1", "frame_count must be >= 2, got 1"),
+    ("simulate", "shots.frame_count=1", "unknown config section 'shots'"),
     ("simulate", "sampler.grid_w=0", "sampler grid must be >= 1 in every dimension, got 0x6x8"),
     ("simulate", "sampler.jitter_seed=-1", "jitter_seed must be null or >= 0, got -1"),
     ("simulate", "scene.seed=-1", "seed must be >= 0, got -1"),
-    ("simulate", "scene.velocity_scale=-0.5",
-     "velocity_scale must be >= 0 with 2 * velocity_scale finite, got -0.5"),
-    ("simulate", "scene.velocity_scale=1e308",
-     "velocity_scale must be >= 0 with 2 * velocity_scale finite, got 1e+308"),
+    ("simulate", "scene.velocity_scale=-0.5", "unknown key 'velocity_scale' in section 'scene'"),
+    ("simulate", "scene.velocity_scale=1e308", "unknown key 'velocity_scale' in section 'scene'"),
     ("simulate", "scheduler.k=0", "context size k must be >= 1, got 0"),
     ("simulate", "retrieval.k=0", "k must be >= 1, got 0"),
     ("simulate", "retrieval.tie_rule=x", "unknown tie rule 'x'"),
@@ -1000,7 +1015,10 @@ def test_out_of_range_config_values_exit_4(tmp_path, capsys, command, setting, e
     assert main(args) == 4
     err = capsys.readouterr().err
     section = setting.split(".")[0]
-    assert f"configuration error: invalid config section {section!r}: " in err and expect in err
+    if expect.startswith(("unknown key", "unknown config section")):  # a removed knob
+        assert f"configuration error: {expect}" in err
+    else:
+        assert f"configuration error: invalid config section {section!r}: " in err and expect in err
     assert not out.exists()
 
 
@@ -1200,8 +1218,8 @@ def test_linked_frame_files_hold_equal_bytes_and_every_video_round_trips(moving,
         assert main(["simulate", "--out", str(d), "--frames", str(frames), "--seed", str(seed),
                      "--shots", ",".join(map(str, shots)), "--set", "scene.point_count=40",
                      "--set", f"scene.moving_fraction={moving}",
-                     "--set", "scheduler.chunk_frames=4", "--set", "scheduler.overlap_latent=1",
-                     "--set", "scheduler.temporal_compression=2"]) == 0
+                     "--set", "scheduler.chunk_frames=4",
+                     "--set", "scheduler.overlap_latent=1"]) == 0
         inodes: dict[tuple[int, int], list[Path]] = {}
         for p in _frame_files(d):
             info = p.stat()
@@ -1255,8 +1273,7 @@ def test_simulate_holds_at_most_one_earlier_video_and_frees_each_on_the_calling_
     monkeypatch.setattr(covis.cli, "render", tracked_render)
     monkeypatch.setattr(covis.cli, "save_frames", slow_save)
     assert main(["simulate", "--out", str(tmp_path / "run"), *SIM_ARGS,
-                 "--set", "scheduler.chunk_frames=4", "--set", "scheduler.overlap_latent=1",
-                 "--set", "scheduler.temporal_compression=2"]) == 0
+                 "--set", "scheduler.chunk_frames=4", "--set", "scheduler.overlap_latent=1"]) == 0
     assert len(earlier) == 8 and max(earlier) <= 1
     # a writer that freed a video would do so at varying points of the next render
     assert freed_on == [threading.current_thread().name] * 8
@@ -1273,8 +1290,7 @@ def test_simulate_waits_for_every_frame_write(tmp_path, monkeypatch):
     d = tmp_path / "run"
     threads = threading.active_count()
     assert main(["simulate", "--out", str(d), *SIM_ARGS, "--set", "scheduler.chunk_frames=4",
-                 "--set", "scheduler.overlap_latent=1",
-                 "--set", "scheduler.temporal_compression=2"]) == 0
+                 "--set", "scheduler.overlap_latent=1"]) == 0
     assert threading.active_count() == threads
     entries = json.loads((d / "bank" / "manifest.json").read_text(encoding="utf-8"))["entries"]
     assert len(entries) == 8  # two chunks of a source and three shots
@@ -1285,15 +1301,14 @@ def test_simulate_waits_for_every_frame_write(tmp_path, monkeypatch):
             f"frame_{i:04d}.{ext}" for i in range(n) for ext in ("rgb", "ids"))
 
 
-# two chunks, [0, 6) and [3, 8), and a non-default overlap
-CONFIG_FLAGS = ["--set", "scheduler.chunk_frames=6", "--set", "scheduler.overlap_latent=2",
-                "--set", "scheduler.temporal_compression=2"]
+# over 12 frames, three chunks, [0, 8), [3, 11) and [6, 12), and a non-default overlap
+CONFIG_FLAGS = ["--set", "scheduler.chunk_frames=8", "--set", "scheduler.overlap_latent=2"]
 
 
 @pytest.fixture(scope="module")
 def config_run(tmp_path_factory) -> Path:
     d = tmp_path_factory.mktemp("config_run")
-    assert main(["simulate", "--out", str(d), "--seed", "4", "--frames", "8", "--shots", "1,2,3",
+    assert main(["simulate", "--out", str(d), "--seed", "4", "--frames", "12", "--shots", "1,2,3",
                  "--set", "scene.point_count=40", *CONFIG_FLAGS]) == 0
     return d
 
@@ -1340,16 +1355,18 @@ def test_report_frames_are_the_stitched_length_and_cells_stay_apart(config_run, 
     assert table[0].split() == ["shot", "chunks", "frames", "trans_err", "rot_err", "match_px"]
     rows = [line.split() for line in table[1:]]
     assert len(rows) == 3 and all(len(cells) == 6 for cells in rows)
-    assert ["rotation_left", "2", "8", "0", "1.47514e-07"] in [cells[:5] for cells in rows]
+    assert ["rotation_left", "3", "12", "0", "1.47514e-07"] in [cells[:5] for cells in rows]
     summary = (run / "report_summary.csv").read_text(encoding="utf-8").splitlines()
-    assert [line.split(",")[1:3] for line in summary[1:]] == [["2", "8"]] * 3
+    assert [line.split(",")[1:3] for line in summary[1:]] == [["3", "12"]] * 3
 
 
 @pytest.mark.parametrize("text, code, says", [
     (None, 2, "not found"),
     ("{oops", 4, "invalid config JSON"),
-    ('{"shots": {"frame_count": "x"}}', 4, "'frame_count' must be an int"),
-], ids=["missing", "not_json", "mistyped"])
+    ('{"scene": {"point_count": "x"}}', 4, "'point_count' must be an int"),
+    ('{"scheduler": {"temporal_compression": 4}}', 4,
+     "unknown keys in section 'scheduler': ['temporal_compression']"),
+], ids=["missing", "not_json", "mistyped", "removed_key"])
 def test_eval_without_a_readable_run_config_names_it(config_run, tmp_path, capsys, text, code,
                                                      says):
     run = tmp_path / "run"
@@ -1382,7 +1399,7 @@ def test_report_without_run_config_warns_and_skips_the_bank(config_run, tmp_path
 def test_report_lists_only_the_source_and_the_shots(tmp_path):
     # retrieval.k=8 over a context of 4 plans merges, and none of them is banked
     run = tmp_path / "run"
-    assert main(["simulate", "--out", str(run), "--seed", "3", "--frames", "8",
+    assert main(["simulate", "--out", str(run), "--seed", "3", "--frames", "12",
                  "--set", "scene.point_count=40", "--set", "retrieval.k=8", *CONFIG_FLAGS]) == 0
     events = json.loads((run / "run_log.json").read_text(encoding="utf-8"))["events"]
     assert any(e["event"] == "plan" for e in events)

@@ -32,8 +32,6 @@ def test_default_values():
     assert cfg.scene.point_count == 1000
     assert cfg.scene.extent == 10.0
     assert cfg.scene.moving_fraction == 0.0
-    assert cfg.scene.velocity_scale == 0.02
-    assert cfg.shots.frame_count == 93
     assert cfg.output.directory == "runs/run"
     assert cfg.frustum.far == 10.0
     assert cfg.sampler.grid_w == 8
@@ -63,7 +61,7 @@ def test_config_from_dict_rejects_unknowns():
 
 
 def test_file_round_trip(tmp_path):
-    cfg = apply_overrides(EngineConfig(), ["scene.seed=9", "shots.frame_count=11"])
+    cfg = apply_overrides(EngineConfig(), ["scene.seed=9", "retrieval.k=11"])
     path = tmp_path / "engine.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
@@ -126,18 +124,22 @@ def test_apply_overrides_reads_each_value_as_its_declared_type():
     assert apply_overrides(cfg, ["output.directory=null"]).output.directory == "null"
 
 
-@pytest.mark.parametrize("override", [
-    "scene.point_count=abc",
-    "scheduler.k=1.5",
-    "retrieval.include_source=maybe",
-    "retrieval.cross_chunk=1",
-    "sampler.jitter_seed=x",
-    "frustum.near=far",
-    "frustum.far=inf",
-    "scene.velocity_scale=nan",
-])
-def test_apply_overrides_rejects_values_of_another_type(override):
-    with pytest.raises(ConfigError, match="must be"):
+_MISTYPED = [
+    ("scene.point_count=abc", "must be"),
+    ("scheduler.k=1.5", "must be"),
+    ("retrieval.include_source=maybe", "must be"),
+    ("retrieval.cross_chunk=1", "must be"),
+    ("sampler.jitter_seed=x", "must be"),
+    ("frustum.near=far", "must be"),
+    ("frustum.far=inf", "must be"),
+    # velocity_scale is now the constant covis.scene.MOVING_SPEED
+    ("scene.velocity_scale=nan", "unknown key 'velocity_scale' in section 'scene'"),
+]
+
+
+@pytest.mark.parametrize("override, says", _MISTYPED, ids=[o for o, _ in _MISTYPED])
+def test_apply_overrides_rejects_values_of_another_type(override, says):
+    with pytest.raises(ConfigError, match=re.escape(says)):
         apply_overrides(EngineConfig(), [override])
 
 

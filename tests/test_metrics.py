@@ -248,6 +248,9 @@ def test_sync_report_scene_guard_after_frame_counts():
         sync_report(videos, [(ShotKind.ROTATION_LEFT, ShotKind.ROTATION_RIGHT)])
     with pytest.raises(DomainError, match="different scenes .'scene-a' vs 'scene-b'."):
         sync_report(videos, [(ShotKind.ROTATION_LEFT, ShotKind.TILT_UP)])
+    videos[ShotKind.TILT_DOWN] = seq_from_ids(np.ones((1, 2, 2)), key=None)
+    with pytest.raises(DomainError, match="^the second sequence .''. has no scene key$"):
+        sync_report(videos, [(ShotKind.ROTATION_LEFT, ShotKind.TILT_DOWN)])
 
 
 def test_sync_report_empty_mean():

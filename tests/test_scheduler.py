@@ -25,7 +25,7 @@ from covis import (
     plan_divide_conquer,
     token_layout,
 )
-from covis.scheduler import SOURCE_REF
+from covis.scheduler import SOURCE_REF, TEMPORAL_COMPRESSION
 
 INTR = CameraIntrinsics(fx=48.0, fy=48.0, cx=32.0, cy=24.0, width=64, height=48)
 
@@ -51,7 +51,7 @@ def test_scheduler_config_defaults():
     assert cfg.k == 4
     assert cfg.chunk_frames == 93
     assert cfg.overlap_latent == 6
-    assert cfg.temporal_compression == 4
+    assert TEMPORAL_COMPRESSION == 4
     # 1 + (6 - 1) * 4 decoded frames share the boundary latents
     assert cfg.overlap_frames == 21
 
@@ -123,13 +123,11 @@ def test_chunk_schedule_coverage(total):
 
 
 @settings(max_examples=200)
-@given(st.integers(1, 8), st.integers(1, 5), st.integers(1, 60), st.integers(1, 500))
-def test_chunk_schedule_drops_overlap_frames_after_the_first_chunk(
-    overlap_latent, compression, extra, total
-):
+@given(st.integers(1, 8), st.integers(1, 60), st.integers(1, 500))
+def test_chunk_schedule_drops_overlap_frames_after_the_first_chunk(overlap_latent, extra, total):
     # eval stitches a shot by dropping these frames, knowing only the config
-    cfg = SchedulerConfig(overlap_latent=overlap_latent, temporal_compression=compression,
-                          chunk_frames=1 + (overlap_latent - 1) * compression + extra)
+    cfg = SchedulerConfig(overlap_latent=overlap_latent,
+                          chunk_frames=1 + (overlap_latent - 1) * TEMPORAL_COMPRESSION + extra)
     chunks = chunk_schedule(total, cfg).chunks
     drops = [c.overlap_with_prev for c in chunks]
     assert drops == [0] + [cfg.overlap_frames] * (len(chunks) - 1)

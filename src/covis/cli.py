@@ -8,12 +8,14 @@ Subcommands:
   eval           score a finished run: sync pairs and pose errors
   report         aggregate per-shot table, resolved config, top-down SVG
 
-Common flags (per subcommand): --config PATH, repeatable --set
-section.key=value overrides, --seed N (shorthand for --set scene.seed=N),
---out DIR (shorthand for --set output.directory=DIR).
+Flags: --config PATH and repeatable --set section.key=value overrides on
+gen-benchmark, retrieve, plan and simulate; --seed N (shorthand for --set
+scene.seed=N) on simulate; --out DIR on gen-benchmark and simulate, --run DIR
+on eval and report (both default runs/run). eval and report take no
+configuration: they score by the run's own config_resolved.json.
 
 Exit codes: 0 success, 2 domain error, 3 I/O error, 4 configuration error.
-All artifacts written by a run are deterministic byte-for-byte.
+All artifacts of a run are deterministic byte-for-byte, wherever it is written.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .trajectory_ops import ShotKind, benchmark_suite, sync_pairs
 DEFAULT_BASE_WIDTH = 192
 DEFAULT_BASE_HEIGHT = 108
 DEFAULT_FRAMES = 93  # each benchmark shot's length, and the default source's
+DEFAULT_RUN_DIR = "runs/run"
 
 _BANK_DIR = "bank"
 _VIDEO_DIR = "videos"
@@ -64,9 +67,8 @@ def _shot_file_name(kind: ShotKind) -> str:
     return f"{int(kind):02d}_{kind.slug}.json"
 
 
-def cmd_gen_benchmark(config: EngineConfig, base_path: str | None) -> int:
+def cmd_gen_benchmark(config: EngineConfig, base_path: str | None, out_dir: Path) -> int:
     base = _load_base(config, base_path)
-    out_dir = Path(config.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     suite = benchmark_suite(base, DEFAULT_FRAMES)
     for kind, traj in zip(ShotKind, suite):
@@ -155,14 +157,14 @@ def _write_video(box: list[FrameSequence], directory: Path, written: dict) -> No
 
 
 def cmd_simulate(
-    config: EngineConfig, source_path: str | None, shots_text: str | None, frame_count: int,
+    config: EngineConfig, source_path: str | None, shots_text: str | None,
+    frame_count: int, out_dir: Path,
 ) -> int:
     # both would fail only after the first frame writes; checked here, they write nothing
     if not config.retrieval.include_source:
         raise DomainError("retrieval.include_source=false leaves chunk 1 nothing to retrieve")
     if config.scheduler.k == 1 and config.retrieval.k != 1:
         raise DomainError(f"scheduler.k=1 needs retrieval.k=1, got {config.retrieval.k}")
-    out_dir = Path(config.output.directory)
     bank_path = out_dir / _BANK_DIR
     if (bank_path / MANIFEST).exists():
         raise DomainError(f"{bank_path} already holds a bank; choose a fresh --out directory")
@@ -359,8 +361,7 @@ def _stream_sync(
     return SyncReport(rows=tuple(rows))
 
 
-def cmd_eval(config: EngineConfig, run_dir_text: str | None, n_shots: int) -> int:
-    run_dir = Path(run_dir_text or config.output.directory)
+def cmd_eval(run_dir: Path, n_shots: int) -> int:
     bank = MemoryBank.open(run_dir / _BANK_DIR)
     run_config = _run_config(run_dir)
     kinds = [ShotKind(i) for i in range(1, n_shots + 1)]
@@ -454,8 +455,7 @@ def _read_report(path: Path) -> dict:
     return doc
 
 
-def cmd_report(config: EngineConfig, run_dir_text: str | None) -> int:
-    run_dir = Path(run_dir_text or config.output.directory)
+def cmd_report(run_dir: Path) -> int:
     warnings_list: list[str] = []
 
     report_doc = None
@@ -535,26 +535,26 @@ def cmd_report(config: EngineConfig, run_dir_text: str | None) -> int:
 def _resolve_config(args: argparse.Namespace) -> EngineConfig:
     config = load_config(args.config) if args.config else EngineConfig()
     overrides = list(args.set or [])
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # only simulate has --seed
         overrides.append(f"scene.seed={args.seed}")
-    if args.out is not None:
-        overrides.append(f"output.directory={args.out}")
     return apply_overrides(config, overrides) if overrides else config
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="configuration file (JSON)")
-    common.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="configuration file (JSON)")
+    config.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                         help="override one configuration value (repeatable)")
-    common.add_argument("--seed", type=int, help="override scene.seed")
-    common.add_argument("--out", help="override output.directory")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default=DEFAULT_RUN_DIR,
+                     help="directory to write into (default: %(default)s)")
     bank_target = argparse.ArgumentParser(add_help=False)
     bank_target.add_argument("--bank", required=True)
     bank_target.add_argument("--target", required=True)
     bank_target.add_argument("--chunk", type=int, default=1)
     run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--run", help="run directory (default: output.directory)")
+    run.add_argument("--run", type=Path, default=DEFAULT_RUN_DIR,
+                     help="run directory (default: %(default)s)")
 
     p = argparse.ArgumentParser(
         prog="covis",
@@ -562,49 +562,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-benchmark", parents=[common],
+    g = sub.add_parser("gen-benchmark", parents=[config, out],
                        help="write the twelve benchmark shot trajectories")
     g.add_argument("--base", help="base trajectory file (default: built-in identity base)")
 
-    r = sub.add_parser("retrieve", parents=[common, bank_target],
+    r = sub.add_parser("retrieve", parents=[config, bank_target],
                        help="rank bank entries against a target")
     r.add_argument("--k", type=int, help="retrieval count (default: retrieval.k)")
 
-    pl = sub.add_parser("plan", parents=[common, bank_target],
+    pl = sub.add_parser("plan", parents=[config, bank_target],
                         help="print the context-reduction plan")
     pl.add_argument("--l", type=int, help="retrieval count (default: retrieval.k)")
     pl.add_argument("--k", type=int, help="context size (default: scheduler.k)")
 
-    s = sub.add_parser("simulate", parents=[common],
+    s = sub.add_parser("simulate", parents=[config, out],
                        help="run retrieval-conditioned generation over chunks and views")
-    s.add_argument("--source", help="source trajectory file (default: static identity base)")
+    s.add_argument("--seed", type=int, help="override scene.seed")
     s.add_argument("--shots", help="comma list of shot indices or names (default: all 12)")
-    s.add_argument("--frames", type=int, default=DEFAULT_FRAMES,
-                   help="frame count of the default source (default: %(default)s; "
-                        "ignored with --source)")
+    source = s.add_mutually_exclusive_group()
+    source.add_argument("--source", help="source trajectory file (default: static identity base)")
+    # a str default: an int one would let "--source F --frames 93" past the group (same object)
+    source.add_argument("--frames", type=int, default=str(DEFAULT_FRAMES),
+                        help="frame count of the default source (default: %(default)s)")
 
-    e = sub.add_parser("eval", parents=[common, run], help="score a finished run")
+    e = sub.add_parser("eval", parents=[run], help="score a finished run")
     e.add_argument("--n-shots", type=int, default=12, choices=[3, 6, 9, 12])
 
-    sub.add_parser("report", parents=[common, run], help="aggregate tables and SVG for a run")
+    sub.add_parser("report", parents=[run], help="aggregate tables and SVG for a run")
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "eval":
+            return cmd_eval(args.run, args.n_shots)
+        if args.command == "report":
+            return cmd_report(args.run)
         config = _resolve_config(args)
         if args.command == "gen-benchmark":
-            return cmd_gen_benchmark(config, args.base)
+            return cmd_gen_benchmark(config, args.base, args.out)
         if args.command == "retrieve":
             return cmd_retrieve(config, args.bank, args.target, args.k, args.chunk)
         if args.command == "plan":
             return cmd_plan(config, args.bank, args.target, args.l, args.k, args.chunk)
-        if args.command == "simulate":
-            return cmd_simulate(config, args.source, args.shots, args.frames)
-        if args.command == "eval":
-            return cmd_eval(config, args.run, args.n_shots)
-        return cmd_report(config, args.run)  # argparse admits no command but these six
+        # argparse admits no command but these six
+        return cmd_simulate(config, args.source, args.shots, args.frames, args.out)
     except ConfigError as e:
         print(f"covis {args.command}: configuration error: {e}", file=sys.stderr)
         return 4

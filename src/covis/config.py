@@ -5,7 +5,8 @@ full configuration (defaults, the --config file if one is given, then --set
 overrides) and writes it next to its outputs, so runs are self-describing.
 Each value must fit the type its dataclass field declares, and a float must
 be finite. A --set value is read as that type, so a str field keeps the text
-as given: "output.directory=2024" names "2024".
+as given: "retrieval.tie_rule=2024" names the tie rule "2024", which then fails
+as unknown.
 """
 
 from __future__ import annotations
@@ -53,18 +54,12 @@ class SceneConfig:
 
 
 @dataclass(frozen=True)
-class OutputConfig:
-    directory: str = "runs/run"
-
-
-@dataclass(frozen=True)
 class EngineConfig:
     frustum: FrustumParams = field(default_factory=FrustumParams)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     scene: SceneConfig = field(default_factory=SceneConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
 
 
 _SECTIONS = get_type_hints(EngineConfig)

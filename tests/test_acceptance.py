@@ -284,11 +284,15 @@ def test_criterion_7_benchmark_suite_order_and_sync_pairs(tmp_path):
 def test_criterion_8_end_to_end_determinism(tmp_path):
     with criterion(8, "two identical simulate+eval runs produce byte-identical artifacts") as info:
         start = time.perf_counter()
-        dirs = [tmp_path / "run_a", tmp_path / "run_b"]
+        # at different depths: no artifact may depend on where the run is
+        dirs = [tmp_path / "run_a", tmp_path / "b" / "deeper" / "run_b"]
         for d in dirs:
             assert main(["simulate", "--out", str(d), "--frames", "165"]) == 0
             assert main(["eval", "--run", str(d), "--n-shots", "12"]) == 0
-        for rel in ("bank/manifest.json", "report.csv", "report.json", "run_log.json"):
+        files = [sorted(p.relative_to(d).as_posix() for p in d.rglob("*") if p.is_file())
+                 for d in dirs]
+        assert files[0] == files[1]
+        for rel in files[0]:
             a = (dirs[0] / rel).read_bytes()
             b = (dirs[1] / rel).read_bytes()
             assert a == b, f"{rel} differs between identical runs"

@@ -115,7 +115,8 @@ def test_simulate_artifacts(run_dir):
     resolved = json.loads((run_dir / "config_resolved.json").read_text(encoding="utf-8"))
     assert resolved["scene"]["seed"] == 5
     assert resolved["scene"]["point_count"] == 40
-    assert resolved["output"]["directory"] == str(run_dir)
+    # the run's place is no part of its config, so its bytes do not depend on it
+    assert set(resolved) == {"frustum", "sampler", "scheduler", "retrieval", "scene"}
 
     log = json.loads((run_dir / "run_log.json").read_text(encoding="utf-8"))
     events = log["events"]
@@ -741,7 +742,7 @@ REMOVED_KEYS = [
     ("shots", "translate_distance", 0.5), ("shots", "zoom_distance", 2.0),
     ("shots", "lookat_depth", 5.0), ("output", "emit_svg", True),
     ("shots", "frame_count", 93), ("scheduler", "temporal_compression", 4),
-    ("scene", "velocity_scale", 0.02),
+    ("scene", "velocity_scale", 0.02), ("output", "directory", "runs/run"),
 ]
 
 
@@ -757,8 +758,8 @@ def test_removed_config_keys_exit_4_as_unknown(tmp_path, capsys, via, section, k
         config.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
         args = ["--config", str(config)]
         expect = f"unknown keys in section {section!r}: [{key!r}]"
-    if section == "shots":  # the whole section is gone
-        expect = "unknown config section 'shots'"
+    if section in ("shots", "output"):  # the whole section is gone
+        expect = f"unknown config section {section!r}"
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), *SIM_ARGS, *args]) == 4
     err = capsys.readouterr().err
@@ -769,14 +770,14 @@ def test_removed_config_keys_exit_4_as_unknown(tmp_path, capsys, via, section, k
 def test_exit_codes(tmp_path, capsys):
     assert main(["gen-benchmark", "--set", "nosuch.key=1", "--out", str(tmp_path)]) == 4
     assert "configuration error" in capsys.readouterr().err
-    # output.bank_intermediates was removed, so naming it is naming an unknown key
+    # the output section was removed, so naming any of its keys is naming an unknown section
     assert main(["gen-benchmark", "--set", "output.bank_intermediates=true",
                  "--out", str(tmp_path)]) == 4
-    assert "unknown key 'bank_intermediates' in section 'output'" in capsys.readouterr().err
+    assert "unknown config section 'output'" in capsys.readouterr().err
     retired = tmp_path / "retired.json"
     retired.write_text(json.dumps({"output": {"bank_intermediates": False}}), encoding="utf-8")
     assert main(["gen-benchmark", "--config", str(retired), "--out", str(tmp_path)]) == 4
-    assert "unknown keys in section 'output': ['bank_intermediates']" in capsys.readouterr().err
+    assert "unknown config section 'output'" in capsys.readouterr().err
 
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")
@@ -971,7 +972,7 @@ def test_out_names_a_directory_even_when_it_reads_as_a_number(tmp_path, monkeypa
     assert main(["simulate", "--out", "2024", *SIM_ARGS]) == 0
     assert (tmp_path / "2024" / "run_log.json").exists()
     config = json.loads((tmp_path / "2024" / "config_resolved.json").read_text(encoding="utf-8"))
-    assert config["output"]["directory"] == "2024"
+    assert "output" not in config
 
 
 @pytest.mark.parametrize("args", [
@@ -1045,14 +1046,9 @@ def fresh_run(tmp_path_factory) -> Path:
     return d
 
 
-def _run_files(run: Path) -> dict[str, object]:
-    """Every file under run by relative path: its bytes, or for the resolved config its
-    JSON without output.directory, the one value that names the run's place."""
-    files = {p.relative_to(run).as_posix(): p.read_bytes() for p in run.rglob("*") if p.is_file()}
-    config = json.loads(files["config_resolved.json"])
-    del config["output"]["directory"]
-    files["config_resolved.json"] = config
-    return files
+def _run_files(run: Path) -> dict[str, bytes]:
+    """Every file under run by relative path, with its bytes."""
+    return {p.relative_to(run).as_posix(): p.read_bytes() for p in run.rglob("*") if p.is_file()}
 
 
 # SIM_ARGS writes four videos and banks four entries. Each case fails the n-th video's
@@ -1316,19 +1312,17 @@ def config_run(tmp_path_factory) -> Path:
 _REPORT_FILES = ["report.json", "report.csv", "report_summary.csv", "trajectories.svg"]
 
 
-def _eval_and_report(run: Path, *flags: str) -> dict[str, bytes]:
-    assert main(["eval", "--run", str(run), "--n-shots", "3", *flags]) == 0
-    assert main(["report", "--run", str(run), *flags]) == 0
+def _eval_and_report(run: Path) -> dict[str, bytes]:
+    assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 0
+    assert main(["report", "--run", str(run)]) == 0
     return {name: (run / name).read_bytes() for name in _REPORT_FILES}
 
 
 def test_eval_scores_a_run_with_the_config_it_was_simulated_with(config_run, tmp_path):
     run = tmp_path / "run"
     shutil.copytree(config_run, run)
-    without = _eval_and_report(run)
-    assert _eval_and_report(run, *CONFIG_FLAGS) == without
     # stitched by the run's own overlap, every shot is the trajectory it was asked for
-    doc = json.loads(without["report.json"])
+    doc = json.loads(_eval_and_report(run)["report.json"])
     assert all(p["trans_err"] == 0.0 and p["rot_err"] < 1e-5 for p in doc["poses"])
 
 
@@ -1366,7 +1360,9 @@ def test_report_frames_are_the_stitched_length_and_cells_stay_apart(config_run, 
     ('{"scene": {"point_count": "x"}}', 4, "'point_count' must be an int"),
     ('{"scheduler": {"temporal_compression": 4}}', 4,
      "unknown keys in section 'scheduler': ['temporal_compression']"),
-], ids=["missing", "not_json", "mistyped", "removed_key"])
+    ('{"scene": {"seed": 4}, "output": {"directory": "runs/run"}}', 4,
+     "unknown config section 'output'"),
+], ids=["missing", "not_json", "mistyped", "removed_key", "old_run_output_section"])
 def test_eval_without_a_readable_run_config_names_it(config_run, tmp_path, capsys, text, code,
                                                      says):
     run = tmp_path / "run"
@@ -1429,14 +1425,15 @@ def test_simulate_rejects_a_config_it_cannot_finish_before_banking(tmp_path, cap
     assert main(["retrieve", "--bank", str(d / "bank"), "--target", str(target), *sets]) == 0
 
 
-_COMMON_FLAGS = {"-h", "--help", "--config", "--set", "--seed", "--out"}
+_HELP = {"-h", "--help"}
+_CONFIG = {"--config", "--set"}
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("gen-benchmark", {"--base"}),
-    ("retrieve", {"--bank", "--target", "--chunk", "--k"}),
-    ("plan", {"--bank", "--target", "--chunk", "--l", "--k"}),
-    ("simulate", {"--source", "--shots", "--frames"}),
+    ("gen-benchmark", _CONFIG | {"--out", "--base"}),
+    ("retrieve", _CONFIG | {"--bank", "--target", "--chunk", "--k"}),
+    ("plan", _CONFIG | {"--bank", "--target", "--chunk", "--l", "--k"}),
+    ("simulate", _CONFIG | {"--seed", "--out", "--source", "--shots", "--frames"}),
     ("eval", {"--run", "--n-shots"}),
     ("report", {"--run"}),
 ])
@@ -1444,7 +1441,59 @@ def test_each_subcommand_accepts_exactly_its_flags(command, flags):
     parser = covis.cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     sub = subparsers.choices[command]
-    assert {s for a in sub._actions for s in a.option_strings} == _COMMON_FLAGS | flags
+    assert {s for a in sub._actions for s in a.option_strings} == _HELP | flags
+
+
+_BANK_TARGET = ["--bank", "b", "--target", "t"]
+# each flag a subcommand lost when it stopped ignoring it
+_DROPPED_FLAGS = {
+    "eval_config": ["eval", "--config", "c.json"],
+    "eval_set": ["eval", "--set", "scene.point_count=5"],
+    "eval_seed": ["eval", "--seed", "7"],
+    "eval_out": ["eval", "--out", "d"],
+    "report_config": ["report", "--config", "c.json"],
+    "report_set": ["report", "--set", "scene.point_count=5"],
+    "report_seed": ["report", "--seed", "7"],
+    "report_out": ["report", "--out", "d"],
+    "gen_benchmark_seed": ["gen-benchmark", "--seed", "3"],
+    "retrieve_seed": ["retrieve", *_BANK_TARGET, "--seed", "3"],
+    "retrieve_out": ["retrieve", *_BANK_TARGET, "--out", "d"],
+    "plan_seed": ["plan", *_BANK_TARGET, "--seed", "3"],
+    "plan_out": ["plan", *_BANK_TARGET, "--out", "d"],
+}
+
+
+def _exits_2(args: list[str], capsys) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", _DROPPED_FLAGS.values(), ids=_DROPPED_FLAGS.keys())
+def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    _exits_2(args, capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("frames", ["500", "93"])
+def test_simulate_refuses_source_with_frames(tmp_path, monkeypatch, capsys, frames):
+    # 93 is --frames' default; given explicitly, the group refuses it too
+    monkeypatch.chdir(tmp_path)
+    source = _source_with(tmp_path, 3, lambda f, intr: None)
+    _exits_2(["simulate", "--source", str(source), "--frames", frames], capsys)
+    assert list(tmp_path.iterdir()) == [source]
+
+
+def test_out_and_run_default_to_the_same_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", *SIM_ARGS]) == 0
+    assert main(["eval", "--n-shots", "3"]) == 0
+    assert main(["report"]) == 0
+    assert (tmp_path / "runs" / "run" / "report.json").exists()
+    assert (tmp_path / "runs" / "run" / "trajectories.svg").exists()
 
 
 def _source_with(tmp_path: Path, frames: int, edit) -> Path:

@@ -32,7 +32,6 @@ def test_default_values():
     assert cfg.scene.point_count == 1000
     assert cfg.scene.extent == 10.0
     assert cfg.scene.moving_fraction == 0.0
-    assert cfg.output.directory == "runs/run"
     assert cfg.frustum.far == 10.0
     assert cfg.sampler.grid_w == 8
     assert cfg.scheduler.chunk_frames == 93
@@ -78,14 +77,12 @@ def test_apply_overrides_scalar_parsing():
         "frustum.far=12.5",
         "retrieval.tie_rule=oldest_first",
         "sampler.jitter_seed=null",
-        "output.directory=runs/elsewhere",
     ])
     assert cfg.retrieval.k == 2
     assert cfg.retrieval.cross_chunk is True
     assert cfg.frustum.far == 12.5
     assert cfg.retrieval.tie_rule == "oldest_first"
     assert cfg.sampler.jitter_seed is None
-    assert cfg.output.directory == "runs/elsewhere"
     # the input config is not mutated
     assert EngineConfig().retrieval.k == 4
 
@@ -112,16 +109,17 @@ def test_retrieval_config_validation():
 def test_apply_overrides_reads_each_value_as_its_declared_type():
     cfg = apply_overrides(EngineConfig(), [
         "scene.extent=1",
-        "output.directory=2024",
         "retrieval.cross_chunk=True",
         "sampler.jitter_seed=7",
     ])
     assert cfg.scene.extent == 1.0 and type(cfg.scene.extent) is float
-    assert cfg.output.directory == "2024"
     assert cfg.retrieval.cross_chunk is True
     assert cfg.sampler.jitter_seed == 7
     assert apply_overrides(cfg, ["sampler.jitter_seed=None"]).sampler.jitter_seed is None
-    assert apply_overrides(cfg, ["output.directory=null"]).output.directory == "null"
+    # a str field keeps the text: read as a number or null, the error would name the type
+    for text in ("2024", "null"):
+        with pytest.raises(ConfigError, match=f"unknown tie rule '{text}'"):
+            apply_overrides(cfg, [f"retrieval.tie_rule={text}"])
 
 
 _MISTYPED = [

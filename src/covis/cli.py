@@ -316,7 +316,9 @@ def _stream_sync(
     loaded for the first pair that names it and dropped after the last, so with
     the sync_pairs order no more than two chunk videos are alive at once, and
     each chunk video is loaded once, id maps only: its .rgb files are checked
-    for length, never read. A pair's row sums its chunks' exact
+    for length, never read. sync_report reduces a loaded video to its hit list
+    at its first pair, and the hit list goes with the video, so a video two
+    pairs name is reduced once. A pair's row sums its chunks' exact
     matched-pixel totals. Both shots of a pair must have the same chunks, and
     every chunk of a shot a scene key equal to its first chunk's.
     """

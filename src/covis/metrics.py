@@ -16,14 +16,15 @@ oracle matcher on rendered id maps: a pixel of video a matches (confidence
 1.0) iff its non-background point id is visible anywhere in the paired
 frame of video b. Matched pixels are those with confidence >= the threshold
 (inclusive, default 0.5); since oracle confidences are 0 or 1, sync_report
-counts the match mask of each frame pair directly.
+counts the matching pixels directly, from each video's hit list: the ids of
+its non-background pixels and each frame's count of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -139,27 +140,38 @@ def matched_pixels(m: MatchMap) -> int:
     return int((m.confidences >= m.threshold).sum())
 
 
-def _match_masks(ids_a: np.ndarray, ids_b: np.ndarray) -> Iterator[np.ndarray]:
-    """Per frame of two (F, H, W) id stacks, the pixels of a whose point id appears anywhere
-    in the same-index frame of b; background pixels of a never match.
+def _members(a: FrameSequence, b: FrameSequence) -> np.ndarray:
+    """Per hit of a, in its hit-list order: True iff its point id is a hit of the
+    same-index frame of b. Background pixels are never hits, so they never match.
 
-    One boolean table over the pair's id range, offset by its smallest id, serves every
-    frame: b's non-background ids are set, a's ids gathered, then b's cleared, so the
-    background entry is never set. A range wider than four frames' pixels falls back to
-    np.isin per frame.
+    Each hit becomes the key frame * span + (id - lo), where lo and span are the
+    smallest id and the width of the pair's hit id range, so two hits share a
+    key iff they share frame index and id. b's keys are set in one boolean table
+    of frames * span entries and a's gathered from it. A range wider than four
+    frames' pixels, whose table would outgrow a's id map, falls back to np.isin
+    on the keys; either way the result is exact for any int32 ids.
     """
+    (ids_a, counts_a), (ids_b, counts_b) = a._hits, b._hits
+    if not (ids_a.size and ids_b.size):
+        return np.zeros(ids_a.size, dtype=bool)
     lo = int(min(ids_a.min(), ids_b.min()))
     span = int(max(ids_a.max(), ids_b.max())) - lo + 1
-    if span > 4 * ids_a[0].size:
-        for fa, fb in zip(ids_a, ids_b):
-            yield np.isin(fa, fb) & (fa != BACKGROUND_ID)
-        return
-    table = np.zeros(span, dtype=bool)
-    for fa, fb in zip(ids_a, ids_b):
-        kb = fb[fb != BACKGROUND_ID] - lo
-        table[kb] = True
-        yield table.take(fa - lo if lo else fa)
-        table[kb] = False
+    size = a.frame_count * span
+    # a frame's offset frame * span - lo lies within size + |lo| of 0 and a key in
+    # [0, size), so int32 keys cannot overflow
+    dtype = np.int32 if size + abs(lo) < 2**31 else np.int64
+    offsets = (np.arange(a.frame_count, dtype=np.int64) * span - lo).astype(dtype)
+
+    def keys(ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        k = np.repeat(offsets, counts)
+        k += ids
+        return k
+
+    if span > 4 * a.id_map[0].size:
+        return np.isin(keys(ids_a, counts_a), keys(ids_b, counts_b))
+    table = np.zeros(size, dtype=bool)
+    table[keys(ids_b, counts_b)] = True
+    return table[keys(ids_a, counts_a)]
 
 
 def _check_same_scene(a: FrameSequence, b: FrameSequence) -> None:
@@ -178,12 +190,15 @@ def oracle_match(a: FrameSequence, b: FrameSequence) -> list[MatchMap]:
     A pixel of frame i of ``a`` gets confidence 1.0 iff its (non-background)
     point id is visible anywhere in frame i of ``b``; background pixels and
     unseen ids get 0.0. Both sequences must come from the same scene and
-    have equal frame counts.
+    have equal frame counts. The maps scatter the per-hit membership that
+    sync_report counts, so the two share one matching rule.
     """
     _check_same_scene(a, b)
     if a.frame_count != b.frame_count:
         raise DomainError(f"frame counts differ ({a.frame_count} vs {b.frame_count})")
-    return [MatchMap(confidences=m.astype(np.float64)) for m in _match_masks(a.id_map, b.id_map)]
+    conf = np.zeros(a.id_map.shape)
+    conf[a.id_map != BACKGROUND_ID] = _members(a, b)  # hits are in the mask's C order
+    return [MatchMap(confidences=c) for c in conf]
 
 
 @dataclass(frozen=True)
@@ -228,7 +243,10 @@ def sync_report(
     Each frame pair counts the pixels oracle_match would give confidence 1.0:
     non-background pixels of the first video whose id appears in the paired
     frame of the second. The count equals matched_pixels over oracle_match's
-    maps at any threshold in (0, 1], without building those maps.
+    maps at any threshold in (0, 1], without building those maps: each video
+    is reduced once to its hit list, kept on the sequence for every later pair
+    and call, and a pair is one table scatter of the second video's hits and
+    one gather of the first's.
     """
     missing = sorted({k.slug for p in pairs for k in p if k not in videos})
     if missing:
@@ -242,6 +260,6 @@ def sync_report(
                 f"({a.frame_count} vs {b.frame_count})"
             )
         _check_same_scene(a, b)
-        total = sum(int(np.count_nonzero(m)) for m in _match_masks(a.id_map, b.id_map))
+        total = int(np.count_nonzero(_members(a, b)))
         rows.append(SyncRow(pair=(p, q), frames=a.frame_count, matched_pixels=total))
     return SyncReport(rows=tuple(rows))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -147,6 +148,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# Pixels per hit-list block: FrameSequence._hits masks max(1, _HIT_BLOCK // (H*W))
+# frames at a time, so its scratch is about 256 KiB (12 frames of 192x108) whatever
+# the video's length.
+_HIT_BLOCK = 1 << 18
+
+
 @dataclass(frozen=True, eq=False)
 class FrameSequence:
     """Rendered video: RGB frames (F, H, W, 3) uint8 and id maps (F, H, W) int32.
@@ -181,6 +188,24 @@ class FrameSequence:
     @property
     def frame_count(self) -> int:
         return int(self.id_map.shape[0])
+
+    @cached_property
+    def _hits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The hit list: the ids of id_map's non-background pixels in C order, and
+        each frame's count of them.
+
+        Made at first use and kept, since id_map is read-only, so a video that
+        several sync pairs name is reduced once.
+        """
+        f, h, w = self.id_map.shape
+        step = max(1, _HIT_BLOCK // (h * w))
+        ids, counts = [], []
+        for s in range(0, f, step):
+            block = self.id_map[s:s + step].reshape(-1)
+            pos = np.flatnonzero(block != BACKGROUND_ID)
+            ids.append(block[pos])
+            counts.append(np.diff(np.searchsorted(pos, np.arange(0, block.size + 1, h * w))))
+        return np.concatenate(ids), np.concatenate(counts)
 
 
 # Points per projection block: a block holds max(1, _BLOCK_POINTS // N) frames
@@ -399,14 +424,17 @@ def save_frames(
     Output bytes depend only on the sequence contents. The manifest is
     written last, so a directory that has one holds every frame it names.
 
-    A frame whose files would equal a pair written earlier in this video, or
-    by a call given the same written, is hard-linked to that pair. written,
-    which only save_frames reads and fills, records a run's closed pairs by
-    a hash of their trajectory row: pass one dict, empty at first, to every
-    call of a run, from any thread. A pair is linked only if its bytes equal
-    the frame's, so an equal pose at another time of a moving scene is
-    written. Equal frame files may thus share an inode: editing one in place
-    edits its twins, while ``cp -r`` or ``shutil.copytree`` copies them apart.
+    Twins are looked up by trajectory row, not by content. A frame is
+    hard-linked to the pair written earlier, in this video or by a call given
+    the same written, for the same trajectory row (rotation, center,
+    intrinsics and image size), if that pair's files hold exactly the frame's
+    bytes. So an equal pose at another time of a moving scene is written, and
+    so is a frame whose bytes equal a pair of another row. written, which only
+    save_frames reads and fills, records a run's closed pairs by a hash of
+    their trajectory row: pass one dict, empty at first, to every call of a
+    run, from any thread. Equal frame files may thus share an inode: editing
+    one in place edits its twins, while ``cp -r`` or ``shutil.copytree``
+    copies them apart.
     A name already in directory is removed, never written through. A
     sequence without RGB (frames None) is refused before anything is written.
     """

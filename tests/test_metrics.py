@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -312,9 +313,13 @@ def int32_id_pair(draw, max_frames: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """Two id stacks over a narrow range anywhere in int32, or over all of int32.
 
     A range of at most 4 ids is within four frames' pixels, so sync_report counts it with
-    its id table; a wider one falls back to isin. Any frame of either video may be blank.
+    its id table; a wider one falls back to isin. Any frame of either video may be blank,
+    and the second video's frames may differ in size from the first's.
     """
-    f, h, w = draw(st.integers(1, max_frames)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    f = draw(st.integers(1, max_frames))
+    sizes = [draw(st.tuples(st.integers(1, 5), st.integers(1, 5))) for _ in range(2)]
+    if draw(st.booleans()):
+        sizes[1] = sizes[0]
     if draw(st.booleans()):
         lo = draw(st.sampled_from([-2**31, -3, -1, 0, 1, 2**31 - 4]) | st.integers(-2**31, 2**31 - 4))
         values = st.integers(lo, lo + 3)
@@ -322,7 +327,7 @@ def int32_id_pair(draw, max_frames: int = 3) -> tuple[np.ndarray, np.ndarray]:
         values = st.one_of(st.just(BACKGROUND_ID), st.sampled_from([-2**31, 2**31 - 1]),
                            st.integers(-3, 3), st.integers(-2**31, 2**31 - 1))
     stacks = []
-    for _ in range(2):
+    for h, w in sizes:
         ids = np.array(draw(st.lists(values, min_size=f * h * w, max_size=f * h * w)),
                        dtype=np.int32).reshape(f, h, w)
         ids[draw(st.lists(st.booleans(), min_size=f, max_size=f))] = BACKGROUND_ID
@@ -334,12 +339,38 @@ def int32_id_pair(draw, max_frames: int = 3) -> tuple[np.ndarray, np.ndarray]:
 @given(int32_id_pair())
 def test_sync_report_counts_equal_isin_on_any_int32_ids(pair):
     a, b = seq_from_ids(pair[0]), seq_from_ids(pair[1])
-    want = [int(np.count_nonzero(np.isin(fa, fb) & (fa != BACKGROUND_ID)))
-            for fa, fb in zip(pair[0], pair[1])]
-    assert [matched_pixels(m) for m in oracle_match(a, b)] == want
+    masks = [np.isin(fa, fb) & (fa != BACKGROUND_ID) for fa, fb in zip(pair[0], pair[1])]
+    want = [int(np.count_nonzero(m)) for m in masks]
+    maps = oracle_match(a, b)
+    assert [matched_pixels(m) for m in maps] == want
+    assert len(maps) == len(masks)
+    for m, mask in zip(maps, masks):
+        assert np.array_equal(m.confidences, mask.astype(np.float64))
     rep = sync_report({ShotKind.TILT_UP: a, ShotKind.TILT_DOWN: b},
                       [(ShotKind.TILT_UP, ShotKind.TILT_DOWN)])
     assert rep.rows[0].mean_matched_pixels == float(np.mean(want))
+
+
+def test_a_video_in_two_pairs_is_reduced_to_its_hit_list_once(monkeypatch):
+    reduce = FrameSequence.__dict__["_hits"].func
+    reduced = []
+
+    def counting(seq):
+        reduced.append(seq)
+        return reduce(seq)
+
+    spy = functools.cached_property(counting)
+    spy.__set_name__(FrameSequence, "_hits")
+    monkeypatch.setattr(FrameSequence, "_hits", spy)
+    rng = np.random.default_rng(5)
+    kinds = (ShotKind.ROTATION_LEFT, ShotKind.ARC_RIGHT_WITH_ROT, ShotKind.AZIMUTH_RIGHT)
+    videos = {k: seq_from_ids(rng.integers(0, 9, size=(3, 4, 5))) for k in kinds}
+    pairs = [(kinds[0], kinds[1]), (kinds[0], kinds[2])]
+    rows = sync_report(videos, pairs).rows
+    # one pair per call, as eval scores a chunk, and the matcher reuse the same hit lists
+    assert [sync_report(videos, [p]).rows[0] for p in pairs] == list(rows)
+    oracle_match(videos[kinds[0]], videos[kinds[2]])
+    assert sorted(map(id, reduced)) == sorted(map(id, videos.values()))
 
 
 @settings(max_examples=200, deadline=None)

@@ -37,7 +37,7 @@ from .metrics import SyncReport, SyncRow, pose_error_report, sync_report
 from .records import MANIFEST, check_fields, inside, read_json, str_list, write_json, write_text
 from .report import top_down_svg
 from .scene import FrameSequence, load_frames, make_scene, render, save_frames
-from .scheduler import chunk_schedule, generation_order, overlap_condition_mask, plan_divide_conquer
+from .scheduler import chunk_schedule, generation_order, plan_divide_conquer
 from .trajectory_ops import ShotKind, benchmark_suite, sync_pairs
 
 DEFAULT_BASE_WIDTH = 192
@@ -160,6 +160,8 @@ def cmd_simulate(
     config: EngineConfig, source_path: str | None, shots_text: str | None,
     frame_count: int, out_dir: Path,
 ) -> int:
+    if source_path is None and frame_count < 2:
+        raise DomainError(f"--frames must be at least 2, got {frame_count}")
     # both would fail only after the first frame writes; checked here, they write nothing
     if not config.retrieval.include_source:
         raise DomainError("retrieval.include_source=false leaves chunk 1 nothing to retrieve")
@@ -189,7 +191,6 @@ def cmd_simulate(
                 "start": c.start,
                 "end": c.end,
                 "overlap_with_prev": c.overlap_with_prev,
-                "clean_frames": int(overlap_condition_mask(c, config.scheduler).sum()),
             }
             for m, c in enumerate(schedule.chunks, start=1)
         ],
@@ -401,59 +402,39 @@ def cmd_eval(run_dir: Path, n_shots: int) -> int:
                 "pair": [row.pair[0].slug, row.pair[1].slug],
                 "frames": row.frames,
                 "mean_matched_pixels": row.mean_matched_pixels,
-                "mean_matched_kpx": row.mean_matched_kpx,
             }
             for row in sync.rows
         ],
         "mean_matched_pixels": sync.mean_matched_pixels,
-        "mean_matched_kpx": sync.mean_matched_kpx,
         "poses": poses,
     }
 
-    csv_lines = ["pair,frames,mean_matched_pixels,trans_err,rot_err,scale"]
+    csv_lines = ["pair,frames,mean_matched_pixels"]
     for rec in doc["sync"]:
         p, q = rec["pair"]
-        csv_lines.append(f"{p}|{q},{rec['frames']},{rec['mean_matched_pixels']!r},,,")
-    for rec in poses:
-        csv_lines.append(
-            f"{rec['shot']}:pose,{rec['frames']},,{rec['trans_err']!r},{rec['rot_err']!r},"
-            f"{rec['scale']!r}"
-        )
+        csv_lines.append(f"{p}|{q},{rec['frames']},{rec['mean_matched_pixels']!r}")
     write_text(run_dir / _REPORT_CSV, "\n".join(csv_lines) + "\n")
     write_json(run_dir / _REPORT_JSON, doc)
 
     print(f"sync pairs (n_shots={n_shots}):")
     for rec in doc["sync"]:
         p, q = rec["pair"]
-        print(
-            f"  {p} | {q}: {rec['mean_matched_pixels']:.1f} px "
-            f"({rec['mean_matched_kpx']:.3f} k) over {rec['frames']} frames"
-        )
-    print(f"mean matched pixels: {sync.mean_matched_pixels:.1f} ({sync.mean_matched_kpx:.3f} k)")
-    print("pose errors (generated vs requested):")
-    for rec in poses:
-        print(
-            f"  {rec['shot']}: trans_err={rec['trans_err']:.6g} rot_err={rec['rot_err']:.6g} "
-            f"scale={rec['scale']:.6g}"
-        )
+        print(f"  {p} | {q}: {rec['mean_matched_pixels']:.1f} px over {rec['frames']} frames")
+    print(f"mean matched pixels: {sync.mean_matched_pixels:.1f}")
     print(f"wrote {run_dir / _REPORT_CSV} and {run_dir / _REPORT_JSON}")
     return 0
 
 
-# per report section, the fields of each record that cmd_report reads
-_REPORT_FIELDS = {
-    "poses": {"shot": str, "trans_err": float, "rot_err": float},
-    "sync": {"pair": str_list, "mean_matched_pixels": float},
-}
+# the fields of each sync record that cmd_report reads; it reads no other section
+_SYNC_FIELDS = {"pair": str_list, "mean_matched_pixels": float}
 
 
 def _read_report(path: Path) -> dict:
     """An eval report, with each field cmd_report reads present and of its JSON type."""
     doc = read_json(path, "report JSON")
-    check_fields(str(path), doc, dict.fromkeys(_REPORT_FIELDS, list), partial=True)
-    for section, fields in _REPORT_FIELDS.items():
-        for n, rec in enumerate(doc.get(section, [])):
-            check_fields(f"{path}: {section} record {n}", rec, fields)
+    check_fields(str(path), doc, {"sync": list}, partial=True)
+    for n, rec in enumerate(doc.get("sync", [])):
+        check_fields(f"{path}: sync record {n}", rec, _SYNC_FIELDS)
     return doc
 
 
@@ -485,10 +466,8 @@ def cmd_report(run_dir: Path) -> int:
             for label in sorted(groups, key=lambda label: (label != "source", label))
         ]
 
-    pose_by_shot = {}
     match_by_shot: dict[str, list[float]] = {}
     if report_doc:
-        pose_by_shot = {p["shot"]: p for p in report_doc.get("poses", [])}
         for rec in report_doc.get("sync", []):
             for slug in rec["pair"]:
                 match_by_shot.setdefault(slug, []).append(rec["mean_matched_pixels"])
@@ -496,12 +475,9 @@ def cmd_report(run_dir: Path) -> int:
     for traj in trajs:
         if traj.label == "source":
             continue
-        pose = pose_by_shot.get(traj.label)
         matches = match_by_shot.get(traj.label)
         rows.append((
             traj.label, len(groups[traj.label]), len(traj),
-            None if pose is None else pose["trans_err"],
-            None if pose is None else pose["rot_err"],
             None if not matches else float(np.mean(matches)),
         ))
 
@@ -510,16 +486,16 @@ def cmd_report(run_dir: Path) -> int:
 
     def table_row(cells) -> str:
         return f"{cells[0]:<27} " + " ".join(
-            f"{c:>{w}}" for c, w in zip(cells[1:], (6, 7, 11, 11, 11))
+            f"{c:>{w}}" for c, w in zip(cells[1:], (6, 7, 11))
         )
 
     print("\nper-shot summary:")
-    print(table_row(("shot", "chunks", "frames", "trans_err", "rot_err", "match_px")))
+    print(table_row(("shot", "chunks", "frames", "match_px")))
     for r in rows:
         print(table_row([cell(x) for x in r]))
     summary_path = run_dir / "report_summary.csv"
     if rows:
-        lines = ["shot,chunks,frames,trans_err,rot_err,mean_matched_pixels"]
+        lines = ["shot,chunks,frames,mean_matched_pixels"]
         lines += [",".join("" if x is None else str(x) for x in r) for r in rows]
         write_text(summary_path, "\n".join(lines) + "\n")
         print(f"wrote {summary_path}")

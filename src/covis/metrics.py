@@ -214,10 +214,6 @@ class SyncRow:
         # an exact integer total over a correctly rounded division: float(np.mean(counts))
         return self.matched_pixels / self.frames
 
-    @property
-    def mean_matched_kpx(self) -> float:
-        return self.mean_matched_pixels / 1000.0
-
 
 @dataclass(frozen=True)
 class SyncReport:
@@ -228,10 +224,6 @@ class SyncReport:
         if not self.rows:
             return 0.0
         return float(np.mean([r.mean_matched_pixels for r in self.rows]))
-
-    @property
-    def mean_matched_kpx(self) -> float:
-        return self.mean_matched_pixels / 1000.0
 
 
 def sync_report(

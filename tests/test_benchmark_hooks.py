@@ -16,9 +16,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Every span tracer.install adds except frustum.covis and memory.similarity:
-# retrieval calls neither frame_covisibility nor trajectory_similarity, since
-# it scores the whole pool in one pool_covisibility call.
+# Every span tracer.install adds except frustum.covis and memory.similarity.
+# Retrieval scores the whole pool in one pool_covisibility call, so it never
+# calls trajectory_similarity. pool_covisibility does call frame_covisibility on
+# fragile frame pairs, but as covis.frustum.frame_covisibility, while the tracer
+# wraps the covis.memory name, so frustum.covis stays silent.
 EXPECTED_SPANS = {
     "camera.traj_load",
     "memory.append", "memory.open", "memory.retrieve",

@@ -10,6 +10,7 @@ import gc
 import io
 import json
 import os
+import re
 import shutil
 import tempfile
 import threading
@@ -124,7 +125,7 @@ def test_simulate_artifacts(run_dir):
     sched = events[0]
     assert sched["total_frames"] == 5
     assert sched["chunks"] == [
-        {"index": 1, "start": 0, "end": 5, "overlap_with_prev": 0, "clean_frames": 0}
+        {"index": 1, "start": 0, "end": 5, "overlap_with_prev": 0}
     ]
     # one source banking, then per view: retrieve, plan, banked
     assert kinds.count("banked") == 4
@@ -166,32 +167,26 @@ def test_simulate_is_deterministic(tmp_path):
 
 
 def test_eval_report_files(run_dir):
-    csv_lines = (run_dir / "report.csv").read_text(encoding="utf-8").splitlines()
-    assert csv_lines[0] == "pair,frames,mean_matched_pixels,trans_err,rot_err,scale"
-    sync_rows = [l for l in csv_lines[1:] if "|" in l]
-    pose_rows = [l for l in csv_lines[1:] if ":pose," in l]
-    assert len(sync_rows) == 2  # sync_pairs(3)
-    assert len(pose_rows) == 3
-    assert sync_rows[0].startswith("rotation_left|arc_right_with_rot,5,")
-    assert sync_rows[0].endswith(",,,")
-    for row in pose_rows:
-        cells = row.split(",")
-        assert cells[1] == "5" and cells[2] == ""
-        assert cells[3] == "0.0"  # generated trajectory equals the request
-        assert cells[5] == "1.0"
-
     doc = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    assert set(doc) == {"n_shots", "sync", "mean_matched_pixels", "poses"}
     assert doc["n_shots"] == 3
     assert [r["pair"] for r in doc["sync"]] == [
         [p.slug, q.slug] for p, q in sync_pairs(3)
     ]
+    assert all(set(r) == {"pair", "frames", "mean_matched_pixels"} for r in doc["sync"])
     for pose in doc["poses"]:
         assert pose["frames"] == 5
-        assert pose["trans_err"] == 0.0
+        assert pose["trans_err"] == 0.0  # generated trajectory equals the request
         assert pose["scale"] == 1.0
         assert pose["rot_err"] < 1e-5
         assert pose["rot_err_mean"] == pose["rot_err"] / 5
-    assert doc["mean_matched_kpx"] == doc["mean_matched_pixels"] / 1000.0
+
+    # report.csv holds the sync rows only, each as report.json spells its mean
+    lines = ["pair,frames,mean_matched_pixels"] + [
+        f"{p}|{q},{r['frames']},{r['mean_matched_pixels']!r}"
+        for r in doc["sync"] for p, q in [r["pair"]]
+    ]
+    assert (run_dir / "report.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
 def test_eval_stdout(run_dir, capsys):
@@ -199,8 +194,12 @@ def test_eval_stdout(run_dir, capsys):
     out = capsys.readouterr().out
     assert "sync pairs (n_shots=3):" in out
     assert "rotation_left | arc_right_with_rot:" in out
-    assert "mean matched pixels:" in out
-    assert "pose errors (generated vs requested):" in out
+    doc = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    # one line per sync pair and the mean, in pixels only; the pose errors are in report.json
+    assert out.splitlines()[1:-1] == [
+        f"  {p} | {q}: {r['mean_matched_pixels']:.1f} px over {r['frames']} frames"
+        for r in doc["sync"] for p, q in [r["pair"]]
+    ] + [f"mean matched pixels: {doc['mean_matched_pixels']:.1f}"]
 
 
 def test_eval_missing_shots(run_dir, capsys):
@@ -318,7 +317,7 @@ def test_eval_streams_at_most_two_videos(full_run, monkeypatch, n_shots):
                   for fa, fb in zip(at_once[p].id_map, at_once[q].id_map)]
         mean = float(np.mean(counts))
         expected.append({"pair": [p.slug, q.slug], "frames": len(counts),
-                         "mean_matched_pixels": mean, "mean_matched_kpx": mean / 1000.0})
+                         "mean_matched_pixels": mean})
     doc = json.loads((full_run / "report.json").read_text(encoding="utf-8"))
     assert doc["sync"] == expected
     assert doc["mean_matched_pixels"] == float(np.mean([r["mean_matched_pixels"] for r in expected]))
@@ -644,10 +643,7 @@ def test_eval_rejects_frame_file_one_byte_off(run_dir, tmp_path, capsys, name, c
     lambda doc: doc["sync"][0].update(pair="rotation_left"),
     lambda doc: doc["sync"][0].update(mean_matched_pixels="12"),
     lambda doc: doc["sync"].append(None),
-    lambda doc: doc["poses"][1].pop("shot"),
-    lambda doc: doc["poses"][1].update(rot_err=None),
-    lambda doc: doc.update(poses={}),
-], ids=["no_pair", "pair_str", "mean_str", "sync_null", "no_shot", "rot_err_null", "poses_obj"])
+], ids=["no_pair", "pair_str", "mean_str", "sync_null"])
 def test_report_rejects_malformed_report_json(run_dir, tmp_path, capsys, damage):
     run = tmp_path / "run"
     shutil.copytree(run_dir, run)
@@ -657,6 +653,21 @@ def test_report_rejects_malformed_report_json(run_dir, tmp_path, capsys, damage)
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["report", "--run", str(run)]) == 2
     assert f"{path}: " in capsys.readouterr().err
+
+
+def test_report_reads_no_pose_record(run_dir, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    assert main(["report", "--run", str(run)]) == 0
+    summary = (run / "report_summary.csv").read_bytes()
+    path = run / "report.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    # a pose record without its shot, a null error, and a poses section that is no list
+    for poses in ([{**doc["poses"][0], "rot_err": None}, {}], {}):
+        path.write_text(json.dumps({**doc, "poses": poses}), encoding="utf-8")
+        (run / "report_summary.csv").unlink()
+        assert main(["report", "--run", str(run)]) == 0
+        assert (run / "report_summary.csv").read_bytes() == summary
 
 
 @pytest.mark.parametrize("text", ["{oops", "[]", "null"])
@@ -675,14 +686,32 @@ def test_report_outputs(run_dir, capsys):
     assert "per-shot summary:" in out
 
     summary = (run_dir / "report_summary.csv").read_text(encoding="utf-8").splitlines()
-    assert summary[0] == "shot,chunks,frames,trans_err,rot_err,mean_matched_pixels"
-    assert len(summary) == 4
-    assert summary[1].startswith("arc_right_with_rot,1,5,0.0,")
+    assert summary[0] == "shot,chunks,frames,mean_matched_pixels"
+    # a shot's match is the mean of the sync rows that name it: rotation_left is in both pairs
+    doc = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    means = [r["mean_matched_pixels"] for r in doc["sync"]]
+    assert summary[1:] == [f"arc_right_with_rot,1,5,{means[0]!r}",
+                           f"azimuth_right,1,5,{means[1]!r}",
+                           f"rotation_left,1,5,{float(np.mean(means))!r}"]
 
     svg = (run_dir / "trajectories.svg").read_text(encoding="utf-8")
     assert svg.count("<polyline") == 4  # source plus three shots
     assert "<title>rotation_left</title>" in svg
     assert "<title>source</title>" in svg
+
+
+def test_readme_names_the_report_headers_and_schedule_fields_a_run_writes(run_dir):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert main(["report", "--run", str(run_dir)]) == 0
+    for name in ("report.csv", "report_summary.csv"):
+        (header,) = re.findall(rf"^# runs/demo/{re.escape(name)}  \(header: (\S+)\)$", readme, re.M)
+        assert header == (run_dir / name).read_text(encoding="utf-8").splitlines()[0], name
+    (fields,) = re.findall(r"^\| `schedule` \| [^|]* \| (.*) \|$", readme, re.M)
+    event_fields, chunk_fields = fields.split("each with its")
+    schedule = json.loads((run_dir / "run_log.json").read_text(encoding="utf-8"))["events"][0]
+    assert sorted(re.findall(r"`(\w+)`", event_fields)) == sorted(set(schedule) - {"event"})
+    assert all(sorted(re.findall(r"`(\w+)`", chunk_fields)) == sorted(c)
+               for c in schedule["chunks"])
 
 
 def test_report_without_eval_warns(tmp_path, capsys):
@@ -789,6 +818,8 @@ def test_exit_codes(tmp_path, capsys):
     assert "I/O error" in capsys.readouterr().err
 
     assert main(["simulate", "--out", str(tmp_path / "s"), "--frames", "1"]) == 2
+    assert "--frames must be at least 2, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
     assert main(["simulate", "--out", str(tmp_path / "s2"), "--frames", "5",
                  "--shots", "13"]) == 2
     assert main(["retrieve", "--bank", str(tmp_path / "nobank"),
@@ -1340,17 +1371,16 @@ def test_report_frames_are_the_stitched_length_and_cells_stay_apart(config_run, 
     shutil.copytree(config_run, run)
     assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 0
     doc = json.loads((run / "report.json").read_text(encoding="utf-8"))
-    doc["poses"][0].update(trans_err=0.0, rot_err=1.47514e-07)  # the widest .6g cells
-    doc["sync"][0].update(mean_matched_pixels=-1.23456e-100)
+    doc["sync"][0].update(mean_matched_pixels=-1.23456e-100)  # the widest .6g cell
     (run / "report.json").write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     assert main(["report", "--run", str(run)]) == 0
     out = capsys.readouterr().out
     table = out.split("per-shot summary:\n")[1].split("\nwrote ")[0].splitlines()
-    assert table[0].split() == ["shot", "chunks", "frames", "trans_err", "rot_err", "match_px"]
+    assert table[0].split() == ["shot", "chunks", "frames", "match_px"]
     rows = [line.split() for line in table[1:]]
-    assert len(rows) == 3 and all(len(cells) == 6 for cells in rows)
-    assert ["rotation_left", "3", "12", "0", "1.47514e-07"] in [cells[:5] for cells in rows]
+    assert len(rows) == 3 and all(len(cells) == 4 for cells in rows)
+    assert ["arc_right_with_rot", "3", "12", "-1.23456e-100"] in rows
     summary = (run / "report_summary.csv").read_text(encoding="utf-8").splitlines()
     assert [line.split(",")[1:3] for line in summary[1:]] == [["3", "12"]] * 3
 
@@ -1547,16 +1577,21 @@ def test_simulate_rejects_bad_intrinsics_naming_the_frame(tmp_path, capsys, key,
     assert not (out / "bank" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("args, code", [
-    (["simulate", "--shots", ""], 2),
-    (["simulate", "--source", "{missing}"], 3),
-    (["gen-benchmark", "--base", "{missing}"], 3),
-], ids=["simulate_empty_shots", "simulate_missing_source", "gen_benchmark_missing_base"])
-def test_a_rejected_input_leaves_no_output_directory(tmp_path, capsys, args, code):
+@pytest.mark.parametrize("args, code, says", [
+    (["simulate", "--shots", ""], 2, "empty shot list"),
+    (["simulate", "--source", "{missing}"], 3, "I/O error"),
+    (["gen-benchmark", "--base", "{missing}"], 3, "I/O error"),
+    # every count below 2 gets the one message, before the source is built
+    (["simulate", "--frames=1"], 2, "--frames must be at least 2, got 1"),
+    (["simulate", "--frames=0"], 2, "--frames must be at least 2, got 0"),
+    (["simulate", "--frames=-3"], 2, "--frames must be at least 2, got -3"),
+], ids=["simulate_empty_shots", "simulate_missing_source", "gen_benchmark_missing_base",
+        "simulate_frames_1", "simulate_frames_0", "simulate_frames_-3"])
+def test_a_rejected_input_leaves_no_output_directory(tmp_path, capsys, args, code, says):
     out = tmp_path / "out"
     args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]
     assert main([*args, "--out", str(out)]) == code
-    assert capsys.readouterr().err
+    assert says in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -221,7 +221,8 @@ def test_sync_report_identical_pair():
     assert row.frames == 2
     per_frame = [int((seq.id_map[f] != 0).sum()) for f in range(2)]
     assert row.mean_matched_pixels == np.mean(per_frame)
-    assert row.mean_matched_kpx == row.mean_matched_pixels / 1000.0
+    # the pixel mean is the one spelling: no kilo-pixel copy
+    assert not hasattr(row, "mean_matched_kpx") and not hasattr(rep, "mean_matched_kpx")
     assert rep.mean_matched_pixels == row.mean_matched_pixels
 
 
@@ -398,7 +399,7 @@ def test_sync_rows_summed_over_chunks_equal_the_joined_stacks(data):
 def test_sync_row_mean_equals_numpy_mean_of_its_counts(counts):
     row = SyncRow((ShotKind.TILT_UP, ShotKind.TILT_DOWN), len(counts), sum(counts))
     assert row.mean_matched_pixels == float(np.mean(counts))
-    assert row.mean_matched_kpx == float(np.mean(counts)) / 1000.0
+    assert SyncReport((row,)).mean_matched_pixels == row.mean_matched_pixels
 
 
 def test_pose_error_report_fields():

@@ -655,19 +655,23 @@ def test_report_rejects_malformed_report_json(run_dir, tmp_path, capsys, damage)
     assert f"{path}: " in capsys.readouterr().err
 
 
-def test_report_reads_no_pose_record(run_dir, tmp_path):
+@pytest.mark.parametrize("damage", [
+    lambda doc: doc["poses"][1].pop("shot"),
+    lambda doc: doc["poses"][1].update(rot_err=None),
+    lambda doc: doc.update(poses={}),
+], ids=["no_shot", "rot_err_null", "poses_obj"])
+def test_report_reads_no_pose_record(run_dir, tmp_path, damage):
     run = tmp_path / "run"
     shutil.copytree(run_dir, run)
     assert main(["report", "--run", str(run)]) == 0
     summary = (run / "report_summary.csv").read_bytes()
     path = run / "report.json"
     doc = json.loads(path.read_text(encoding="utf-8"))
-    # a pose record without its shot, a null error, and a poses section that is no list
-    for poses in ([{**doc["poses"][0], "rot_err": None}, {}], {}):
-        path.write_text(json.dumps({**doc, "poses": poses}), encoding="utf-8")
-        (run / "report_summary.csv").unlink()
-        assert main(["report", "--run", str(run)]) == 0
-        assert (run / "report_summary.csv").read_bytes() == summary
+    damage(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    (run / "report_summary.csv").unlink()
+    assert main(["report", "--run", str(run)]) == 0
+    assert (run / "report_summary.csv").read_bytes() == summary
 
 
 @pytest.mark.parametrize("text", ["{oops", "[]", "null"])

@@ -9,10 +9,11 @@ Subcommands:
   report         aggregate per-shot table, resolved config, top-down SVG
 
 Flags: --config PATH and repeatable --set section.key=value overrides on
-gen-benchmark, retrieve, plan and simulate; --seed N (shorthand for --set
-scene.seed=N) on simulate; --out DIR on gen-benchmark and simulate, --run DIR
-on eval and report (both default runs/run). eval and report take no
-configuration: they score by the run's own config_resolved.json.
+gen-benchmark, retrieve, plan and simulate. Four flags spell a --set and beat one
+of the same key: simulate's --seed (scene.seed), retrieve's --k and plan's --l
+(retrieval.k), plan's --k (scheduler.k). --out DIR on gen-benchmark and simulate,
+--run DIR on eval and report (both default runs/run). eval and report take no
+configuration: they read the run's own config_resolved.json.
 
 Exit codes: 0 success, 2 domain error, 3 I/O error, 4 configuration error.
 All artifacts of a run are deterministic byte-for-byte, wherever it is written.
@@ -32,9 +33,11 @@ import numpy as np
 from .camera import CameraIntrinsics, CameraPose, Trajectory, load_trajectory, save_trajectory
 from .config import EngineConfig, apply_overrides, load_config, save_config
 from .errors import ConfigError, DomainError
-from .memory import MemoryBank, MemoryEntry, RetrievalResult, check_retrieval, retrieve_top_k
+from .memory import MemoryBank, MemoryEntry, RetrievalResult, retrieve_top_k
 from .metrics import SyncReport, SyncRow, pose_error_report, sync_report
-from .records import MANIFEST, check_fields, inside, read_json, str_list, write_json, write_text
+from .records import (
+    MANIFEST, check_fields, finite_float, inside, read_json, str_list, write_json, write_text,
+)
 from .report import top_down_svg
 from .scene import FrameSequence, load_frames, make_scene, render, save_frames
 from .scheduler import chunk_schedule, generation_order, plan_divide_conquer
@@ -83,11 +86,11 @@ def cmd_gen_benchmark(config: EngineConfig, base_path: str | None, out_dir: Path
 
 
 def _retrieve(
-    config: EngineConfig, bank: MemoryBank, target: Trajectory, k: int, chunk: int
+    config: EngineConfig, bank: MemoryBank, target: Trajectory, chunk: int
 ) -> RetrievalResult:
     """retrieve_top_k with the sampler, frustum and retrieval settings of config."""
     return retrieve_top_k(
-        bank, target, k, chunk,
+        bank, target, config.retrieval.k, chunk,
         cfg=config.sampler, params=config.frustum,
         include_source=config.retrieval.include_source,
         cross_chunk=config.retrieval.cross_chunk,
@@ -95,10 +98,10 @@ def _retrieve(
     )
 
 
-def cmd_retrieve(config: EngineConfig, bank_dir: str, target_path: str, k: int | None, chunk: int) -> int:
+def cmd_retrieve(config: EngineConfig, bank_dir: str, target_path: str, chunk: int) -> int:
     bank = MemoryBank.open(bank_dir)
     target = load_trajectory(target_path)
-    result = _retrieve(config, bank, target, config.retrieval.k if k is None else k, chunk)
+    result = _retrieve(config, bank, target, chunk)
     print(f"retrieved {len(result.ranked)} of {len(bank)} entries for chunk {chunk}")
     for rank, (idx, score) in enumerate(result.ranked, start=1):
         e = bank.entries[idx]
@@ -110,18 +113,12 @@ def cmd_retrieve(config: EngineConfig, bank_dir: str, target_path: str, k: int |
     return 0
 
 
-def cmd_plan(
-    config: EngineConfig, bank_dir: str, target_path: str,
-    l: int | None, k: int | None, chunk: int,
-) -> int:
-    if l is not None:  # retrieve_top_k's rule, with an error that names --l, not its k
-        check_retrieval(l, config.retrieval.tie_rule, name="retrieval count l")
+def cmd_plan(config: EngineConfig, bank_dir: str, target_path: str, chunk: int) -> int:
     bank = MemoryBank.open(bank_dir)
     target = load_trajectory(target_path)
-    result = _retrieve(config, bank, target, config.retrieval.k if l is None else l, chunk)
+    result = _retrieve(config, bank, target, chunk)
     items = [(bank.entries[i], s) for i, s in reversed(result.ranked)]
-    k = config.scheduler.k if k is None else k
-    plan = plan_divide_conquer(items, k, target, bank.source_entry(chunk))
+    plan = plan_divide_conquer(items, config.scheduler.k, target, bank.source_entry(chunk))
     print(plan.format())
     return 0
 
@@ -225,7 +222,7 @@ def cmd_simulate(
         for v, m in generation_order(len(suite), len(schedule.chunks)):
             chunk = schedule.chunks[m - 1]
             target = suite[v - 1].slice_frames(chunk.start, chunk.end)
-            result = _retrieve(config, bank, target, config.retrieval.k, m)
+            result = _retrieve(config, bank, target, m)
             retrieved = {
                 "event": "retrieve", "view": v, "chunk": m, "shot": target.label,
                 "scores": [[i, s] for i, s in result.ranked],
@@ -346,9 +343,6 @@ def _stream_sync(
                 e, drop = chunks[kind][c]
                 videos[kind] = load_frames(run_dir / e.video_ref, skip=drop, expect=e.trajectory)
                 key = videos[kind].scene_key
-                if key is None:
-                    raise DomainError(f"{e.video_ref}: chunk {e.chunk_index} of {kind.slug!r} "
-                                      "has no scene key")
                 first = scene_keys.setdefault(kind, key)
                 if key != first:
                     raise DomainError(
@@ -426,7 +420,7 @@ def cmd_eval(run_dir: Path, n_shots: int) -> int:
 
 
 # the fields of each sync record that cmd_report reads; it reads no other section
-_SYNC_FIELDS = {"pair": str_list, "mean_matched_pixels": float}
+_SYNC_FIELDS = {"pair": str_list, "mean_matched_pixels": finite_float}
 
 
 def _read_report(path: Path) -> dict:
@@ -439,47 +433,28 @@ def _read_report(path: Path) -> dict:
 
 
 def cmd_report(run_dir: Path) -> int:
-    warnings_list: list[str] = []
-
-    report_doc = None
+    bank = MemoryBank.open(run_dir / _BANK_DIR)
+    run_config = _run_config(run_dir)
     report_path = run_dir / _REPORT_JSON
-    if report_path.exists():
-        report_doc = _read_report(report_path)
-    else:
-        warnings_list.append(f"no evaluation report at {report_path}; run eval first")
+    evaluated = report_path.exists()
+    report_doc = _read_report(report_path) if evaluated else {}
 
-    run_config = None
-    groups: dict[str, list[MemoryEntry]] = {}
-    trajs: list[Trajectory] = []
-    if not (run_dir / _BANK_DIR / MANIFEST).exists():
-        warnings_list.append(f"no bank at {run_dir / _BANK_DIR}; run simulate first")
-    elif not (run_dir / _RESOLVED_CONFIG).exists():
-        warnings_list.append(f"no config at {run_dir / _RESOLVED_CONFIG}; run simulate first")
-    else:
-        run_config = _run_config(run_dir)
-        print("resolved configuration:")
-        print(json.dumps(dataclasses.asdict(run_config), indent=2, sort_keys=True))
-        groups = _group_shots(run_dir, MemoryBank.open(run_dir / _BANK_DIR))
-        # the source, then every shot by label, each stitched once for the table and the SVG
-        trajs = [
-            _stitch_trajectory(groups[label], run_config.scheduler.overlap_frames, label)
-            for label in sorted(groups, key=lambda label: (label != "source", label))
-        ]
+    print("resolved configuration:")
+    print(json.dumps(dataclasses.asdict(run_config), indent=2, sort_keys=True))
+    groups = _group_shots(run_dir, bank)
+    # the source, then every shot by label, each stitched once for the table and the SVG
+    trajs = [
+        _stitch_trajectory(groups[label], run_config.scheduler.overlap_frames, label)
+        for label in sorted(groups, key=lambda label: (label != "source", label))
+    ]
 
     match_by_shot: dict[str, list[float]] = {}
-    if report_doc:
-        for rec in report_doc.get("sync", []):
-            for slug in rec["pair"]:
-                match_by_shot.setdefault(slug, []).append(rec["mean_matched_pixels"])
-    rows = []
-    for traj in trajs:
-        if traj.label == "source":
-            continue
-        matches = match_by_shot.get(traj.label)
-        rows.append((
-            traj.label, len(groups[traj.label]), len(traj),
-            None if not matches else float(np.mean(matches)),
-        ))
+    for rec in report_doc.get("sync", []):
+        for slug in rec["pair"]:
+            match_by_shot.setdefault(slug, []).append(rec["mean_matched_pixels"])
+    rows = [(t.label, len(groups[t.label]), len(t),
+             float(np.mean(match_by_shot[t.label])) if t.label in match_by_shot else None)
+            for t in trajs if t.label != "source"]
 
     def cell(x) -> str:
         return "-" if x is None else (f"{x:.6g}" if isinstance(x, float) else str(x))
@@ -500,21 +475,21 @@ def cmd_report(run_dir: Path) -> int:
         write_text(summary_path, "\n".join(lines) + "\n")
         print(f"wrote {summary_path}")
 
-    if run_config is not None:
-        svg_path = run_dir / "trajectories.svg"
-        write_text(svg_path, top_down_svg(trajs, run_config.frustum))
-        print(f"wrote {svg_path}")
+    svg_path = run_dir / "trajectories.svg"
+    write_text(svg_path, top_down_svg(trajs, run_config.frustum))
+    print(f"wrote {svg_path}")
 
-    for w in warnings_list:
-        print(f"warning: {w}")
+    if not evaluated:
+        print(f"warning: no evaluation report at {report_path}; run eval first")
     return 0
 
 
 def _resolve_config(args: argparse.Namespace) -> EngineConfig:
+    """--config (else the defaults), each --set, then each flag whose dest is its section.key."""
     config = load_config(args.config) if args.config else EngineConfig()
     overrides = list(args.set or [])
-    if getattr(args, "seed", None) is not None:  # only simulate has --seed
-        overrides.append(f"scene.seed={args.seed}")
+    overrides += [f"{key}={value}" for key, value in vars(args).items()
+                  if "." in key and value is not None]
     return apply_overrides(config, overrides) if overrides else config
 
 
@@ -546,16 +521,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("retrieve", parents=[config, bank_target],
                        help="rank bank entries against a target")
-    r.add_argument("--k", type=int, help="retrieval count (default: retrieval.k)")
+    r.add_argument("--k", type=int, dest="retrieval.k", help="retrieval count")
 
     pl = sub.add_parser("plan", parents=[config, bank_target],
                         help="print the context-reduction plan")
-    pl.add_argument("--l", type=int, help="retrieval count (default: retrieval.k)")
-    pl.add_argument("--k", type=int, help="context size (default: scheduler.k)")
+    pl.add_argument("--l", type=int, dest="retrieval.k", help="retrieval count")
+    pl.add_argument("--k", type=int, dest="scheduler.k", help="context size")
 
     s = sub.add_parser("simulate", parents=[config, out],
                        help="run retrieval-conditioned generation over chunks and views")
-    s.add_argument("--seed", type=int, help="override scene.seed")
+    s.add_argument("--seed", type=int, dest="scene.seed", help="scene seed")
     s.add_argument("--shots", help="comma list of shot indices or names (default: all 12)")
     source = s.add_mutually_exclusive_group()
     source.add_argument("--source", help="source trajectory file (default: static identity base)")
@@ -581,9 +556,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gen-benchmark":
             return cmd_gen_benchmark(config, args.base, args.out)
         if args.command == "retrieve":
-            return cmd_retrieve(config, args.bank, args.target, args.k, args.chunk)
+            return cmd_retrieve(config, args.bank, args.target, args.chunk)
         if args.command == "plan":
-            return cmd_plan(config, args.bank, args.target, args.l, args.k, args.chunk)
+            return cmd_plan(config, args.bank, args.target, args.chunk)
         # argparse admits no command but these six
         return cmd_simulate(config, args.source, args.shots, args.frames, args.out)
     except ConfigError as e:

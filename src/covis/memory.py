@@ -195,10 +195,10 @@ def _traj_name(insert_seq: int) -> str:
     return f"traj_{insert_seq:06d}.json"
 
 
-def check_retrieval(k: int, tie_rule: str, name: str = "k") -> None:
-    """retrieve_top_k's rules for k and tie_rule, also RetrievalConfig's; errors call k name."""
+def check_retrieval(k: int, tie_rule: str) -> None:
+    """retrieve_top_k's rules for k and tie_rule, also RetrievalConfig's."""
     if k < 1:
-        raise DomainError(f"{name} must be >= 1, got {k}")
+        raise DomainError(f"k must be >= 1, got {k}")
     if tie_rule not in ("recent_first", "oldest_first"):
         raise DomainError(f"unknown tie rule {tie_rule!r}")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 from typing import Any, get_args
 
@@ -90,6 +91,11 @@ def inside(base: Path, rel: str, where: str, what: str) -> Path:
 def positive_int(x: Any) -> bool:
     """An integer of at least 1: a Python or numpy integer, never a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x > 0
+
+
+def finite_float(x: Any) -> bool:
+    """An int or a float, never a bool, within the float range: not NaN or infinite."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def str_list(x: Any) -> bool:

@@ -436,10 +436,13 @@ def save_frames(
     one in place edits its twins, while ``cp -r`` or ``shutil.copytree``
     copies them apart.
     A name already in directory is removed, never written through. A
-    sequence without RGB (frames None) is refused before anything is written.
+    sequence without RGB (frames None) or without a scene key is refused before
+    anything is written.
     """
     if seq.frames is None:
         raise DomainError("cannot save a frame sequence without RGB frames")
+    if seq.scene_key is None:
+        raise DomainError("cannot save a frame sequence without a scene key")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_trajectory(seq.trajectory, directory / _TRAJ_NAME)
@@ -474,7 +477,7 @@ def save_frames(
 
 # Every video manifest field load_frames reads and its JSON type.
 _MANIFEST_FIELDS = {"width": positive_int, "height": positive_int, "frame_count": positive_int,
-                    "trajectory": str, "scene_key": str | None}
+                    "trajectory": str, "scene_key": str}
 
 
 def _fill(path: str, out: np.ndarray) -> bool:
@@ -534,5 +537,5 @@ def load_frames(
             raise DomainError(f"{directory}: frame {i} has unexpected byte length")
     ids.setflags(write=False)
     return FrameSequence(
-        frames=None, id_map=ids, trajectory=kept, scene_key=manifest.get("scene_key")
+        frames=None, id_map=ids, trajectory=kept, scene_key=manifest["scene_key"]
     )

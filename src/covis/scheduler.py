@@ -109,7 +109,7 @@ def generation_order(n_views: int, n_chunks: int) -> list[tuple[int, int]]:
     return [(v, m) for m in range(1, n_chunks + 1) for v in range(1, n_views + 1)]
 
 
-def overlap_condition_mask(chunk: Chunk, cfg: SchedulerConfig | None = None) -> np.ndarray:
+def overlap_condition_mask(chunk: Chunk) -> np.ndarray:
     """Per-frame conditioning flags for a chunk: True = clean context frame.
 
     The first overlap_with_prev frames are reused from the previous chunk
@@ -118,11 +118,6 @@ def overlap_condition_mask(chunk: Chunk, cfg: SchedulerConfig | None = None) -> 
     if not (0 <= chunk.overlap_with_prev < chunk.length):
         raise DomainError(
             f"overlap {chunk.overlap_with_prev} out of range for chunk length {chunk.length}"
-        )
-    if cfg is not None and chunk.overlap_with_prev not in (0, cfg.overlap_frames):
-        raise DomainError(
-            f"chunk overlap {chunk.overlap_with_prev} does not match configured "
-            f"overlap_frames {cfg.overlap_frames}"
         )
     mask = np.zeros(chunk.length, dtype=bool)
     mask[: chunk.overlap_with_prev] = True

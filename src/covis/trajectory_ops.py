@@ -6,8 +6,8 @@ base trajectory's first pose:
 
 - rotation and tilt shots rotate the camera in place;
 - arc, azimuth, and elevation shots orbit the look-at point, which sits on
-  the base optical axis at depth 5 (half the default far plane) unless
-  generate_shot is given another;
+  the base optical axis at depth DEFAULT_LOOKAT_DEPTH = 5 (half the default
+  far plane);
 - translate shots move the camera center along its up/down axis;
 - zoom shots move the center along the optical axis;
 - the "with rot" variants re-aim at the original look-at point each frame,
@@ -144,23 +144,22 @@ def generate_shot(
     magnitude: float,
     frame_count: int,
     base: Trajectory,
-    lookat_depth: float = DEFAULT_LOOKAT_DEPTH,
 ) -> Trajectory:
     """Generate the F-frame trajectory of one shot from its base's first pose.
 
     magnitude is in radians or world units. The shot parameter (angle or
     distance) is interpolated linearly over frames, so frame i sits at
     i/(F-1) of the magnitude; frame 1 is the base pose itself, bit for bit.
-    Every frame is computed in one batched pass.
+    The look-at point is DEFAULT_LOOKAT_DEPTH down the base's first optical
+    axis. Every frame is computed in one batched pass.
     """
     if frame_count < 2:
         raise DomainError(f"frame_count must be >= 2, got {frame_count}")
-    for name, value in (("magnitude", magnitude), ("lookat_depth", lookat_depth)):
-        if value <= 0.0:
-            raise DomainError(f"{name} must be positive, got {value}")
+    if magnitude <= 0.0:
+        raise DomainError(f"magnitude must be positive, got {magnitude}")
     rotations, centers = base.pose_stack
     r0, c0 = rotations[0], centers[0]
-    lookat = c0 + lookat_depth * r0[:, 2]
+    lookat = c0 + DEFAULT_LOOKAT_DEPTH * r0[:, 2]
     amounts = magnitude * np.arange(1, frame_count) / (frame_count - 1)
     rots, cens = _shot_stack(kind, r0, c0, lookat, amounts)
     return Trajectory.from_stacks(

@@ -283,7 +283,7 @@ def test_save_load_round_trip_matches_per_pose_bytes(tmp_path_factory, seed, fra
 def test_generate_shot_matches_per_pose_reference(seed, kind, frame_count):
     rng = np.random.default_rng(seed)
     base = Trajectory.from_poses([random_pose(rng)], random_intrinsics(rng), label="base")
-    args = (kind, float(rng.uniform(0.01, 3.0)), frame_count, base, float(rng.uniform(0.1, 10.0)))
+    args = (kind, float(rng.uniform(0.01, 3.0)), frame_count, base)
     intr = base.frames[0][1]
     want = [(p, intr) for p in ref_generate_shot(*args)]
     got = generate_shot(*args)

@@ -523,7 +523,9 @@ def test_eval_names_a_chunk_video_without_a_scene_key(run_dir, tmp_path, capsys)
         path.write_text(json.dumps({**manifest, "scene_key": None}), encoding="utf-8")
     assert main(["eval", "--run", str(run), "--n-shots", "3"]) == 2
     err = capsys.readouterr().err
-    assert f"{refs['rotation_left'][0]}: chunk 1 of 'rotation_left' has no scene key" in err
+    # the first video loaded is rotation_left's, and its manifest is refused as it is read
+    path = run / refs["rotation_left"][0] / "manifest.json"
+    assert f"{path}: 'scene_key' must be a str, got None" in err
     assert "different scenes" not in err
     assert not (run / "report.json").exists()
 
@@ -655,6 +657,27 @@ def test_report_rejects_malformed_report_json(run_dir, tmp_path, capsys, damage)
     assert f"{path}: " in capsys.readouterr().err
 
 
+# Python's json writes and reads the first three as bare NaN, Infinity and -Infinity; the
+# integer is a JSON number that no float holds
+@pytest.mark.parametrize("mean", [float("nan"), float("inf"), float("-inf"), 10**400],
+                         ids=["NaN", "Infinity", "-Infinity", "int_past_float_range"])
+def test_report_refuses_a_sync_mean_that_is_not_finite(run_dir, tmp_path, capsys, mean):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    path = run / "report.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["sync"][1]["mean_matched_pixels"] = mean
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for name in ("report_summary.csv", "trajectories.svg"):  # a report of run_dir may be copied
+        (run / name).unlink(missing_ok=True)
+    assert main(["report", "--run", str(run)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"covis report: {path}: sync record 1: 'mean_matched_pixels' must "
+                            f"be a finite float, got {mean!r}\n")
+    assert not (run / "report_summary.csv").exists() and not (run / "trajectories.svg").exists()
+
+
 @pytest.mark.parametrize("damage", [
     lambda doc: doc["poses"][1].pop("shot"),
     lambda doc: doc["poses"][1].update(rot_err=None),
@@ -731,10 +754,12 @@ def test_report_without_eval_warns(tmp_path, capsys):
 
 
 def test_report_on_empty_directory(tmp_path, capsys):
-    assert main(["report", "--run", str(tmp_path / "empty")]) == 0
-    out = capsys.readouterr().out
-    assert "warning: no bank" in out
-    assert not (tmp_path / "empty" / "report_summary.csv").exists()
+    # report reads a run as eval does: without a bank there is nothing to report on
+    assert main(["report", "--run", str(tmp_path / "empty")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"covis report: {tmp_path / 'empty' / 'bank'}: no bank manifest found\n"
+    assert captured.out == ""
+    assert not (tmp_path / "empty").exists()
 
 
 def test_retrieve_and_plan_cli(tmp_path, capsys):
@@ -761,6 +786,48 @@ def test_retrieve_and_plan_cli(tmp_path, capsys):
     assert "merge 1: l=5, m=2" in out
     assert "final: l=2" in out
     assert "step 4 [final -> final]" in out
+
+
+# each flag that spells a config key, with that key's --set, a value that differs from the
+# default, and another value
+_KEY_FLAGS = {
+    "retrieve_k": ("retrieve", "--k", "retrieval.k", "5", "3"),
+    "plan_l": ("plan", "--l", "retrieval.k", "5", "3"),
+    "plan_k": ("plan", "--k", "scheduler.k", "2", "3"),
+    "simulate_seed": ("simulate", "--seed", "scene.seed", "5", "3"),
+}
+
+
+@pytest.mark.parametrize("command, flag, key, value, other", _KEY_FLAGS.values(),
+                         ids=_KEY_FLAGS.keys())
+def test_a_flag_that_spells_a_key_is_its_set_and_beats_one(tmp_path, capsys, command, flag,
+                                                           key, value, other):
+    rng = np.random.default_rng(3)
+    bank = MemoryBank()
+    bank.append(aimed_trajectory(rng, 2, label="src"), "v0", 1, is_source=True)
+    for i in range(5):
+        bank.append(aimed_trajectory(rng, 2, label=f"e{i}"), f"v{i + 1}", 1)
+    bank.save(tmp_path / "bank")
+    save_trajectory(aimed_trajectory(rng, 2, label="tgt"), tmp_path / "target.json")
+    runs = iter(range(5))
+
+    def output(*args: str) -> bytes:
+        """stdout of a retrieve or plan, else the config_resolved.json of a simulate."""
+        if command == "simulate":
+            out = tmp_path / f"run{next(runs)}"
+            assert main([command, *SIM_ARGS, "--out", str(out), *args]) == 0
+            return (out / "config_resolved.json").read_bytes()
+        capsys.readouterr()
+        assert main([command, "--bank", str(tmp_path / "bank"),
+                     "--target", str(tmp_path / "target.json"), *args]) == 0
+        return capsys.readouterr().out.encode()
+
+    spelled = output(flag, value)
+    assert spelled == output("--set", f"{key}={value}")
+    assert spelled != output()
+    # the flag goes after every --set, wherever it stands among them
+    assert output("--set", f"{key}={other}", flag, value) == spelled
+    assert output(flag, value, "--set", f"{key}={other}") == spelled
 
 
 def test_engine_config_environment_variable_is_not_read(tmp_path, monkeypatch):
@@ -1066,13 +1133,14 @@ def test_zero_counts_and_empty_shot_lists_reach_their_validators(tmp_path, capsy
     bank_dir, target = _write_bank(tmp_path)
     where = ["--bank", str(bank_dir), "--target", str(target)]
     capsys.readouterr()
-    # each message names the flag that was set: plan's --l is the retrieval count, its --k the
-    # context size
-    for args, message in ((["retrieve", "--k", "0"], "k must be >= 1, got 0"),
-                          (["plan", "--l", "0"], "retrieval count l must be >= 1, got 0"),
-                          (["plan", "--k", "0"], "k must be >= 1, got 0")):
-        assert main([*args, *where]) == 2
-        assert capsys.readouterr().err == f"covis {args[0]}: {message}\n"
+    # each count flag spells a config key, so a bad count is refused as that key's value is:
+    # retrieve's --k and plan's --l are retrieval.k, plan's --k is scheduler.k
+    for args, message in ((["retrieve", "--k", "0"], "'retrieval': k"),
+                          (["plan", "--l", "0"], "'retrieval': k"),
+                          (["plan", "--k", "0"], "'scheduler': context size k")):
+        assert main([*args, *where]) == 4
+        assert capsys.readouterr().err == f"covis {args[0]}: configuration error: " \
+            f"invalid config section {message} must be >= 1, got 0\n"
 
 
 @pytest.fixture(scope="module")
@@ -1414,15 +1482,16 @@ def test_eval_without_a_readable_run_config_names_it(config_run, tmp_path, capsy
     assert not (run / "report.json").exists()
 
 
-def test_report_without_run_config_warns_and_skips_the_bank(config_run, tmp_path, capsys):
+def test_report_without_run_config_exits_2_naming_it(config_run, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(config_run, run)
     (run / "config_resolved.json").unlink()
     capsys.readouterr()
-    assert main(["report", "--run", str(run)]) == 0
-    out = capsys.readouterr().out
-    assert f"warning: no config at {run / 'config_resolved.json'}" in out
-    assert "resolved configuration:" not in out
+    assert main(["report", "--run", str(run)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"covis report: {run / 'config_resolved.json'}: not found; "
+                            "the run's simulate did not finish\n")
     assert not (run / "report_summary.csv").exists()
     assert not (run / "trajectories.svg").exists()
 

@@ -443,6 +443,14 @@ def test_frame_sequence_without_rgb_counts_id_maps_and_cannot_be_saved(tmp_path)
     assert not (tmp_path / "seq").exists()
 
 
+def test_frame_sequence_without_a_scene_key_cannot_be_saved(tmp_path):
+    seq = render(manual_scene([[0.0, 0.0, 5.0]]), IDENTITY_TRAJ)
+    keyless = FrameSequence(frames=seq.frames, id_map=seq.id_map, trajectory=IDENTITY_TRAJ)
+    with pytest.raises(DomainError, match="without a scene key"):
+        save_frames(keyless, tmp_path / "seq")
+    assert not (tmp_path / "seq").exists()
+
+
 def test_render_and_load_frames_are_read_only(tmp_path):
     seq = render(make_scene(9, point_count=150), IDENTITY_TRAJ)
     save_frames(seq, tmp_path / "seq")
@@ -461,8 +469,10 @@ def test_render_and_load_frames_are_read_only(tmp_path):
     lambda m: {**m, "frame_count": 0},
     lambda m: {**m, "trajectory": None},
     lambda m: {**m, "scene_key": 3},
+    lambda m: {**m, "scene_key": None},
     lambda m: [m],
-], ids=["no_width", "height_str", "count_bool", "count_0", "traj_null", "key_int", "list"])
+], ids=["no_width", "height_str", "count_bool", "count_0", "traj_null", "key_int", "key_null",
+        "list"])
 def test_load_frames_rejects_malformed_manifest(tmp_path, damage):
     save_frames(render(manual_scene([[0.0, 0.0, 5.0]]), IDENTITY_TRAJ), tmp_path / "seq")
     path = tmp_path / "seq" / "manifest.json"

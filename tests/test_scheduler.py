@@ -138,19 +138,16 @@ def test_chunk_schedule_drops_overlap_frames_after_the_first_chunk(overlap_laten
 
 
 def test_overlap_condition_mask():
-    cfg = SchedulerConfig()
-    mask = overlap_condition_mask(Chunk(72, 165, 21), cfg)
+    mask = overlap_condition_mask(Chunk(72, 165, 21))
     assert mask.shape == (93,)
     assert mask[:21].all() and not mask[21:].any()
-    first = overlap_condition_mask(Chunk(0, 93, 0), cfg)
+    first = overlap_condition_mask(Chunk(0, 93, 0))
     assert not first.any()
     # overlap = length - 1 leaves exactly one generated frame
-    edge = overlap_condition_mask(Chunk(0, 22, 21), cfg)
+    edge = overlap_condition_mask(Chunk(0, 22, 21))
     assert int((~edge).sum()) == 1
     with pytest.raises(DomainError):
-        overlap_condition_mask(Chunk(0, 10, 10), cfg)
-    with pytest.raises(DomainError):
-        overlap_condition_mask(Chunk(0, 93, 5), cfg)
+        overlap_condition_mask(Chunk(0, 10, 10))
 
 
 def test_token_layout_constants():
